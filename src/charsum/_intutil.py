@@ -54,9 +54,25 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-def crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    assert math.gcd(m1, m2) == 1
-    u = pow(m2, -1, m1)
-    x = r2 + m2 * (((r1 - r2) * u) % m1)
-    return x % (m1 * m2)
+def solve_congruences(coeffs, residues, modulus: int) -> int | None:
+    """Least t in [0, modulus) with n*t = c (mod modulus) for every pair
+    (n, c) of coeffs and residues, or None when the system has no solution.
+
+    Alone, n*t = c is solvable iff g = gcd(n, modulus) divides c, and then
+    pins t modulo modulus/g; the pinned classes merge by CRT over moduli
+    that need not be coprime.  Zero and negative n are allowed.
+    """
+    r, m = 0, 1  # the solutions so far: t = r (mod m), m | modulus
+    for n, c in zip(coeffs, residues):
+        g = math.gcd(n, modulus)
+        if c % g:
+            return None
+        mi = modulus // g
+        ri = (c // g) * pow(n // g, -1, mi) % mi
+        h = math.gcd(m, mi)
+        if (ri - r) % h:
+            return None
+        step = mi // h
+        k = (ri - r) // h * pow(m // h, -1, step) % step
+        r, m = r + m * k, m * step
+    return r

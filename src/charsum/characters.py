@@ -39,6 +39,8 @@ class CharSystem:
         self._twists: dict[int, int] = {}
         self._gauss_cache: dict[tuple[int, int], CycloValue] = {}
         self._product_cache: dict[tuple[int, tuple[int, ...]], CycloValue] = {}
+        # GammaMonomial -> whether its predicted divisor vanishes
+        self._zero_divisor_cache: dict = {}
 
     # ---- the character group at each degree
 

@@ -153,10 +153,20 @@ def _check_keys(payload, allowed):
         raise SchemaError(f"unknown field(s) {sorted(extra)} for this kind")
 
 
-def _depth(payload, opts):
-    if opts.depth is not None:
-        return opts.depth
-    return _as_int(payload, "depth", DEFAULT_DEPTH)
+def _depth(payload, opts, minimum=0):
+    depth = opts.depth if opts.depth is not None \
+        else _as_int(payload, "depth", DEFAULT_DEPTH)
+    if depth < minimum:
+        raise SchemaError(f"depth {depth} must be at least {minimum}")
+    return depth
+
+
+def _check_sweep_size(tuples, opts):
+    """Cost preflight of a moment sweep, which checks one identity per
+    tuple; runs before any extension field is built."""
+    if tuples > opts.max_grid:
+        raise SizeBoundError(f"moment sweep of {tuples} tuples exceeds "
+                             f"the bound {opts.max_grid}")
 
 
 def _system(payload, degrees=(1,)):
@@ -279,14 +289,19 @@ def _run_identity(payload, opts):
 
 def _run_monom(payload, opts):
     _check_keys(payload, {"p", "s", "exponents", "characters", "a", "depth"})
-    depth = _depth(payload, opts)
-    system = _system(payload, range(1, depth + 1))
+    depth = _depth(payload, opts, minimum=1)
+    system = _system(payload)
     exponents = _as_int_list(payload, "exponents")
     specs = payload.get("characters")
     if not isinstance(specs, list) or len(specs) != len(exponents):
         raise SchemaError("need one character spec per exponent")
     chars = tuple(_parse_char(system, 1, s) for s in specs)
     datum = MonomialDatum(1, tuple(exponents), chars, _as_int(payload, "a"))
+    q = system.tower.q
+    _check_sweep_size(sum((q ** e - 2) ** len(exponents)
+                          for e in range(1, depth + 1)), opts)
+    for e in range(2, depth + 1):
+        system.tower.level(e)
     cases = []
     for sol in solve_all_monomial_transforms(system, datum):
         cases.append({"record": "transform", "case": sol.case,
@@ -358,13 +373,9 @@ def _run_binom(payload, opts):
 def _run_norm(payload, opts):
     _check_keys(payload, {"p", "s", "factor_degrees", "ranks", "characters",
                           "a", "depth"})
-    depth = _depth(payload, opts)
+    depth = _depth(payload, opts, minimum=1)
     factor_degrees = _as_int_list(payload, "factor_degrees")
-    degrees = {1, *factor_degrees}
-    for e in range(2, depth + 1):
-        degrees.add(e)
-        degrees.update(math.lcm(d, e) for d in factor_degrees)
-    system = _system(payload, sorted(degrees))
+    system = _system(payload, [1, *factor_degrees])
     algebra = EtaleAlgebra(system.tower, tuple(factor_degrees))
     module = VirtualModule(_as_int_list(payload, "ranks"))
     specs = payload.get("characters")
@@ -373,6 +384,17 @@ def _run_norm(payload, opts):
     chi = NormCharacter(tuple(_parse_char(system, d, s)
                               for d, s in zip(factor_degrees, specs)))
     a = _as_int(payload, "a")
+    # the degree-e base change splits a factor of degree d into gcd(d, e)
+    # factors of degree lcm(d, e); a sweep tuple is one nontrivial
+    # character on each
+    q = system.tower.q
+    _check_sweep_size(sum(
+        math.prod((q ** math.lcm(d, e) - 2) ** math.gcd(d, e)
+                  for d in factor_degrees)
+        for e in range(1, depth + 1)), opts)
+    for e in range(2, depth + 1):
+        for d in (e, *factor_degrees):
+            system.tower.level(math.lcm(d, e))
     cases = []
     if module_divisor(system, algebra, chi, module).is_zero():
         grp = system.tower.group_order(1)
@@ -538,7 +560,8 @@ def main(argv=None) -> int:
     parser.add_argument("--depth", type=int,
                         help="override the extension-sweep depth")
     parser.add_argument("--max-grid", type=int, default=DEFAULT_MAX_GRID,
-                        help="largest dense grid a job may materialize")
+                        help="largest dense grid a job may materialize, "
+                        "and most tuples a moment sweep may check")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probes")
     parser.add_argument("--emit-floats", action="store_true",

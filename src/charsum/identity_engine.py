@@ -51,6 +51,16 @@ def predicted_divisor(system: CharSystem, mono: GammaMonomial) -> Divisor:
     return total
 
 
+def _has_zero_divisor(system: CharSystem, mono: GammaMonomial) -> bool:
+    """predicted_divisor(system, mono).is_zero(), computed once per monomial:
+    the divisor depends on the monomial only, never on lam."""
+    zero = system._zero_divisor_cache.get(mono)
+    if zero is None:
+        zero = predicted_divisor(system, mono).is_zero()
+        system._zero_divisor_cache[mono] = zero
+    return zero
+
+
 def _lifted_terms(system: CharSystem, mono: GammaMonomial, d: int):
     out = []
     for chi, n in mono.terms:
@@ -69,7 +79,7 @@ def verify_monomial_identity(system: CharSystem, mono: GammaMonomial,
     Requires the predicted divisor to vanish.  When every twisted character
     lam^n chi' is nontrivial, checks 2m = #{i : chi_i trivial} as well.
     """
-    if not predicted_divisor(system, mono).is_zero():
+    if not _has_zero_divisor(system, mono):
         raise SchemaError(
             "monomial has a nonzero divisor; no identity is predicted")
     t = system.tower

@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import cyclotomic as cy
+from ._intutil import solve_congruences
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
 from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
@@ -225,12 +226,7 @@ def _i_sum_raw(system, degree, exponents, a, lams, method):
         raise SchemaError(f"unknown I-sum method {method!r}")
     if k == 0:
         return system.psi_value(degree, a)
-    base = None
-    for tt in range(grp):
-        if all((n * tt - lam.index) % grp == 0
-               for n, lam in zip(exponents, lams)):
-            base = tt
-            break
+    base = solve_congruences(exponents, [lam.index for lam in lams], grp)
     if base is None:
         return cy.from_int(0)
     d0 = math.gcd(*[abs(n) for n in exponents])
@@ -253,7 +249,10 @@ def i_sum_direct(system: CharSystem, datum: MonomialDatum, lams) -> CycloValue:
 
 def i_sum_closed(system: CharSystem, datum: MonomialDatum, lams) -> CycloValue:
     """Closed form: 0 without a common root lam with lam_i = lam^{n_i}, else
-    (q-1)^{k-1} sum over chi with chi^d = 1 of g(lam chi)(lam chi)(a^{-1})."""
+    (q-1)^{k-1} sum over chi with chi^d = 1 of g(lam chi)(lam chi)(a^{-1}).
+
+    The root is the least index t with n_i t = index(lam_i) mod q-1 for
+    every i, solved by gcd and CRT rather than by scanning the group."""
     check_monomial_datum(system, datum)
     return _i_sum_raw(system, datum.degree, datum.exponents, datum.a,
                       tuple(lams), "closed")
@@ -386,25 +385,35 @@ def solve_all_monomial_transforms(system, datum):
 # ------------------------------------------------------- identity checks
 
 
-def verify_twisted_moments(system, datum, solution, lams, *,
-                           method="closed") -> bool:
-    """Check (-q)^k I^{n..}_{chi_i/lam_i}(a) = c prod conj(g(lam_i)) I^{m..}_{eta_i lam_i}(b)."""
-    check_monomial_datum(system, datum)
-    lams = tuple(lams)
+def _moment_sides(system, datum, solution, lams, method):
+    """Both sides of the moment identity at one twist tuple.  The right
+    I-sum is evaluated first; when it vanishes the right side is exactly
+    0 and the Gauss-sum product is never formed."""
     d = datum.degree
     q = system.tower.order(d)
-    if any(system.is_trivial(lam) for lam in lams):
-        raise SchemaError("twisting characters must all be nontrivial")
     lhs_chars = tuple(system.char_mul(chi, system.char_inv(lam))
                       for chi, lam in zip(datum.characters, lams))
     lhs = cy.from_int(-q) ** datum.k * _i_sum_raw(
         system, d, datum.exponents, datum.a, lhs_chars, method)
     rhs_chars = tuple(system.char_mul(eta, lam)
                       for eta, lam in zip(solution.characters, lams))
-    rhs = solution.c * _i_sum_raw(
-        system, d, solution.exponents, solution.b, rhs_chars, method)
-    for lam in lams:
-        rhs = rhs * system.gauss_sum(lam).conjugate()
+    rhs = _i_sum_raw(system, d, solution.exponents, solution.b, rhs_chars,
+                     method)
+    if not rhs.is_zero():
+        rhs = rhs * solution.c
+        for lam in lams:
+            rhs = rhs * system.conj_gauss_sum(lam)
+    return lhs, rhs
+
+
+def verify_twisted_moments(system, datum, solution, lams, *,
+                           method="closed") -> bool:
+    """Check (-q)^k I^{n..}_{chi_i/lam_i}(a) = c prod conj(g(lam_i)) I^{m..}_{eta_i lam_i}(b)."""
+    check_monomial_datum(system, datum)
+    lams = tuple(lams)
+    if any(system.is_trivial(lam) for lam in lams):
+        raise SchemaError("twisting characters must all be nontrivial")
+    lhs, rhs = _moment_sides(system, datum, solution, lams, method)
     return lhs == rhs
 
 
@@ -419,19 +428,9 @@ def sweep_twisted_moments(system, datum, *, depth=2, method="closed"):
         sol_e = solve_monomial_transform(system, datum_e)
         de = datum_e.degree
         grp = system.tower.group_order(de)
-        q_e = system.tower.order(de)
         nontrivial = [system.character(de, i) for i in range(1, grp)]
         for lams in product(nontrivial, repeat=datum.k):
-            lhs_chars = tuple(system.char_mul(chi, system.char_inv(lam))
-                              for chi, lam in zip(datum_e.characters, lams))
-            lhs = cy.from_int(-q_e) ** datum.k * _i_sum_raw(
-                system, de, datum_e.exponents, datum_e.a, lhs_chars, method)
-            rhs_chars = tuple(system.char_mul(eta, lam)
-                              for eta, lam in zip(sol_e.characters, lams))
-            rhs = sol_e.c * _i_sum_raw(
-                system, de, sol_e.exponents, sol_e.b, rhs_chars, method)
-            for lam in lams:
-                rhs = rhs * system.gauss_sum(lam).conjugate()
+            lhs, rhs = _moment_sides(system, datum_e, sol_e, lams, method)
             report["checked"] += 1
             if lhs != rhs:
                 report["failures"].append(

@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import cyclotomic as cy
+from ._intutil import solve_congruences
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue, q_power_ratio
 from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
@@ -313,16 +314,23 @@ def i_norm_direct(system: CharSystem, algebra: EtaleAlgebra,
 
 
 def _factor_through_det(system, algebra, module, lam):
-    """A base character mu with lam = mu o det_V, or None."""
+    """The base character mu of least index with lam = mu o det_V, or None.
+
+    On a factor of degree D the lift of mu^n has index n idx(mu) s with
+    s = |F_{q^D}^*| / |F_{q^e}^*|, so the factor asks s | idx(lam_i) and
+    n idx(mu) = idx(lam_i)/s mod q^e - 1; the system is solved by gcd/CRT.
+    """
     t = system.tower
     e = algebra.base_degree
-    for idx in range(t.group_order(e)):
-        mu = system.character(e, idx)
-        if all(system.lift_character(system.char_pow(mu, n), deg) == ch
-               for ch, n, deg in zip(lam.chars, module.ranks,
-                                     algebra.degrees)):
-            return mu
-    return None
+    grp = t.group_order(e)
+    targets = []
+    for ch, deg in zip(lam.chars, algebra.degrees):
+        s = t.group_order(deg) // grp
+        if ch.index % s:
+            return None
+        targets.append(ch.index // s)
+    idx = solve_congruences(module.ranks, targets, grp)
+    return None if idx is None else system.character(e, idx)
 
 
 def i_norm_closed(system: CharSystem, algebra: EtaleAlgebra,
@@ -330,7 +338,9 @@ def i_norm_closed(system: CharSystem, algebra: EtaleAlgebra,
                   a: int) -> CycloValue:
     """Closed form of I_{V,lam}(a): zero unless lam factors through det_V
     as mu, then |k^*|/(q-1) times the sum of g(mu nu)(mu nu)(a^{-1}) over
-    the characters nu trivial on the image of det_V."""
+    the characters nu trivial on the image of det_V.  mu is found by
+    solving n_i idx(mu) = idx(lam_i)/s_i mod q-1 with gcd and CRT, not by
+    scanning the base character group."""
     check_norm_data(system, algebra, module, lam, a)
     _check_rank_coprimality(system, module)
     t = system.tower
@@ -474,15 +484,10 @@ def _i_norm(system, algebra, module, lam, a, method):
     raise SchemaError(f"unknown method {method!r}")
 
 
-def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
-                        module: VirtualModule, chi: NormCharacter, a: int,
-                        solution: NormSolution, lam: NormCharacter, *,
-                        method: str = "closed") -> bool:
-    """Check (-q)^dim I_{V, chi/lam}(a) = c conj(g(lam)) I_{W, eta lam}(b)
-    for a non-degenerate lam; q is the base field size."""
-    check_norm_data(system, algebra, module, chi, a)
-    if not is_nondegenerate(system, lam):
-        raise SchemaError("twisting characters must all be nontrivial")
+def _moment_sides(system, algebra, module, chi, a, solution, lam, method):
+    """Both sides of the norm moment identity at one twist.  The right
+    I-sum is evaluated first; when it vanishes the right side is exactly
+    0 and conj(g(lam)) is never formed."""
     q = system.tower.order(algebra.base_degree)
     lhs_chars = NormCharacter(tuple(
         system.char_mul(ch, system.char_inv(lm))
@@ -492,9 +497,26 @@ def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
     rhs_chars = NormCharacter(tuple(
         system.char_mul(et, lm)
         for et, lm in zip(solution.characters.chars, lam.chars)))
-    rhs = solution.c * gauss_sum_algebra(system, algebra, lam).conjugate() \
-        * _i_norm(system, algebra, VirtualModule(solution.ranks),
-                  rhs_chars, solution.b, method)
+    rhs = _i_norm(system, algebra, VirtualModule(solution.ranks), rhs_chars,
+                  solution.b, method)
+    if not rhs.is_zero():
+        rhs = rhs * solution.c
+        for lm in lam.chars:
+            rhs = rhs * system.conj_gauss_sum(lm)
+    return lhs, rhs
+
+
+def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
+                        module: VirtualModule, chi: NormCharacter, a: int,
+                        solution: NormSolution, lam: NormCharacter, *,
+                        method: str = "closed") -> bool:
+    """Check (-q)^dim I_{V, chi/lam}(a) = c conj(g(lam)) I_{W, eta lam}(b)
+    for a non-degenerate lam; q is the base field size."""
+    check_norm_data(system, algebra, module, chi, a)
+    if not is_nondegenerate(system, lam):
+        raise SchemaError("twisting characters must all be nontrivial")
+    lhs, rhs = _moment_sides(system, algebra, module, chi, a, solution, lam,
+                             method)
     return lhs == rhs
 
 
@@ -560,20 +582,9 @@ def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
         chi_e = extend_character(system, algebra, chi, e)
         a_e = extend_scalar(system, algebra, a, e)
         sol_e = solve_norm_transform(system, alg_e, mod_e, chi_e, a_e)
-        q_e = system.tower.order(alg_e.base_degree)
         for lam in iter_nondegenerate(system, alg_e):
-            lhs_chars = NormCharacter(tuple(
-                system.char_mul(ch, system.char_inv(lm))
-                for ch, lm in zip(chi_e.chars, lam.chars)))
-            lhs = cy.from_int(-q_e) ** alg_e.dim() * _i_norm(
-                system, alg_e, mod_e, lhs_chars, a_e, method)
-            rhs_chars = NormCharacter(tuple(
-                system.char_mul(et, lm)
-                for et, lm in zip(sol_e.characters.chars, lam.chars)))
-            rhs = sol_e.c \
-                * gauss_sum_algebra(system, alg_e, lam).conjugate() \
-                * _i_norm(system, alg_e, VirtualModule(sol_e.ranks),
-                          rhs_chars, sol_e.b, method)
+            lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e, sol_e,
+                                     lam, method)
             report["checked"] += 1
             if lhs != rhs:
                 report["failures"].append(

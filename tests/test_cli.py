@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,65 @@ def test_size_bound_exit(tmp_path, capsys):
     code = main(["--job", write_job(tmp_path, job), "--max-grid", "10"])
     assert code == 3
     capsys.readouterr()
+
+
+NORM_JOB = {"kind": "norm", "p": 3, "factor_degrees": [2], "ranks": [1],
+            "characters": ["trivial"], "a": 1, "depth": 2}
+
+
+def run_error(tmp_path, capsys, payload, *flags):
+    code = main(["--job", write_job(tmp_path, payload), *flags])
+    return code, json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("job,tuples", [
+    (MONOM_JOB, 25),
+    (dict(MONOM_JOB, depth=2), 25 + 47 ** 2),
+    (NORM_JOB, 7 + 7 ** 2),
+    (dict(NORM_JOB, factor_degrees=[2, 1], ranks=[1, -2],
+          characters=["trivial", "trivial"]), 7 * 1 + 7 ** 2 * 7),
+])
+def test_sweep_preflight_is_exact(tmp_path, capsys, job, tuples):
+    # the count is the sweep's own tuple count, so a bound equal to it runs
+    code, out = run_main(tmp_path, capsys, job, "--max-grid", str(tuples))
+    assert code == 0
+    assert json.loads(out)["cases"][-1]["checked"] == tuples
+    code, err = run_error(tmp_path, capsys, job,
+                          "--max-grid", str(tuples - 1))
+    assert code == 3 and err["kind"] == "SizeBoundError"
+    assert f"{tuples} tuples" in err["error"]
+
+
+def test_sweep_preflight_stops_large_job_at_once(tmp_path, capsys):
+    job = {"kind": "monom", "p": 13, "exponents": [2, 1, -1],
+           "characters": ["trivial", "trivial", "trivial"], "a": 1,
+           "depth": 2}
+    t0 = time.perf_counter()
+    code, err = run_error(tmp_path, capsys, job)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert f"{11 ** 3 + 167 ** 3} tuples" in err["error"]
+
+
+@pytest.mark.parametrize("job,flags,code", [
+    (dict(MONOM_JOB, depth=0), (), 2),
+    (dict(MONOM_JOB, depth=-1), (), 2),
+    (MONOM_JOB, ("--depth", "0"), 2),
+    (dict(NORM_JOB, depth=0), (), 2),
+    (NORM_JOB, ("--depth", "-1"), 2),
+    ({"kind": "identity", "p": 5, "depth": -1,
+      "terms": [{"degree": 1, "char": "trivial", "n": 1},
+                {"degree": 1, "char": "trivial", "n": -1}]}, (), 2),
+    # depth 0 with a search is a search-only identity job
+    ({"kind": "identity", "p": 5, "depth": 0, "search_depth": 2,
+      "terms": [{"degree": 1, "char": "trivial", "n": 1},
+                {"degree": 1, "char": "trivial", "n": -1}]}, (), 0),
+])
+def test_depth_bounds(tmp_path, capsys, job, flags, code):
+    assert main(["--job", write_job(tmp_path, job), *flags]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert json.loads(captured.err)["kind"] == "SchemaError"
 
 
 def test_suite_tight_bound_names_job():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import charsum.identity_engine as ie
 from charsum.characters import CharSystem
 from charsum.divisor_calc import Divisor
 from charsum.errors import InternalCheckError, SchemaError
@@ -81,8 +82,29 @@ def test_verify_negative_exponent_m():
 def test_verify_rejects_nonzero_divisor():
     sys = system(7)
     m = GammaMonomial([(sys.trivial(1), 3), (sys.char_of_order(1, 3), -1)])
-    with pytest.raises(SchemaError):
-        verify_monomial_identity(sys, m, sys.trivial(1))
+    # the second call answers from the per-monomial memo and still raises
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            verify_monomial_identity(sys, m, sys.trivial(1))
+
+
+def test_verify_builds_divisor_once_per_monomial(monkeypatch):
+    calls = []
+
+    def counting(system, mono):
+        calls.append(mono)
+        return predicted_divisor(system, mono)
+
+    monkeypatch.setattr(ie, "predicted_divisor", counting)
+    sys = system(7)
+    hd2, hd3 = hd_monomial(sys, 2), hd_monomial(sys, 3)
+    for m in (hd2, hd3):
+        for idx in range(6):
+            verify_monomial_identity(sys, m, sys.character(1, idx))
+    assert calls == [hd2, hd3]
+    # the memo lives on the CharSystem: a fresh system builds it again
+    verify_monomial_identity(system(7), hd2, sys.character(1, 1))
+    assert calls == [hd2, hd3, hd2]
 
 
 def test_verify_hd_families_all_lambdas():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from itertools import product
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum.cyclotomic as cy
+import charsum.monomial_fourier as mf
 from charsum.characters import CharSystem
 from charsum.errors import SchemaError, SizeBoundError
 from charsum.field_tower import build_tower
@@ -383,6 +385,56 @@ def test_sweep_twisted_moments_depth_two(sys, exps, orders, a):
     assert not rep["failures"]
     assert rep["nonvanishing"] >= 1
     assert rep["depth"] == 2
+
+
+def _tamper_c(sys, sol, degree):
+    return dataclasses.replace(sol, c=-sol.c)
+
+
+def _tamper_b(sys, sol, degree):
+    t = sys.tower
+    return dataclasses.replace(sol, b=t.mul(degree, sol.b, t.generator(degree)))
+
+
+def _tamper_eta(sys, sol, degree):
+    # shifting eta_1 by a non-cube kills the right root of every tuple
+    eta = (sys.char_mul(sol.characters[0], sys.character(degree, 1)),) \
+        + sol.characters[1:]
+    return dataclasses.replace(sol, characters=eta)
+
+
+@pytest.mark.parametrize("tamper", [_tamper_c, _tamper_b, _tamper_eta])
+def test_sweep_fails_on_tampered_solution(monkeypatch, tamper):
+    e3 = S7.char_of_order(1, 3)
+    dat = MonomialDatum(1, (3, -1), (S7.trivial(1), e3), 1)
+    honest = sweep_twisted_moments(S7, dat, depth=2)
+    assert honest["pass"] and honest["nonvanishing"] > 0
+    solve = mf.solve_monomial_transform
+    monkeypatch.setattr(
+        mf, "solve_monomial_transform",
+        lambda sys, d: tamper(sys, solve(sys, d), d.degree))
+    rep = sweep_twisted_moments(S7, dat, depth=2)
+    assert not rep["pass"]
+    assert rep["checked"] == honest["checked"]
+    if tamper is _tamper_c:
+        # -c flips exactly the nonzero right sides
+        assert len(rep["failures"]) == honest["nonvanishing"]
+    elif tamper is _tamper_eta:
+        # every nonvanishing tuple now meets a right side of 0
+        failed = {(f["degree"], tuple(f["lams"])) for f in rep["failures"]}
+        nonvanishing = set()
+        for e in (1, 2):
+            dat_e = lift_datum(S7, dat, e)
+            for idx in product(range(1, 7 ** e - 1), repeat=2):
+                lams = tuple(S7.character(e, i) for i in idx)
+                left = tuple(S7.char_mul(chi, S7.char_inv(lam))
+                             for chi, lam in zip(dat_e.characters, lams))
+                if not i_sum_closed(S7, dat_e, left).is_zero():
+                    nonvanishing.add((e, idx))
+        assert len(nonvanishing) == honest["nonvanishing"]
+        assert nonvanishing <= failed
+    else:
+        assert rep["failures"]
 
 
 # --------------------------------------------------------------- pointwise

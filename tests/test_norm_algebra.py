@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import charsum.cyclotomic as cy
+import charsum.norm_algebra as na
 from charsum.characters import CharSystem
 from charsum.cyclotomic import CycloValue
 from charsum.divisor_calc import Divisor
@@ -267,6 +270,44 @@ def test_i_norm_matches_monomial_closed_form():
     assert lhs == rhs == CycloValue(6, (-2, 2))
 
 
+def factor_through_det_by_scan(sys, algebra, module, lam):
+    e = algebra.base_degree
+    for idx in range(sys.tower.group_order(e)):
+        mu = sys.character(e, idx)
+        if all(sys.lift_character(sys.char_pow(mu, n), deg) == ch
+               for ch, n, deg in zip(lam.chars, module.ranks,
+                                     algebra.degrees)):
+            return mu
+    return None
+
+
+def test_factor_through_det_matches_scan():
+    S34 = CharSystem(build_tower(3, degrees=(1, 2, 4)))
+    T34 = S34.tower
+    algebras = [EtaleAlgebra(T34, degs, base) for degs, base in
+                [((2,), 1), ((1, 1), 1), ((1, 2), 1), ((2, 1), 1),
+                 ((1, 1, 2), 1), ((2, 4), 2), ((2, 2), 2), ((4,), 2)]]
+    rng = random.Random(4)
+    found = 0
+    for _ in range(1500):
+        alg = rng.choice(algebras)
+        V = VirtualModule(tuple(rng.randint(-4, 4) for _ in alg.degrees))
+        if rng.random() < 0.5:
+            # a twist through det_V, so the factoring branch is exercised
+            mu = S34.character(alg.base_degree, rng.randrange(
+                T34.group_order(alg.base_degree)))
+            chars = tuple(S34.lift_character(S34.char_pow(mu, n), d)
+                          for n, d in zip(V.ranks, alg.degrees))
+        else:
+            chars = tuple(S34.character(d, rng.randrange(T34.group_order(d)))
+                          for d in alg.degrees)
+        lam = NormCharacter(chars)
+        want = factor_through_det_by_scan(S34, alg, V, lam)
+        assert na._factor_through_det(S34, alg, V, lam) == want
+        found += want is not None
+    assert 750 <= found < 1500
+
+
 # ------------------------------------------------------------------ solver
 
 
@@ -409,6 +450,56 @@ def test_f49_f7_moments_sample():
         for j in range(1, 6):
             lam = NormCharacter((S7.character(2, i), S7.character(1, j)))
             assert verify_norm_moments(S7, K, V, chi, 1, sol, lam)
+
+
+@pytest.mark.parametrize("field", ["c", "b", "eta"])
+def test_sweep_fails_on_tampered_solution(monkeypatch, field):
+    V = VirtualModule((1, -2))
+    chi = NormCharacter((TRIV9, TRIV3))
+    honest = sweep_norm_moments(S3, K93, V, chi, 1, depth=2)
+    assert honest["pass"] and honest["nonvanishing"] > 0
+    solve = na.solve_norm_transform
+
+    def tampered(sys, alg, mod, ch, a):
+        sol = solve(sys, alg, mod, ch, a)
+        e = alg.base_degree
+        t = sys.tower
+        if field == "c":
+            return dataclasses.replace(sol, c=-sol.c)
+        if field == "b":
+            return dataclasses.replace(sol, b=t.mul(e, sol.b, t.generator(e)))
+        # shifting eta_1 by an index prime to the lift step kills the
+        # right root of every twist that had one
+        etas = sol.characters.chars
+        shifted = sys.char_mul(etas[0], sys.character(etas[0].degree, 1))
+        return dataclasses.replace(
+            sol, characters=NormCharacter((shifted,) + etas[1:]))
+
+    monkeypatch.setattr(na, "solve_norm_transform", tampered)
+    rep = sweep_norm_moments(S3, K93, V, chi, 1, depth=2)
+    assert not rep["pass"]
+    assert rep["checked"] == honest["checked"]
+    if field == "c":
+        assert len(rep["failures"]) == honest["nonvanishing"]
+    elif field == "eta":
+        # every nonvanishing twist now meets a right side of 0
+        failed = {(f["degree"], tuple(f["lams"])) for f in rep["failures"]}
+        nonvanishing = set()
+        for e in (1, 2):
+            alg = base_change(S3, K93, e)
+            mod = extend_module(S3, K93, V, e)
+            chi_e = extend_character(S3, K93, chi, e)
+            for lam in iter_nondegenerate(S3, alg):
+                left = NormCharacter(tuple(
+                    S3.char_mul(c, S3.char_inv(lm))
+                    for c, lm in zip(chi_e.chars, lam.chars)))
+                if not i_norm_closed(S3, alg, mod, left,
+                                     extend_scalar(S3, K93, 1, e)).is_zero():
+                    nonvanishing.add((e, tuple(lm.index for lm in lam.chars)))
+        assert len(nonvanishing) == honest["nonvanishing"]
+        assert nonvanishing <= failed
+    else:
+        assert rep["failures"]
 
 
 # --------------------------------------------------------- split agreement
