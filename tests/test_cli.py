@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -294,6 +295,49 @@ def test_reports_byte_identical(tmp_path, capsys):
     _, first = run_main(tmp_path, capsys, MONOM_JOB)
     _, second = run_main(tmp_path, capsys, MONOM_JOB)
     assert first == second
+
+
+# sha256 of `charsum --job` stdout for depth-2 moment sweeps, recorded
+# before the monomial layer became the split case of the norm layer
+SWEEP_REPORT_DIGESTS = [
+    ({"kind": "monom", "p": 7, "exponents": [3, -1],
+      "characters": ["trivial", "e3"], "depth": 2}, [
+        "36c821e5fbbbb7fa2a37973ddab283f51a53bf5ad04364ff304a9e9de855f2f4",
+        "31819310c26a909944701d760c545c20924cfea51a4a803ead4bb499f9556ea9",
+        "9f7f89e4f407ea7c4aa039f150a5f0005c0a9957e0e59b397d45e8ad8fdb35f0",
+        "7162f956e3053b430acb2f8ff91bd5b1ad976a55df2a724dfa5c7be838d99f42",
+        "b3a105806cbe9d9820f13aa22c01c141e93f8fa0b7e5ab9e4950383c237ab36c",
+        "b5151af935a1848e9d6eb249250064737d1057011f625384b5d2e8a35416d662"]),
+    ({"kind": "norm", "p": 7, "factor_degrees": [2], "ranks": [1],
+      "characters": ["trivial"], "depth": 2}, [
+        "843d99ce21d1dd4c74dd3338f64d2c9592a3d1f587f1c24daa4d403977d56622",
+        "1044e0278e58f88f23663947912bc26db59d89569a0ac2728d215d478440a900",
+        "ad6e98c6e59e02e456b2c73bdff66aac6b10640dd8303e8129d734f09bff9b45",
+        "29e7ebc6c924160dd3c46383545d74af550d4b1987a3ec1cf37016bcdb92b370",
+        "d957b07c0d32bbe3f0d14a7761c3a6d55f8d8c9595b612edf734311643a2caf5",
+        "f3d552b9ab2bbaea0ed5daa48f03d3b424bd52d0337bb9feb9d0b228f6cab2f7"]),
+    ({"kind": "monom", "p": 5, "exponents": [2, 1, -1],
+      "characters": ["trivial", "trivial", "trivial"], "depth": 2}, [
+        "b46cebc967f93819ad8345a006253022d69f789ccd5856cde90f4159eb7cc63e",
+        "12cc09d3f62d5c9542e279eae17c4fb4a77c68bef6c1682417490566e0d9c91a",
+        "3af132e32e7fb2c4ed65408cfa063551871cdf4a1886f8bde0b333ea3c9dabb8",
+        "ea135f9d1013201b36f7cb88ba4fa344cadc375e687ce6966233777a382b3108"]),
+]
+
+
+def test_equivalence_gate_reports_are_pinned(tmp_path, capsys):
+    """The full suite and the sweep reports keep their exact bytes."""
+    assert main(["--suite", "full"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 50011
+    assert hashlib.sha256(out).hexdigest() == \
+        "41b2227c5cacea34b88ed0af21f28fcae96631d7f7aefd591516be3f9372389e"
+    for job, digests in SWEEP_REPORT_DIGESTS:
+        for a, digest in enumerate(digests, start=1):
+            code, out = run_main(tmp_path, capsys, dict(job, a=a))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+                (job, a)
 
 
 def test_seed_changes_nothing_about_pass_pattern():
