@@ -14,7 +14,6 @@ in small rings.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,33 +154,6 @@ class CharSystem:
                 val = val * self.gauss_sum(MultCharacter(degree, i))
             self._product_cache[key] = val
         return val
-
-    # ---- Kloosterman sums
-
-    def kloosterman(self, degree: int, chars, t_code: int) -> CycloValue:
-        """Sum of psi(x_1+...+x_k) chi_1(x_1)...chi_k(x_k) over x_1*...*x_k = t."""
-        if t_code == 0:
-            raise SchemaError("kloosterman point must be nonzero")
-        d = degree
-        t = self.tower
-        n = t.group_order(d)
-        p = t.p
-        M = n * p
-        tr = t.absolute_trace_table(d)
-        cd = self._twist_at(d)
-        idxs = [c.index for c in chars]
-        assert idxs and all(c.degree == d for c in chars)
-        lt = t.log(d, t_code)
-        counts = [0] * M
-        for ees in itertools.product(range(n), repeat=len(idxs) - 1):
-            e_last = (lt - sum(ees)) % n
-            a = (idxs[-1] * e_last) % n
-            x_sum = t.exp(d, e_last)
-            for idx_i, e_i in zip(idxs, ees):
-                a = (a + idx_i * e_i) % n
-                x_sum = t.add(d, x_sum, t.exp(d, e_i))
-            counts[(a * p + tr[t.mul(d, cd, x_sum)] * n) % M] += 1
-        return from_root_counts(M, counts)
 
     # ---- lifting and multiplication laws for Gauss sums
 

@@ -29,7 +29,7 @@ from .field_tower import build_tower
 from .identity_engine import GammaMonomial, find_violation, \
     verify_monomial_identity
 from .monomial_fourier import GridFunction, MonomialDatum, \
-    solve_all_monomial_transforms, sweep_twisted_moments
+    solve_monomial_transform, sweep_twisted_moments
 from .norm_algebra import EtaleAlgebra, NormCharacter, VirtualModule, \
     module_divisor, solve_norm_transform, sweep_norm_moments, \
     verify_norm_identity
@@ -257,6 +257,9 @@ def _run_identity(payload, opts):
     if not isinstance(terms, list) or not terms:
         raise SchemaError("field 'terms' must be a non-empty list")
     depth = _depth(payload, opts)
+    if depth == 0 and "search_depth" not in payload:
+        raise SchemaError("an identity job of depth 0 checks nothing "
+                          "without search_depth")
     term_degrees = []
     for t_ in terms:
         if not isinstance(t_, dict):
@@ -302,12 +305,11 @@ def _run_monom(payload, opts):
                           for e in range(1, depth + 1)), opts)
     for e in range(2, depth + 1):
         system.tower.level(e)
-    cases = []
-    for sol in solve_all_monomial_transforms(system, datum):
-        cases.append({"record": "transform", "case": sol.case,
-                      "exponents": sol.exponents,
-                      "characters": sol.characters, "chi": sol.chi,
-                      "b": sol.b, "c": sol.c, "m": sol.twist, "pass": True})
+    sol = solve_monomial_transform(system, datum)
+    cases = [{"record": "transform", "case": sol.case,
+              "exponents": sol.exponents, "characters": sol.characters,
+              "chi": sol.chi, "b": sol.b, "c": sol.c, "m": sol.twist,
+              "pass": True}]
     sweep = sweep_twisted_moments(system, datum, depth=depth)
     cases.append({"record": "moments", "depth": sweep["depth"],
                   "checked": sweep["checked"],

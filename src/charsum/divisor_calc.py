@@ -103,32 +103,6 @@ def divisor_of_char_power(point: Fraction, n: int) -> Divisor:
     return Divisor(pts)
 
 
-def frobenius_quotient(div: Divisor, q: int) -> Divisor:
-    """Quotient by the orbit map r -> q*r on Q/Z; input must be invariant."""
-    if q < 2:
-        raise SchemaError(f"q = {q} must be at least 2")
-    for pt in div.support():
-        if math.gcd(pt.denominator, q) != 1:
-            raise SchemaError(
-                f"point {pt} has denominator not coprime to q = {q}")
-    seen = set()
-    out: dict[Fraction, int] = {}
-    for pt, mult in div.points():
-        if pt in seen:
-            continue
-        orbit = [pt]
-        cur = frac_mod1(q * pt)
-        while cur != pt:
-            orbit.append(cur)
-            cur = frac_mod1(q * cur)
-        for x in orbit:
-            seen.add(x)
-            if div.multiplicity(x) != mult:
-                raise SchemaError("divisor is not Frobenius invariant")
-        out[min(orbit)] = mult
-    return Divisor(out)
-
-
 class SymbolSum:
     """Formal Z-combination of symbols (s, n) at level N.
 
@@ -236,14 +210,6 @@ class SymbolSum:
                 pt = frac_mod1(Fraction(s, n * self.N) + Fraction(j, n))
                 pts[pt] = pts.get(pt, 0) + c
         return Divisor(pts)
-
-    def level_map(self, M: int) -> "SymbolSum":
-        """Push to level M*N by (s, n) -> (M*s, n); the divisor is unchanged."""
-        if M < 1:
-            raise SchemaError(f"level factor M = {M} must be positive")
-        return SymbolSum(self.N * M,
-                         {(M * s, n): c for (s, n), c in self._terms.items()},
-                         self.char_coprime)
 
 
 def injectivity_probe(N: int, char_coprime: int | None = None, seed: int = 0,

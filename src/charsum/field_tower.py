@@ -475,16 +475,6 @@ class FieldTower:
         """Codes g^0, g^1, ... in exponent order, or None without tables."""
         return self.level(d).exp_table
 
-    def iter_generator_powers(self, d):
-        lv = self.level(d)
-        if lv.exp_table is not None:
-            yield from lv.exp_table
-            return
-        cur = 1
-        for _ in range(lv.n):
-            yield cur
-            cur = self._raw_mul(lv, cur, lv.gen)
-
     # ---- maps between levels
 
     def embed(self, e, d, a):

@@ -1,13 +1,18 @@
 """Exact finite Fourier analysis for monomial sum data.
 
-Grid functions on F_{q^d}^k with cyclotomic-integer values, the naive
-(exact) Fourier transform, the twisted monomial sums
+A monomial datum (d, n, chi, a) is the split case of the norm layer: the
+algebra F_{q^d}^k over base degree d, with ranks n, characters chi and
+coefficient a.  Its twisted sums
 
     I^{n_1..n_k}_{lam_1..lam_k}(a)
         = sum over (x_i) in (F_{q^d}^*)^k of psi(a prod x_i^{n_i}) prod lam_i(x_i),
 
-and the solver that produces, for a monomial datum with exponent sum 2 or 0,
-the matching transformed datum (W, eta, b) together with the exact constant c.
+its transform solver (exponent sum 2 or 0: the transformed datum
+(W, eta, b) and the exact constant c) and its moment sweeps are fronts
+that validate the datum and run norm_algebra's engine on the split
+algebra.  This module adds what is particular to monomials: grid
+functions on F_{q^d}^k with cyclotomic-integer values, the naive (exact)
+Fourier transform, pointwise transform checks and the ratio transforms.
 Everything is integer arithmetic in cyclotomic fields; nothing is floated.
 """
 
@@ -16,43 +21,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from . import cyclotomic as cy
-from ._intutil import solve_congruences
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
-from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
-from .errors import InternalCheckError, SchemaError, SizeBoundError
-
-DEFAULT_TERM_BOUND = 1 << 26
-
-
-@dataclass(frozen=True)
-class MonomialDatum:
-    """Exponents n_i, characters chi_i and a coefficient a over F_{q^degree}.
-
-    The datum stands for the function psi(a prod x_i^{n_i}) prod chi_i(x_i)
-    on the torus (F_{q^degree}^*)^k.  Exponents must be nonzero; arithmetic
-    constraints involving p are checked against a concrete CharSystem by
-    check_monomial_datum.
-    """
-
-    degree: int
-    exponents: tuple
-    characters: tuple
-    a: int
-
-    def __init__(self, degree, exponents, characters, a):
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "exponents", tuple(int(n) for n in exponents))
-        object.__setattr__(self, "characters", tuple(characters))
-        object.__setattr__(self, "a", int(a))
-
-    @property
-    def k(self):
-        return len(self.exponents)
+from .errors import SchemaError, SizeBoundError
+from .norm_algebra import (DEFAULT_TERM_BOUND, EtaleAlgebra, MonomialDatum,
+                           NormCharacter, VirtualModule, _i_sum, _sweep,
+                           as_monomial_datum, check_norm_data,
+                           solve_norm_transform, verify_norm_moments)
 
 
 def check_monomial_datum(system: CharSystem, datum: MonomialDatum):
@@ -79,6 +57,14 @@ def lift_datum(system: CharSystem, datum: MonomialDatum, e: int) -> MonomialDatu
     lifted = tuple(system.lift_character(chi, d * e) for chi in datum.characters)
     a = system.tower.embed(d, d * e, datum.a)
     return MonomialDatum(d * e, datum.exponents, lifted, a)
+
+
+def _split(system, datum):
+    """The split algebra F_{q^d}^k over base degree d, the module of the
+    exponents and the norm character of the datum's characters."""
+    d = datum.degree
+    return (EtaleAlgebra(system.tower, (d,) * datum.k, d),
+            VirtualModule(datum.exponents), NormCharacter(datum.characters))
 
 
 # ---------------------------------------------------------------- grids
@@ -143,10 +129,6 @@ class GridFunction:
                 t.mul(d, u, x) for u, x in zip(factors, c))))
         return GridFunction(t, d, self.k, vals)
 
-    def negated_args(self) -> "GridFunction":
-        m1 = self.tower.embed(1, self.degree, self.tower.minus_one())
-        return self.rescale_args((m1,) * self.k)
-
     def __eq__(self, other):
         if not isinstance(other, GridFunction):
             return NotImplemented
@@ -183,61 +165,19 @@ def fourier_transform(system: CharSystem, f: GridFunction, *,
     return GridFunction(t, d, k, out)
 
 
-def inner(f: GridFunction, g: GridFunction) -> CycloValue:
-    """(f, g) = sum_x f(x) conj(g(x)); conjugate-linear in g."""
-    if f.degree != g.degree or f.k != g.k:
-        raise SchemaError("inner product needs functions on the same grid")
-    acc = cy.from_int(0)
-    for a, b in zip(f.values, g.values):
-        if not (a.is_zero() or b.is_zero()):
-            acc = acc + a * b.conjugate()
-    return acc
-
-
 # ---------------------------------------------------------------- I-sums
 
 
 def _i_sum_raw(system, degree, exponents, a, lams, method):
-    t = system.tower
-    grp = t.group_order(degree)
-    p = t.p
-    k = len(exponents)
-    if len(lams) != k:
-        raise SchemaError("need one twisting character per coordinate")
-    for lam in lams:
-        if lam.degree != degree:
-            raise SchemaError("twisting character at the wrong degree")
-    if method == "direct":
-        order = grp * p
-        tr = t.absolute_trace_table(degree)
-        twist = t.mul(degree, system._twist_at(degree), a)
-        tr_a = [tr[t.mul(degree, twist, t.exp(degree, e))] for e in range(grp)]
-        counts = [0] * order
-        idxs = [lam.index for lam in lams]
-        for etup in product(range(grp), repeat=k):
-            mono = 0
-            charge = 0
-            for n, lidx, e in zip(exponents, idxs, etup):
-                mono += n * e
-                charge += lidx * e
-            counts[((charge % grp) * p + tr_a[mono % grp] * grp) % order] += 1
-        return cy.from_root_counts(order, counts)
-    if method != "closed":
-        raise SchemaError(f"unknown I-sum method {method!r}")
-    if k == 0:
+    """I^{n..}_{lam..}(a) over F_{q^degree}, by the norm layer's sum on the
+    split algebra; with no coordinates the torus is one point and the sum
+    is psi(a)."""
+    if not exponents and not lams:
         return system.psi_value(degree, a)
-    base = solve_congruences(exponents, [lam.index for lam in lams], grp)
-    if base is None:
-        return cy.from_int(0)
-    d0 = math.gcd(*[abs(n) for n in exponents])
-    d1 = math.gcd(d0, grp)
-    lam0 = system.character(degree, base)
-    a_inv = t.inv(degree, a)
-    total = cy.from_int(0)
-    for j in range(d1):
-        mu = system.char_mul(lam0, system.character(degree, j * (grp // d1)))
-        total = total + system.gauss_sum(mu) * system.char_value(mu, a_inv)
-    return total * (t.order(degree) - 1) ** (k - 1)
+    algebra, module, lam = _split(system,
+                                  MonomialDatum(degree, exponents, lams, a))
+    check_norm_data(system, algebra, chi=lam, a=a)
+    return _i_sum(system, algebra, module, lam, a, method)
 
 
 def i_sum_direct(system: CharSystem, datum: MonomialDatum, lams) -> CycloValue:
@@ -249,10 +189,9 @@ def i_sum_direct(system: CharSystem, datum: MonomialDatum, lams) -> CycloValue:
 
 def i_sum_closed(system: CharSystem, datum: MonomialDatum, lams) -> CycloValue:
     """Closed form: 0 without a common root lam with lam_i = lam^{n_i}, else
-    (q-1)^{k-1} sum over chi with chi^d = 1 of g(lam chi)(lam chi)(a^{-1}).
-
-    The root is the least index t with n_i t = index(lam_i) mod q-1 for
-    every i, solved by gcd and CRT rather than by scanning the group."""
+    (q-1)^{k-1} sum over chi with chi^d = 1 of g(lam chi)(lam chi)(a^{-1}),
+    d the gcd of the exponents.  This is the norm layer's closed form on
+    the split algebra, which finds the root by gcd and CRT."""
     check_monomial_datum(system, datum)
     return _i_sum_raw(system, datum.degree, datum.exponents, datum.a,
                       tuple(lams), "closed")
@@ -279,12 +218,10 @@ class TransformSolution:
     c: CycloValue
     twist: int
 
-
-def _single_point(div: Divisor):
-    recs = div.records()
-    if len(recs) != 1 or recs[0]["mult"] != 1:
-        return None
-    return Fraction(recs[0]["num"], recs[0]["den"])
+    def transformed(self):
+        """(module, characters, b, c): the right side of the moment check."""
+        return (VirtualModule(self.exponents), NormCharacter(self.characters),
+                self.b, self.c)
 
 
 def _minimal_degree(system, degree, den):
@@ -298,147 +235,41 @@ def _minimal_degree(system, degree, den):
 
 def solve_monomial_transform(system: CharSystem,
                              datum: MonomialDatum) -> TransformSolution:
-    """Solve the two divisor equations for the mediating character chi and
-    assemble the transformed datum and its constant.
+    """solve_norm_transform on the split algebra, with the mediating
+    character reported at the smallest tower degree that realizes it.
 
     The equation (0) +/- (point of chi^{-1}) = sum_i D_{chi_i^{-1}, n_i}
     pins the point of chi uniquely, so there is exactly one candidate
     solution; failure modes are all explicit SchemaErrors.
     """
     check_monomial_datum(system, datum)
-    t = system.tower
-    d = datum.degree
-    q = t.order(d)
-    sigma = sum(datum.exponents)
-    if sigma == 2:
-        case = 1
-    elif sigma == 0:
-        case = 2
-    else:
-        raise SchemaError(f"exponent sum {sigma} admits no transform identity")
-    g0 = math.gcd(*[abs(n) for n in datum.exponents]) if datum.exponents else 0
-    if case == 1 and g0 == 2 and t.p == 2:
-        raise SchemaError("exponent gcd 2 needs odd q")
-
-    rhs = Divisor()
-    for chi, n in zip(datum.characters, datum.exponents):
-        pt = system.char_point(system.char_inv(chi))
-        rhs = rhs + divisor_of_char_power(pt, n)
-    origin = Divisor({Fraction(0): 1})
-    rest = rhs - origin if case == 1 else origin - rhs
-    r = _single_point(rest)
-    if r is None:
-        raise SchemaError("divisor equation has no mediating character")
-    if case == 1 and g0 == 2 and r != Fraction(1, 2):
-        raise SchemaError("exponent gcd 2 requires the order-2 character")
-    if case == 2 and g0 > 1 and r != 0:
-        raise SchemaError("exponent gcd > 1 requires a trivial mediating character")
-    if (q - 1) % r.denominator:
-        raise SchemaError(f"mediating point {r} is not realized over F_{q}")
-
-    chi_point = frac_mod1(-r)
-    chi_min = system.char_from_point(
-        _minimal_degree(system, d, max(1, chi_point.denominator)), chi_point)
-    chi_d = system.lift_character(chi_min, d)
-
-    v = t.from_int(1)
-    for n in datum.exponents:
-        v = t.mul(d, v, t.pow_elem(d, t.embed(1, d, t.from_int(n)), -n))
-    if case == 1:
-        b = t.mul(d, t.neg(d, v), t.inv(d, datum.a))
-    else:
-        b = t.mul(d, datum.a, t.inv(d, v))
-
-    trivial = int(system.is_trivial(chi_d)) + sum(
-        int(system.is_trivial(chi)) for chi in datum.characters)
-    if trivial % 2 == 0:
-        raise InternalCheckError(
-            f"solution has {trivial} trivial characters; an odd count is forced")
-    m = (trivial - 1) // 2
-
-    if case == 1:
-        head = -system.gauss_sum(system.char_inv(chi_d))
-        argval = system.char_value(chi_d, t.neg(d, b))
-        out_exponents = datum.exponents
-    else:
-        head = -system.gauss_sum(chi_d)
-        argval = system.char_value(system.char_inv(chi_d), t.neg(d, b))
-        out_exponents = tuple(-n for n in datum.exponents)
-    c = head * argval * q ** m
-    for chi in datum.characters:
-        c = c * -system.gauss_sum(chi)
-    norm = (c * c.conjugate()).as_int()
-    if norm != q ** datum.k:
-        raise InternalCheckError(f"|c|^2 = {norm} differs from q^k = {q ** datum.k}")
-
-    eta = tuple(
-        system.char_mul(system.char_pow(chi_d, n), system.char_inv(chi))
-        for chi, n in zip(datum.characters, datum.exponents))
-    return TransformSolution(case, out_exponents, eta, chi_min, b, c, m)
-
-
-def solve_all_monomial_transforms(system, datum):
-    """All mediating characters; the divisor equation makes this a 1-tuple."""
-    return (solve_monomial_transform(system, datum),)
+    sol = solve_norm_transform(system, *_split(system, datum), datum.a)
+    point = system.char_point(sol.nu)
+    chi = system.char_from_point(
+        _minimal_degree(system, datum.degree, point.denominator), point)
+    return TransformSolution(sol.case, sol.ranks, sol.characters.chars, chi,
+                             sol.b, sol.c, sol.twist)
 
 
 # ------------------------------------------------------- identity checks
-
-
-def _moment_sides(system, datum, solution, lams, method):
-    """Both sides of the moment identity at one twist tuple.  The right
-    I-sum is evaluated first; when it vanishes the right side is exactly
-    0 and the Gauss-sum product is never formed."""
-    d = datum.degree
-    q = system.tower.order(d)
-    lhs_chars = tuple(system.char_mul(chi, system.char_inv(lam))
-                      for chi, lam in zip(datum.characters, lams))
-    lhs = cy.from_int(-q) ** datum.k * _i_sum_raw(
-        system, d, datum.exponents, datum.a, lhs_chars, method)
-    rhs_chars = tuple(system.char_mul(eta, lam)
-                      for eta, lam in zip(solution.characters, lams))
-    rhs = _i_sum_raw(system, d, solution.exponents, solution.b, rhs_chars,
-                     method)
-    if not rhs.is_zero():
-        rhs = rhs * solution.c
-        for lam in lams:
-            rhs = rhs * system.conj_gauss_sum(lam)
-    return lhs, rhs
 
 
 def verify_twisted_moments(system, datum, solution, lams, *,
                            method="closed") -> bool:
     """Check (-q)^k I^{n..}_{chi_i/lam_i}(a) = c prod conj(g(lam_i)) I^{m..}_{eta_i lam_i}(b)."""
     check_monomial_datum(system, datum)
-    lams = tuple(lams)
-    if any(system.is_trivial(lam) for lam in lams):
-        raise SchemaError("twisting characters must all be nontrivial")
-    lhs, rhs = _moment_sides(system, datum, solution, lams, method)
-    return lhs == rhs
+    return verify_norm_moments(system, *_split(system, datum), datum.a,
+                               solution, NormCharacter(lams), method=method)
 
 
 def sweep_twisted_moments(system, datum, *, depth=2, method="closed"):
-    """Run verify_twisted_moments over every nontrivial tuple at each
-    extension degree e <= depth; the report counts nonvanishing tuples."""
+    """Run the check of verify_twisted_moments over every nontrivial tuple
+    at each extension degree e <= depth; the report counts nonvanishing
+    tuples."""
     check_monomial_datum(system, datum)
-    report = {"depth": depth, "checked": 0, "nonvanishing": 0,
-              "failures": [], "truncated_at_depth": depth}
-    for e in range(1, depth + 1):
-        datum_e = lift_datum(system, datum, e)
-        sol_e = solve_monomial_transform(system, datum_e)
-        de = datum_e.degree
-        grp = system.tower.group_order(de)
-        nontrivial = [system.character(de, i) for i in range(1, grp)]
-        for lams in product(nontrivial, repeat=datum.k):
-            lhs, rhs = _moment_sides(system, datum_e, sol_e, lams, method)
-            report["checked"] += 1
-            if lhs != rhs:
-                report["failures"].append(
-                    {"degree": de, "lams": [lam.index for lam in lams]})
-            elif not lhs.is_zero():
-                report["nonvanishing"] += 1
-    report["pass"] = not report["failures"] and report["nonvanishing"] > 0
-    return report
+    return _sweep(system, *_split(system, datum), datum.a, depth, method,
+                  lambda *data: solve_monomial_transform(
+                      system, as_monomial_datum(*data)))
 
 
 def verify_transform_pointwise(system, datum, solution=None, *, target=None,

@@ -1,4 +1,5 @@
-"""Norm-form layer: etale algebras over a base field in the tower.
+"""Norm-form layer: etale algebras over a base field in the tower, and the
+one transform engine of the package.
 
 An EtaleAlgebra is a product of tower fields F_{q^{D_i}} viewed over the
 base F_{q^e} (e = base_degree, e | D_i).  A VirtualModule assigns an integer
@@ -10,7 +11,11 @@ the scale p(V) = prod n_i^{n_i d_i} (d_i = D_i/e), the index d(V) = gcd n_i,
 and the weighted divisor sum_i d_i D_{chi_i, n_i}.  On top of that sit the
 algebra Gauss-sum identity (verify_norm_identity), the determinant-twisted
 sums I_{V,lam}(a) in direct and closed form, and the transform solver for
-modules of rank 2 or 0 with its moment verifier.
+modules of rank 2 or 0 with its moment verifier and sweep.
+
+A monomial datum over F_{q^d} is the split algebra F_{q^d}^k over base
+degree d with ranks equal to its exponents; monomial_fourier is a front
+that runs its solver, I-sums and sweeps through this engine.
 """
 
 from __future__ import annotations
@@ -26,16 +31,18 @@ from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue, q_power_ratio
 from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
 from .errors import InternalCheckError, SchemaError, SizeBoundError
-from .monomial_fourier import DEFAULT_TERM_BOUND, MonomialDatum
+
+DEFAULT_TERM_BOUND = 1 << 26
 
 __all__ = [
     "EtaleAlgebra", "VirtualModule", "NormCharacter", "NormSolution",
+    "MonomialDatum",
     "check_norm_data", "rk", "d_of", "p_of", "det_module", "module_divisor",
     "is_nondegenerate", "iter_nondegenerate", "gauss_sum_algebra",
     "verify_norm_identity", "i_norm_direct", "i_norm_closed",
     "solve_norm_transform", "verify_norm_moments", "sweep_norm_moments",
     "base_change", "extend_module", "extend_character", "extend_scalar",
-    "divisor_descent_probe", "as_monomial_datum",
+    "as_monomial_datum",
 ]
 
 
@@ -98,6 +105,33 @@ class NormCharacter:
 
     def __init__(self, chars):
         object.__setattr__(self, "chars", tuple(chars))
+
+
+@dataclass(frozen=True)
+class MonomialDatum:
+    """Exponents n_i, characters chi_i and a coefficient a over F_{q^degree}.
+
+    The datum stands for the function psi(a prod x_i^{n_i}) prod chi_i(x_i)
+    on the torus (F_{q^degree}^*)^k, the split case of the norm layer.
+    Exponents must be nonzero; arithmetic constraints involving p are
+    checked against a concrete CharSystem by
+    monomial_fourier.check_monomial_datum.
+    """
+
+    degree: int
+    exponents: tuple
+    characters: tuple
+    a: int
+
+    def __init__(self, degree, exponents, characters, a):
+        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "exponents", tuple(int(n) for n in exponents))
+        object.__setattr__(self, "characters", tuple(characters))
+        object.__setattr__(self, "a", int(a))
+
+    @property
+    def k(self):
+        return len(self.exponents)
 
 
 def check_norm_data(system: CharSystem, algebra: EtaleAlgebra,
@@ -284,33 +318,50 @@ def verify_norm_identity(system: CharSystem, algebra: EtaleAlgebra,
 # ------------------------------------------------- determinant-twisted sums
 
 
+def _i_direct(system, algebra, module, lam, a, max_terms):
+    """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x), every
+    point enumerated by the discrete logs of its factors.
+
+    With L = lcm of the |F_{q^{D_i}}^*|, lam(x) is a power of zeta_L and
+    psi(a det_V(x)) one of zeta_p, so each point adds one to an exponent
+    histogram at M = L p, which from_root_counts reduces once.
+    """
+    t = system.tower
+    e = algebra.base_degree
+    grp = t.group_order(e)
+    sizes = [t.group_order(d) for d in algebra.degrees]
+    if math.prod(sizes) > max_terms:
+        raise SizeBoundError(
+            f"{math.prod(sizes)} terms exceed the bound {max_terms}")
+    p = t.p
+    span = math.lcm(*sizes)
+    order = span * p
+    tr = t.absolute_trace_table(e)
+    twist = t.mul(e, system._twist_at(e), a)
+    tr_a = [tr[t.mul(e, twist, t.exp(e, j))] for j in range(grp)]
+    # per factor and x = g^j: (log of Nm(x)^n in the base, log_zeta_L lam(x))
+    pools = [[(n * t.log(e, t.norm_to(d, e, t.exp(d, j))),
+               ch.index * (span // size) * j) for j in range(size)]
+             for d, size, n, ch in zip(algebra.degrees, sizes, module.ranks,
+                                       lam.chars)]
+    counts = [0] * order
+    for combo in product(*pools):
+        mono = charge = 0
+        for m, c in combo:
+            mono += m
+            charge += c
+        counts[((charge % span) * p + tr_a[mono % grp] * span) % order] += 1
+    return cy.from_root_counts(order, counts)
+
+
 def i_norm_direct(system: CharSystem, algebra: EtaleAlgebra,
                   module: VirtualModule, lam: NormCharacter, a: int, *,
                   max_terms: int = DEFAULT_TERM_BOUND) -> CycloValue:
-    """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x)."""
+    """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x), summed
+    by brute force over every point as an oracle for the closed form."""
     check_norm_data(system, algebra, module, lam, a)
     _check_rank_coprimality(system, module)
-    t = system.tower
-    e = algebra.base_degree
-    units = 1
-    for d in algebra.degrees:
-        units *= t.order(d) - 1
-    if units > max_terms:
-        raise SizeBoundError(f"{units} terms exceed the bound {max_terms}")
-    pools = []
-    for ch, n, deg in zip(lam.chars, module.ranks, algebra.degrees):
-        pools.append([(t.pow_elem(e, t.norm_to(deg, e, x), n),
-                       system.char_value(ch, x))
-                      for x in range(1, t.order(deg))])
-    total = cy.from_int(0)
-    for combo in product(*pools):
-        det = a
-        val = cy.from_int(1)
-        for nm_i, v_i in combo:
-            det = t.mul(e, det, nm_i)
-            val = val * v_i
-        total = total + system.psi_value(e, det) * val
-    return total
+    return _i_direct(system, algebra, module, lam, a, max_terms)
 
 
 def _factor_through_det(system, algebra, module, lam):
@@ -333,37 +384,46 @@ def _factor_through_det(system, algebra, module, lam):
     return None if idx is None else system.character(e, idx)
 
 
-def i_norm_closed(system: CharSystem, algebra: EtaleAlgebra,
-                  module: VirtualModule, lam: NormCharacter,
-                  a: int) -> CycloValue:
-    """Closed form of I_{V,lam}(a): zero unless lam factors through det_V
-    as mu, then |k^*|/(q-1) times the sum of g(mu nu)(mu nu)(a^{-1}) over
-    the characters nu trivial on the image of det_V.  mu is found by
-    solving n_i idx(mu) = idx(lam_i)/s_i mod q-1 with gcd and CRT, not by
-    scanning the base character group."""
-    check_norm_data(system, algebra, module, lam, a)
-    _check_rank_coprimality(system, module)
+def _i_closed(system, algebra, module, lam, a):
     t = system.tower
     e = algebra.base_degree
     mu = _factor_through_det(system, algebra, module, lam)
     if mu is None:
         return cy.from_int(0)
     grp = t.group_order(e)
-    units = 1
-    for d in algebra.degrees:
-        units *= t.order(d) - 1
-    dv = d_of(module)
+    # the nu trivial on the image of det_V, the d(V)-th powers, are the
+    # characters of order dividing gcd(d(V), q-1); the zero module has
+    # d(V) = 0 and leaves the whole dual group
+    d1 = math.gcd(d_of(module), grp)
     ai = t.inv(e, a)
     total = cy.from_int(0)
-    for idx in range(grp):
-        nu = system.character(e, idx)
-        # nu kills the image of det_V iff its order divides gcd of ranks;
-        # the zero module leaves the whole dual group
-        if dv and dv % system.char_order(nu):
-            continue
-        munu = system.char_mul(mu, nu)
+    for j in range(d1):
+        munu = system.character(e, mu.index + j * (grp // d1))
         total = total + system.gauss_sum(munu) * system.char_value(munu, ai)
+    units = math.prod(t.group_order(d) for d in algebra.degrees)
     return cy.from_int(units // grp) * total
+
+
+def i_norm_closed(system: CharSystem, algebra: EtaleAlgebra,
+                  module: VirtualModule, lam: NormCharacter,
+                  a: int) -> CycloValue:
+    """Closed form of I_{V,lam}(a): zero unless lam factors through det_V
+    as mu, then |k^*|/(q-1) times the sum of g(mu nu)(mu nu)(a^{-1}) over
+    the gcd(d(V), q-1) characters nu trivial on the image of det_V.  mu is
+    found by solving n_i idx(mu) = idx(lam_i)/s_i mod q-1 with gcd and CRT,
+    not by scanning the base character group."""
+    check_norm_data(system, algebra, module, lam, a)
+    _check_rank_coprimality(system, module)
+    return _i_closed(system, algebra, module, lam, a)
+
+
+def _i_sum(system, algebra, module, lam, a, method):
+    """I_{V,lam}(a) on data the caller has validated."""
+    if method == "closed":
+        return _i_closed(system, algebra, module, lam, a)
+    if method == "direct":
+        return _i_direct(system, algebra, module, lam, a, DEFAULT_TERM_BOUND)
+    raise SchemaError(f"unknown I-sum method {method!r}")
 
 
 # ---------------------------------------------------------- transform solver
@@ -386,6 +446,10 @@ class NormSolution:
     b: int
     c: CycloValue
     twist: int
+
+    def transformed(self):
+        """(module, characters, b, c): the right side of the moment check."""
+        return VirtualModule(self.ranks), self.characters, self.b, self.c
 
 
 def _single_point(div: Divisor):
@@ -476,31 +540,23 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
     return NormSolution(case, out_ranks, eta, nu, b, c, m)
 
 
-def _i_norm(system, algebra, module, lam, a, method):
-    if method == "direct":
-        return i_norm_direct(system, algebra, module, lam, a)
-    if method == "closed":
-        return i_norm_closed(system, algebra, module, lam, a)
-    raise SchemaError(f"unknown method {method!r}")
-
-
-def _moment_sides(system, algebra, module, chi, a, solution, lam, method):
-    """Both sides of the norm moment identity at one twist.  The right
+def _moment_sides(system, algebra, module, chi, a, target, lam, method):
+    """Both sides of the moment identity at one twist, on validated data;
+    target is the transformed (module, characters, b, c).  The right
     I-sum is evaluated first; when it vanishes the right side is exactly
     0 and conj(g(lam)) is never formed."""
+    module_w, eta, b, c = target
     q = system.tower.order(algebra.base_degree)
     lhs_chars = NormCharacter(tuple(
         system.char_mul(ch, system.char_inv(lm))
         for ch, lm in zip(chi.chars, lam.chars)))
-    lhs = cy.from_int(-q) ** algebra.dim() * _i_norm(
+    lhs = (-q) ** algebra.dim() * _i_sum(
         system, algebra, module, lhs_chars, a, method)
     rhs_chars = NormCharacter(tuple(
-        system.char_mul(et, lm)
-        for et, lm in zip(solution.characters.chars, lam.chars)))
-    rhs = _i_norm(system, algebra, VirtualModule(solution.ranks), rhs_chars,
-                  solution.b, method)
+        system.char_mul(et, lm) for et, lm in zip(eta.chars, lam.chars)))
+    rhs = _i_sum(system, algebra, module_w, rhs_chars, b, method)
     if not rhs.is_zero():
-        rhs = rhs * solution.c
+        rhs = rhs * c
         for lm in lam.chars:
             rhs = rhs * system.conj_gauss_sum(lm)
     return lhs, rhs
@@ -508,14 +564,20 @@ def _moment_sides(system, algebra, module, chi, a, solution, lam, method):
 
 def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
                         module: VirtualModule, chi: NormCharacter, a: int,
-                        solution: NormSolution, lam: NormCharacter, *,
+                        solution, lam: NormCharacter, *,
                         method: str = "closed") -> bool:
     """Check (-q)^dim I_{V, chi/lam}(a) = c conj(g(lam)) I_{W, eta lam}(b)
-    for a non-degenerate lam; q is the base field size."""
+    for a non-degenerate lam; q is the base field size.  The solution is
+    a NormSolution, or any object whose transformed() gives (W, eta, b, c)."""
     check_norm_data(system, algebra, module, chi, a)
+    _check_rank_coprimality(system, module)
+    check_norm_data(system, algebra, chi=lam)
     if not is_nondegenerate(system, lam):
         raise SchemaError("twisting characters must all be nontrivial")
-    lhs, rhs = _moment_sides(system, algebra, module, chi, a, solution, lam,
+    target = solution.transformed()
+    module_w, eta, b, _ = target
+    check_norm_data(system, algebra, module_w, eta, b)
+    lhs, rhs = _moment_sides(system, algebra, module, chi, a, target, lam,
                              method)
     return lhs == rhs
 
@@ -526,7 +588,8 @@ def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
 def base_change(system: CharSystem, algebra: EtaleAlgebra,
                 e: int) -> EtaleAlgebra:
     """Extend scalars by degree e: a factor of relative degree d splits
-    into gcd(d, e) copies of the compositum."""
+    into gcd(d, e) copies of the compositum.  Tower levels the extended
+    algebra needs are built here, as lifting a character builds them."""
     check_norm_data(system, algebra)
     if e < 1:
         raise SchemaError(f"extension degree {e} must be positive")
@@ -535,6 +598,8 @@ def base_change(system: CharSystem, algebra: EtaleAlgebra,
     for deg in algebra.degrees:
         rel = deg // eb
         out.extend([math.lcm(deg, eb * e)] * math.gcd(rel, e))
+    for deg in set(out):
+        algebra.tower.level(deg)
     return EtaleAlgebra(algebra.tower, tuple(out), eb * e)
 
 
@@ -568,12 +633,10 @@ def extend_scalar(system: CharSystem, algebra: EtaleAlgebra,
     return system.tower.embed(eb, eb * e, a)
 
 
-def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
-                       module: VirtualModule, chi: NormCharacter, a: int, *,
-                       depth: int = 2, method: str = "closed") -> dict:
-    """Run verify_norm_moments over every non-degenerate character at each
-    extension degree e <= depth; the report counts nonvanishing ones."""
-    check_norm_data(system, algebra, module, chi, a)
+def _sweep(system, algebra, module, chi, a, depth, method, solve):
+    """The moment sweep on validated data: at each extension degree
+    e <= depth, solve the base-changed data with solve(algebra, module,
+    chi, a) and check every non-degenerate twist."""
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
               "failures": [], "truncated_at_depth": depth}
     for e in range(1, depth + 1):
@@ -581,9 +644,9 @@ def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
         mod_e = extend_module(system, algebra, module, e)
         chi_e = extend_character(system, algebra, chi, e)
         a_e = extend_scalar(system, algebra, a, e)
-        sol_e = solve_norm_transform(system, alg_e, mod_e, chi_e, a_e)
+        target = solve(alg_e, mod_e, chi_e, a_e).transformed()
         for lam in iter_nondegenerate(system, alg_e):
-            lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e, sol_e,
+            lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e, target,
                                      lam, method)
             report["checked"] += 1
             if lhs != rhs:
@@ -596,19 +659,19 @@ def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
     return report
 
 
-# ------------------------------------------------------------- consistency
+def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
+                       module: VirtualModule, chi: NormCharacter, a: int, *,
+                       depth: int = 2, method: str = "closed") -> dict:
+    """Run the moment check of verify_norm_moments over every
+    non-degenerate character at each extension degree e <= depth; the
+    report counts nonvanishing ones."""
+    check_norm_data(system, algebra, module, chi, a)
+    _check_rank_coprimality(system, module)
+    return _sweep(system, algebra, module, chi, a, depth, method,
+                  lambda *data: solve_norm_transform(system, *data))
 
 
-def divisor_descent_probe(system: CharSystem, chi: MultCharacter,
-                          n: int, l: int) -> bool:
-    """The two reduction routes for a degree-weighted divisor image agree:
-    l copies of chi at degree d match one norm-lift of chi at degree d*l."""
-    d = chi.degree
-    direct = divisor_of_char_power(system.char_point(chi), n).scale(d * l)
-    lifted = system.lift_character(chi, d * l)
-    rewritten = divisor_of_char_power(
-        system.char_point(lifted), n).scale(d * l)
-    return direct == rewritten
+# ------------------------------------------------------------ split case
 
 
 def as_monomial_datum(algebra: EtaleAlgebra, module: VirtualModule,

@@ -17,6 +17,7 @@ import math
 from math import comb
 
 from . import cyclotomic as cy
+from ._intutil import solve_congruences
 from .errors import InternalCheckError, SchemaError
 from .monomial_fourier import (GridFunction, MonomialDatum,
                                check_monomial_datum, _i_sum_raw)
@@ -149,13 +150,10 @@ def geometric_sum(n) -> QPolynomial:
 
 
 def _mediating_character(system, degree, slots, chars):
-    """The unique eta with eta^{s_i} = chi_i for all i, if one exists."""
-    grp = system.tower.group_order(degree)
-    for e in range(grp):
-        if all((s * e - chi.index) % grp == 0
-               for s, chi in zip(slots, chars)):
-            return system.character(degree, e)
-    return None
+    """The eta of least index with eta^{s_i} = chi_i for all i, if any."""
+    e = solve_congruences(slots, [chi.index for chi in chars],
+                          system.tower.group_order(degree))
+    return None if e is None else system.character(degree, e)
 
 
 def _psi_power_sum(system, degree, a, n, chi):

@@ -231,6 +231,10 @@ def test_sweep_preflight_stops_large_job_at_once(tmp_path, capsys):
     ({"kind": "identity", "p": 5, "depth": 0, "search_depth": 2,
       "terms": [{"degree": 1, "char": "trivial", "n": 1},
                 {"degree": 1, "char": "trivial", "n": -1}]}, (), 0),
+    # without a search it would check nothing, even with a nonzero divisor
+    ({"kind": "identity", "p": 5, "depth": 0,
+      "terms": [{"degree": 1, "char": "trivial", "n": 1},
+                {"degree": 1, "char": "e2", "n": -1}]}, (), 2),
 ])
 def test_depth_bounds(tmp_path, capsys, job, flags, code):
     assert main(["--job", write_job(tmp_path, job), *flags]) == code

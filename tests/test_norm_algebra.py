@@ -32,7 +32,6 @@ from charsum.norm_algebra import (
     check_norm_data,
     d_of,
     det_module,
-    divisor_descent_probe,
     extend_character,
     extend_module,
     extend_scalar,
@@ -198,13 +197,6 @@ def test_module_divisor_fixtures():
     # opposite ranks on equal characters cancel
     assert module_divisor(S3, K33, NormCharacter((E2, E2)),
                           VirtualModule((1, -1))).is_zero()
-
-
-def test_divisor_descent_probe():
-    for i in range(2):
-        for n in (1, 2, -1, -2):
-            assert divisor_descent_probe(S3, S3.character(1, i), n, 2)
-    assert divisor_descent_probe(S7, S7.character(1, 2), 3, 2)
 
 
 # ------------------------------------------------------ Gauss-sum identity
