@@ -161,12 +161,33 @@ def _depth(payload, opts, minimum=0):
     return depth
 
 
-def _check_sweep_size(tuples, opts):
+def _check_sweep_size(q, factor_degrees, depth, opts):
     """Cost preflight of a moment sweep, which checks one identity per
-    tuple; runs before any extension field is built."""
+    tuple; runs before the sweep builds its extension fields.  The
+    degree-e base change splits a factor of degree d into gcd(d, e)
+    factors of degree lcm(d, e), and a sweep tuple is one nontrivial
+    character on each."""
+    tuples = sum(math.prod((q ** math.lcm(d, e) - 2) ** math.gcd(d, e)
+                           for d in factor_degrees)
+                 for e in range(1, depth + 1))
     if tuples > opts.max_grid:
         raise SizeBoundError(f"moment sweep of {tuples} tuples exceeds "
                              f"the bound {opts.max_grid}")
+
+
+def _chars(system, payload, degrees, what):
+    """The "characters" field: one spec per entry of degrees."""
+    specs = payload.get("characters")
+    if not isinstance(specs, list) or len(specs) != len(degrees):
+        raise SchemaError(f"need one character spec per {what}")
+    return tuple(_parse_char(system, d, s) for d, s in zip(degrees, specs))
+
+
+def _moments_record(sweep):
+    return {"record": "moments", "depth": sweep["depth"],
+            "checked": sweep["checked"],
+            "nonvanishing": sweep["nonvanishing"],
+            "failures": sweep["failures"], "pass": sweep["pass"]}
 
 
 def _system(payload, degrees=(1,)):
@@ -295,26 +316,17 @@ def _run_monom(payload, opts):
     depth = _depth(payload, opts, minimum=1)
     system = _system(payload)
     exponents = _as_int_list(payload, "exponents")
-    specs = payload.get("characters")
-    if not isinstance(specs, list) or len(specs) != len(exponents):
-        raise SchemaError("need one character spec per exponent")
-    chars = tuple(_parse_char(system, 1, s) for s in specs)
+    ones = (1,) * len(exponents)
+    chars = _chars(system, payload, ones, "exponent")
     datum = MonomialDatum(1, tuple(exponents), chars, _as_int(payload, "a"))
-    q = system.tower.q
-    _check_sweep_size(sum((q ** e - 2) ** len(exponents)
-                          for e in range(1, depth + 1)), opts)
-    for e in range(2, depth + 1):
-        system.tower.level(e)
+    _check_sweep_size(system.tower.q, ones, depth, opts)
     sol = solve_monomial_transform(system, datum)
     cases = [{"record": "transform", "case": sol.case,
               "exponents": sol.exponents, "characters": sol.characters,
               "chi": sol.chi, "b": sol.b, "c": sol.c, "m": sol.twist,
               "pass": True}]
-    sweep = sweep_twisted_moments(system, datum, depth=depth)
-    cases.append({"record": "moments", "depth": sweep["depth"],
-                  "checked": sweep["checked"],
-                  "nonvanishing": sweep["nonvanishing"],
-                  "failures": sweep["failures"], "pass": sweep["pass"]})
+    cases.append(_moments_record(
+        sweep_twisted_moments(system, datum, depth=depth)))
     return cases
 
 
@@ -324,10 +336,7 @@ def _run_stalk(payload, opts):
     system = _system(payload)
     t = system.tower
     exponents = _as_int_list(payload, "exponents")
-    specs = payload.get("characters")
-    if not isinstance(specs, list) or len(specs) != len(exponents):
-        raise SchemaError("need one character spec per exponent")
-    chars = tuple(_parse_char(system, 1, s) for s in specs)
+    chars = _chars(system, payload, (1,) * len(exponents), "exponent")
     a_field = payload.get("a", "all")
     if a_field == "all":
         a_values = list(range(1, t.order(1)))
@@ -380,23 +389,10 @@ def _run_norm(payload, opts):
     system = _system(payload, [1, *factor_degrees])
     algebra = EtaleAlgebra(system.tower, tuple(factor_degrees))
     module = VirtualModule(_as_int_list(payload, "ranks"))
-    specs = payload.get("characters")
-    if not isinstance(specs, list) or len(specs) != len(factor_degrees):
-        raise SchemaError("need one character spec per algebra factor")
-    chi = NormCharacter(tuple(_parse_char(system, d, s)
-                              for d, s in zip(factor_degrees, specs)))
+    chi = NormCharacter(_chars(system, payload, factor_degrees,
+                               "algebra factor"))
     a = _as_int(payload, "a")
-    # the degree-e base change splits a factor of degree d into gcd(d, e)
-    # factors of degree lcm(d, e); a sweep tuple is one nontrivial
-    # character on each
-    q = system.tower.q
-    _check_sweep_size(sum(
-        math.prod((q ** math.lcm(d, e) - 2) ** math.gcd(d, e)
-                  for d in factor_degrees)
-        for e in range(1, depth + 1)), opts)
-    for e in range(2, depth + 1):
-        for d in (e, *factor_degrees):
-            system.tower.level(math.lcm(d, e))
+    _check_sweep_size(system.tower.q, factor_degrees, depth, opts)
     cases = []
     if module_divisor(system, algebra, chi, module).is_zero():
         grp = system.tower.group_order(1)
@@ -410,11 +406,8 @@ def _run_norm(payload, opts):
                   "ranks": sol.ranks, "characters": sol.characters.chars,
                   "nu": sol.nu, "b": sol.b, "c": sol.c, "m": sol.twist,
                   "pass": True})
-    sweep = sweep_norm_moments(system, algebra, module, chi, a, depth=depth)
-    cases.append({"record": "moments", "depth": sweep["depth"],
-                  "checked": sweep["checked"],
-                  "nonvanishing": sweep["nonvanishing"],
-                  "failures": sweep["failures"], "pass": sweep["pass"]})
+    cases.append(_moments_record(
+        sweep_norm_moments(system, algebra, module, chi, a, depth=depth)))
     return cases
 
 

@@ -4,8 +4,10 @@ A value is a coefficient vector over the power basis 1, x, ..., x^{phi(M)-1}
 of Q(zeta_M), reduced mod the M-th cyclotomic polynomial.  Every operation is
 exact; no floating point appears anywhere in this module.
 
-Polynomial products use Kronecker substitution (pack coefficients into one big
-integer) above a small cutoff, and reduction mod Phi_M uses a cached Barrett
+Polynomial products use signed Kronecker substitution above a small cutoff:
+each operand is packed into one signed big integer with a fixed-width slot per
+coefficient, the two are multiplied once, and the product's slots are read
+back through a bias of half a slot.  Reduction mod Phi_M uses a cached Barrett
 inverse, so Gauss-sum accumulation stays fast even at orders in the thousands.
 """
 
@@ -18,6 +20,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 from charsum._intutil import euler_phi, factorize, moebius
+from charsum.errors import InternalCheckError
 
 # ------------------------------------------------------------------ integer
 # polynomials: tuples of coefficients, index = degree
@@ -34,50 +37,31 @@ def _trim(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[:n])
 
 
-def _window_sums(a: Sequence[int], width: int, out_len: int) -> list[int]:
-    # coefficient k of a(x) * (1 + x + ... + x^{width-1}), via prefix sums
-    pre = [0]
-    for c in a:
-        pre.append(pre[-1] + c)
-    m = len(a)
-    out = []
-    for k in range(out_len):
-        hi = min(k, m - 1)
-        lo = max(0, k - width + 1)
-        out.append(pre[hi + 1] - pre[lo] if hi >= lo else 0)
-    return out
-
-
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # signed coefficients: shift both operands nonnegative, multiply packed
-    # integers, then correct with O(n) window sums
+    # signed Kronecker substitution in slots of w = 8 * nbytes bits: each
+    # operand is (positive part) - (negative part), both packed base 2^w,
+    # and one product gives sum c_k 2^{wk}.  Adding 2^{w-1} to every slot
+    # makes each slot a digit in [0, 2^w), read back minus that bias.  The
+    # slots must hold |c_k| < 2^{w-1} and each operand's own coefficients.
     m, n = len(a), len(b)
     out_len = m + n - 1
-    ca = max(0, -min(a))
-    cb = max(0, -min(b))
-    ap = [c + ca for c in a]
-    bp = [c + cb for c in b]
-    bound = max(min(m, n) * max(ap) * max(bp), max(ap), max(bp)) + 1
-    nbytes = (bound.bit_length() + 8) // 8
-    packed_a = int.from_bytes(
-        b"".join(v.to_bytes(nbytes, "little") for v in ap), "little")
-    packed_b = int.from_bytes(
-        b"".join(v.to_bytes(nbytes, "little") for v in bp), "little")
-    raw = (packed_a * packed_b).to_bytes(nbytes * (m + n), "little")
-    out = [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
-           for k in range(out_len)]
-    if cb:
-        wa = _window_sums(ap, n, out_len)
-        for k in range(out_len):
-            out[k] -= cb * wa[k]
-    if ca:
-        wb = _window_sums(bp, m, out_len)
-        for k in range(out_len):
-            out[k] -= ca * wb[k]
-    if ca and cb:
-        for k in range(out_len):
-            out[k] += ca * cb * (min(k, m - 1, n - 1, out_len - 1 - k) + 1)
-    return tuple(out)
+    ma = max(map(abs, a))
+    mb = max(map(abs, b))
+    nbytes = (max(min(m, n) * ma * mb, ma, mb).bit_length() + 8) // 8
+    zero = bytes(nbytes)
+
+    def pack(p: tuple[int, ...]) -> int:
+        pos = b"".join(c.to_bytes(nbytes, "little") if c > 0 else zero
+                       for c in p)
+        neg = b"".join((-c).to_bytes(nbytes, "little") if c < 0 else zero
+                       for c in p)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * out_len, "little")
+    raw = (pack(a) * pack(b) + bias).to_bytes(nbytes * out_len, "little")
+    return tuple(int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
+                 - half for k in range(out_len))
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -101,7 +85,8 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int]):
     # schoolbook long division; denominator must be monic
     num = list(_trim(num))
     den = _trim(den)
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise InternalCheckError("long division needs a monic denominator")
     dd = len(den) - 1
     q = [0] * max(1, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
@@ -124,7 +109,8 @@ def _substitute_power(f: Sequence[int], k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(M: int) -> tuple[int, ...]:
     """Coefficients of Phi_M, ascending degree."""
-    assert M >= 1
+    if M < 1:
+        raise InternalCheckError(f"cyclotomic order {M} is not positive")
     if M == 1:
         return (-1, 1)
     fac = factorize(M)
@@ -139,13 +125,15 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
     m = M // p
     base = cyclotomic_poly(m)
     q, r = _poly_divmod(_substitute_power(base, p), base)
-    assert r == (0,)
+    if r != (0,):
+        raise InternalCheckError(f"Phi_{m} does not divide Phi_{m}(x^{p})")
     return q
 
 
 def _series_inverse(f: Sequence[int], prec: int) -> tuple[int, ...]:
     # Newton iteration for 1/f mod x^prec; needs f[0] == 1
-    assert f[0] == 1
+    if f[0] != 1:
+        raise InternalCheckError("series inverse needs constant term 1")
     g: tuple[int, ...] = (1,)
     cur = 1
     while cur < prec:
@@ -170,16 +158,17 @@ def _barrett_reduce(f: Sequence[int], M: int) -> tuple[int, ...]:
     d = len(f) - 1
     if d < n:
         return f + (0,) * (n - len(f))
-    assert d <= 2 * n - 1
+    if d > 2 * n - 1:
+        raise InternalCheckError(f"degree {d} too large for one Barrett step")
     qlen = d - n + 1
     frev = tuple(reversed(f))
     qrev = _poly_mul(frev[:qlen], _barrett_inv(M)[:qlen])[:qlen]
     qrev = tuple(qrev) + (0,) * (qlen - len(qrev))
     prod = _poly_mul(tuple(reversed(qrev)), cyclotomic_poly(M))
-    out = [f[i] - (prod[i] if i < len(prod) else 0) for i in range(n)]
-    for i in range(n, d + 1):
-        assert f[i] == (prod[i] if i < len(prod) else 0)
-    return tuple(out)
+    prod += (0,) * (d + 1 - len(prod))
+    if f[n:] != prod[n:]:
+        raise InternalCheckError(f"Barrett quotient mod Phi_{M} is wrong")
+    return tuple(f[i] - prod[i] for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +220,9 @@ class CycloValue:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.order >= 1 and len(self.coeffs) == euler_phi(self.order)
+        if self.order < 1 or len(self.coeffs) != euler_phi(self.order):
+            raise InternalCheckError(
+                f"{len(self.coeffs)} coefficients at order {self.order}")
 
     # --- predicates
 
@@ -253,7 +244,9 @@ class CycloValue:
 
     def at_order(self, M2: int) -> "CycloValue":
         """Re-express at a multiple of the current order (no shrinking)."""
-        assert M2 % self.order == 0
+        if M2 % self.order:
+            raise InternalCheckError(
+                f"order {M2} is not a multiple of {self.order}")
         if M2 == self.order:
             return self
         return CycloValue(M2, _lift_coeffs(self, M2))
@@ -263,7 +256,8 @@ class CycloValue:
         M = self.order
         if M == 1:
             return self
-        assert math.gcd(a, M) == 1
+        if math.gcd(a, M) != 1:
+            raise InternalCheckError(f"{a} is not a unit mod {M}")
         vec = [0] * M
         for i, c in enumerate(self.coeffs):
             if c:
@@ -418,7 +412,8 @@ def from_root_counts(M: int, counts: Union[Mapping[int, int], Sequence[int]]
     The order is shrunk by the gcd of the live exponents with M before
     reduction, so sums supported on a subring come back at small order.
     """
-    assert M >= 1
+    if M < 1:
+        raise InternalCheckError(f"root order {M} is not positive")
     items = counts.items() if isinstance(counts, Mapping) else enumerate(counts)
     agg: dict[int, int] = {}
     for e, c in items:
@@ -459,7 +454,8 @@ def q_power_ratio(v: CycloValue, w: CycloValue, q: int) -> int | None:
     Works in power-basis coordinates at a common order: v = q^m * w holds
     exactly when the coefficient vectors are proportional by q^m.
     """
-    assert q >= 2
+    if q < 2:
+        raise InternalCheckError(f"ratio base {q} is below 2")
     if v.is_zero() and w.is_zero():
         return 0
     if v.is_zero() or w.is_zero():

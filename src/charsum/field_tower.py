@@ -180,9 +180,6 @@ class FieldTower:
             lv = self._levels[d]
         return lv
 
-    def degrees(self):
-        return tuple(sorted(self._levels))
-
     def order(self, d: int) -> int:
         return self.level(d).n + 1
 

@@ -35,8 +35,6 @@ from .norm_algebra import (DEFAULT_TERM_BOUND, EtaleAlgebra, MonomialDatum,
 
 def check_monomial_datum(system: CharSystem, datum: MonomialDatum):
     t = system.tower
-    if datum.degree not in t.degrees():
-        raise SchemaError(f"degree {datum.degree} outside the configured tower")
     if len(datum.characters) != len(datum.exponents):
         raise SchemaError("exponent and character lists differ in length")
     for n in datum.exponents:

@@ -59,17 +59,14 @@ class EtaleAlgebra:
         base_degree = int(base_degree)
         if not degrees:
             raise SchemaError("an etale algebra needs at least one factor")
-        avail = tower.degrees()
-        if base_degree not in avail:
-            raise SchemaError(
-                f"base degree {base_degree} outside the configured tower")
+        # tower levels are built on demand; level() rejects degrees below 1
+        tower.level(base_degree)
         for d in degrees:
-            if d not in avail:
-                raise SchemaError(f"degree {d} outside the configured tower")
             if d % base_degree:
                 raise SchemaError(
                     f"factor degree {d} is not a multiple of the base "
                     f"degree {base_degree}")
+            tower.level(d)
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "base_degree", base_degree)
@@ -588,8 +585,7 @@ def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
 def base_change(system: CharSystem, algebra: EtaleAlgebra,
                 e: int) -> EtaleAlgebra:
     """Extend scalars by degree e: a factor of relative degree d splits
-    into gcd(d, e) copies of the compositum.  Tower levels the extended
-    algebra needs are built here, as lifting a character builds them."""
+    into gcd(d, e) copies of the compositum."""
     check_norm_data(system, algebra)
     if e < 1:
         raise SchemaError(f"extension degree {e} must be positive")
@@ -598,8 +594,6 @@ def base_change(system: CharSystem, algebra: EtaleAlgebra,
     for deg in algebra.degrees:
         rel = deg // eb
         out.extend([math.lcm(deg, eb * e)] * math.gcd(rel, e))
-    for deg in set(out):
-        algebra.tower.level(deg)
     return EtaleAlgebra(algebra.tower, tuple(out), eb * e)
 
 

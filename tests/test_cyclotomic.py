@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import charsum
 from charsum._intutil import euler_phi
 from charsum.cyclotomic import (
     CycloValue,
@@ -91,13 +96,21 @@ def _naive_mul(a, b):
     return tuple(out)
 
 
+def _coeff_lists(bound):
+    return st.lists(st.integers(-bound, bound), min_size=1, max_size=600)
+
+
+# 10**31 is the coefficient width the falsifier reaches at M = 2184; an
+# all-zero operand must not shrink the slots below the other operand's width
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(-2**40, 2**40), min_size=40, max_size=150),
-    st.lists(st.integers(-2**40, 2**40), min_size=40, max_size=150),
+    st.sampled_from([1, 2**40, 10**31]).flatmap(_coeff_lists),
+    st.sampled_from([1, 2**40, 10**31]).flatmap(_coeff_lists),
+    st.booleans(),
 )
-def test_kronecker_matches_schoolbook(a, b):
-    a = tuple(a)
+@example([0] * 40, [-10**31, 10**31] * 300, True)
+def test_kronecker_matches_schoolbook(a, b, zero_a):
+    a = tuple(0 for _ in a) if zero_a else tuple(a)
     b = tuple(b)
     assert _kronecker_mul(a, b) == _naive_mul(a, b)
 
@@ -288,3 +301,28 @@ def test_galois_preserves_products():
 def test_pow_negative_raises():
     with pytest.raises(ValueError):
         root(3, 1) ** -1
+
+
+_BREACHES = """
+import sys
+import charsum.cyclotomic as cy
+from charsum.errors import InternalCheckError
+assert False, "asserts must be stripped"
+for breach in (lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
+               lambda: cy.root(6).at_order(9)):
+    try:
+        breach()
+    except InternalCheckError:
+        continue
+    sys.exit("no InternalCheckError")
+"""
+
+
+def test_invariants_fire_under_optimize():
+    # python -O strips assert statements; the kernel's checks must not be
+    # asserts, or a breach would pass silently
+    src = str(Path(charsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BREACHES], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

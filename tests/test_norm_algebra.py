@@ -69,8 +69,13 @@ E2 = S3.char_of_order(1, 2)
 def test_etale_algebra_validation():
     with pytest.raises(SchemaError):
         EtaleAlgebra(T3, ())
+    # tower levels are built on demand, as lift_character builds them
+    bare = build_tower(3, degrees=(1,))
+    assert EtaleAlgebra(bare, (5,)).degrees == (5,)
+    assert EtaleAlgebra(bare, (2,), 2).rel_degrees() == (1,)
+    assert bare.group_order(5) == 3 ** 5 - 1
     with pytest.raises(SchemaError):
-        EtaleAlgebra(T3, (5,))
+        EtaleAlgebra(T3, (0,))
     with pytest.raises(SchemaError):
         EtaleAlgebra(T3, (1,), base_degree=2)
     with pytest.raises(SchemaError):
