@@ -43,6 +43,8 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # and one product gives sum c_k 2^{wk}.  Adding 2^{w-1} to every slot
     # makes each slot a digit in [0, 2^w), read back minus that bias.  The
     # slots must hold |c_k| < 2^{w-1} and each operand's own coefficients.
+    # For nonzero operands, as _poly_mul passes, min(m, n) * ma * mb covers
+    # both; the ma, mb terms keep direct calls with an all-zero operand safe.
     m, n = len(a), len(b)
     out_len = m + n - 1
     ma = max(map(abs, a))
