@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from charsum.cyclotomic import CycloValue, from_int, from_root_counts, root
-from charsum.errors import SchemaError
+from charsum.errors import InternalCheckError, SchemaError
 from charsum.field_tower import FieldTower
 
 
@@ -37,7 +37,7 @@ class CharSystem:
         self.c = c
         self._twists: dict[int, int] = {}
         self._gauss_cache: dict[tuple[int, int], CycloValue] = {}
-        self._product_cache: dict[tuple[int, tuple[int, ...]], CycloValue] = {}
+        self._product_cache: dict[tuple[tuple[int, int], ...], CycloValue] = {}
         # GammaMonomial -> whether its predicted divisor vanishes
         self._zero_divisor_cache: dict = {}
 
@@ -57,7 +57,9 @@ class CharSystem:
         return self.character(degree, (nd // n) * power)
 
     def char_mul(self, a: MultCharacter, b: MultCharacter) -> MultCharacter:
-        assert a.degree == b.degree
+        if a.degree != b.degree:
+            raise InternalCheckError(
+                f"product of characters of degrees {a.degree} and {b.degree}")
         return self.character(a.degree, a.index + b.index)
 
     def char_pow(self, a: MultCharacter, k: int) -> MultCharacter:
@@ -76,7 +78,8 @@ class CharSystem:
     def lift_character(self, chi: MultCharacter, d: int) -> MultCharacter:
         """chi composed with the norm from degree d down to chi.degree."""
         e = chi.degree
-        assert d % e == 0
+        if d % e:
+            raise InternalCheckError(f"degree {d} is not a multiple of {e}")
         scale = self.tower.group_order(d) // self.tower.group_order(e)
         return self.character(d, chi.index * scale)
 
@@ -144,14 +147,17 @@ class CharSystem:
         sign = self.char_value(chi, t.minus_one())
         return sign * self.gauss_sum(self.char_inv(chi))
 
-    def product_of_gauss(self, degree: int, indices) -> CycloValue:
-        n = self.tower.group_order(degree)
-        key = (degree, tuple(sorted(i % n for i in indices)))
+    def product_of_gauss(self, chars) -> CycloValue:
+        """prod g(chi) over characters of any degrees, cached by the
+        multiset of their (degree, index) pairs."""
+        t = self.tower
+        key = tuple(sorted((chi.degree, chi.index % t.group_order(chi.degree))
+                           for chi in chars))
         val = self._product_cache.get(key)
         if val is None:
             val = from_int(1)
-            for i in key[1]:
-                val = val * self.gauss_sum(MultCharacter(degree, i))
+            for d, i in key:
+                val = val * self.gauss_sum(MultCharacter(d, i))
             self._product_cache[key] = val
         return val
 
@@ -159,10 +165,9 @@ class CharSystem:
 
     def check_hd_lift(self, chi: MultCharacter, d: int) -> bool:
         """-g(chi o Nm) == (-g(chi))^{d/e} for the degree-d lift of chi."""
-        e = chi.degree
-        assert d % e == 0
+        # lift_character raises InternalCheckError unless chi.degree | d
         lhs = -self.gauss_sum(self.lift_character(chi, d))
-        rhs = (-self.gauss_sum(chi)) ** (d // e)
+        rhs = (-self.gauss_sum(chi)) ** (d // chi.degree)
         return lhs == rhs
 
     def check_hd_product(self, lam: MultCharacter, n: int) -> bool:

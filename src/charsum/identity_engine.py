@@ -5,9 +5,12 @@ tower.  Attached to it is the divisor sum of the exponent-n division points
 of the character points on Q/Z.  When that divisor vanishes, the twisted
 product prod_i g(lam^{n_i} chi_i) equals lam(prod n_i^{n_i}) * prod_i g(chi_i)
 times an integer power of the field size, for every lam over every extension;
-verify_monomial_identity recovers that exponent exactly.  When the divisor
-does not vanish, find_violation scans extensions for a character witnessing
-that no collapse of this shape can hold.
+verify_monomial_identity recovers that exponent exactly by running the norm
+identity of norm_algebra on the split algebra F_Q^k.  When the divisor does
+not vanish, find_violation scans extensions for a character witnessing that
+no collapse of this shape can hold: it counts nontrivial twisted characters
+to find the witness and certifies the one it returns with an exact |.|^2
+cross ratio of Gauss-sum products.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import math
 from dataclasses import dataclass
 
 from charsum.characters import CharSystem, MultCharacter
-from charsum.cyclotomic import q_power_ratio
 from charsum.divisor_calc import Divisor, divisor_of_char_power
 from charsum.errors import InternalCheckError, SchemaError
+from charsum.norm_algebra import (EtaleAlgebra, NormCharacter, VirtualModule,
+                                  _identity_exponent)
 
 
 @dataclass(frozen=True)
@@ -78,83 +82,77 @@ def verify_monomial_identity(system: CharSystem, mono: GammaMonomial,
     Q is the order of lam's field, chi' the norm-lift of chi to that field.
     Requires the predicted divisor to vanish.  When every twisted character
     lam^n chi' is nontrivial, checks 2m = #{i : chi_i trivial} as well.
+    This is the norm identity of the split algebra F_Q^k with ranks n_i.
     """
     if not _has_zero_divisor(system, mono):
         raise SchemaError(
             "monomial has a nonzero divisor; no identity is predicted")
-    t = system.tower
     d = lam.degree
-    big_q = t.order(d)
-    lhs_idx = []
-    rhs_idx = []
-    elem = t.from_int(1)
-    trivial_base = 0
-    trivial_twisted = 0
-    for chi, n in _lifted_terms(system, mono, d):
-        twisted = system.char_mul(system.char_pow(lam, n), chi)
-        lhs_idx.append(twisted.index)
-        rhs_idx.append(chi.index)
-        elem = t.mul(d, elem, t.pow_elem(d, t.from_int(n), n))
-        trivial_base += system.is_trivial(chi)
-        trivial_twisted += system.is_trivial(twisted)
-    lhs = system.product_of_gauss(d, lhs_idx)
-    rhs = system.char_value(lam, elem) * system.product_of_gauss(d, rhs_idx)
-    m = q_power_ratio(lhs, rhs, big_q)
-    if m is None:
-        raise InternalCheckError(
-            "zero-divisor monomial produced a non-power Gauss-sum ratio")
-    if trivial_twisted == 0 and 2 * m != trivial_base:
-        raise InternalCheckError(
-            f"parity clause fails: 2*{m} != {trivial_base}")
-    return m
+    lifted = _lifted_terms(system, mono, d)
+    if not lifted:
+        return 0
+    algebra = EtaleAlgebra(system.tower, (d,) * len(lifted), d)
+    return _identity_exponent(
+        system, algebra, VirtualModule(n for _, n in lifted),
+        NormCharacter(chi for chi, _ in lifted), lam)
 
 
-def _abs2_side(system: CharSystem, lifted, lam: MultCharacter,
-               positive: bool):
-    indices = []
-    for chi, n in lifted:
-        if (n > 0) != positive:
-            continue
-        base = chi if positive else system.char_inv(chi)
-        indices.append(
-            system.char_mul(system.char_pow(lam, abs(n)), base).index)
-    return system.product_of_gauss(lam.degree, indices).abs_squared()
+def _twisted_terms(system: CharSystem, lifted, lam: MultCharacter):
+    return [(system.char_mul(system.char_pow(lam, n), chi), n)
+            for chi, n in lifted]
+
+
+def _balance(system: CharSystem, lifted, lam: MultCharacter) -> int:
+    """Nontrivial twisted characters lam^n chi' with n > 0, less those
+    with n < 0; |g(chi)|^2 = Q^[chi nontrivial] makes Q^balance the |.|^2
+    ratio of the positive to the negative part."""
+    return sum(1 if n > 0 else -1
+               for chi, n in _twisted_terms(system, lifted, lam)
+               if not system.is_trivial(chi))
+
+
+def _abs2_sides(system: CharSystem, lifted, lam: MultCharacter):
+    """Exact |.|^2 of the positive and of the negative twisted part."""
+    twisted = _twisted_terms(system, lifted, lam)
+    return [system.product_of_gauss(
+        chi for chi, n in twisted if (n > 0) == positive).abs_squared()
+        for positive in (True, False)]
 
 
 def find_violation(system: CharSystem, mono: GammaMonomial, max_degree: int):
     """Scan extensions for a character breaking the monomial's collapse.
 
-    Splits the monomial into its positive and negative parts and compares
-    the abs_squared of the two twisted Gauss-sum products against the
-    trivial-character baseline; any collapse forces the cross ratio
-    A(lam) B(1) = A(1) B(lam).  Returns None when the divisor is zero (no
-    witness can exist), a (degree, character) pair for the first witness
-    found, and "inconclusive" when the scan depth is exhausted.
+    Any collapse of the identity's shape forces the |.|^2 cross ratio
+    A(lam) B(1) = A(1) B(lam) of the positive and negative twisted parts,
+    so lam is a witness exactly when its balance (_balance) differs from
+    that of the trivial character: the scan counts nontrivial characters
+    and multiplies no Gauss sums.  The first witness is then certified by
+    the exact cross ratio of the Gauss-sum products.  Returns None when
+    the divisor is zero (no witness can exist), a (degree, character)
+    pair for the first witness found, and "inconclusive" when the scan
+    depth is exhausted.
 
     Degrees ascend, characters by index ascending; fully deterministic.
     """
-    div = predicted_divisor(system, mono)
-    t = system.tower
-    witness = None
+    zero = _has_zero_divisor(system, mono)
     for d in range(1, max_degree + 1):
         if any(d % chi.degree for chi, _ in mono.terms):
             continue
         lifted = _lifted_terms(system, mono, d)
-        base_a = base_b = None
-        for idx in range(t.group_order(d)):
+        one = system.trivial(d)
+        base = _balance(system, lifted, one)
+        for idx in range(1, system.tower.group_order(d)):
             lam = system.character(d, idx)
-            a = _abs2_side(system, lifted, lam, True)
-            b = _abs2_side(system, lifted, lam, False)
-            if idx == 0:
-                base_a, base_b = a, b
-            elif a * base_b != base_a * b:
-                witness = (d, lam)
-                break
-        if witness:
-            break
-    if witness is not None:
-        if div.is_zero():
-            raise InternalCheckError(
-                "witness found for a zero-divisor monomial")
-        return witness
-    return None if div.is_zero() else "inconclusive"
+            if _balance(system, lifted, lam) == base:
+                continue
+            if zero:
+                raise InternalCheckError(
+                    "witness found for a zero-divisor monomial")
+            a, b = _abs2_sides(system, lifted, lam)
+            a1, b1 = _abs2_sides(system, lifted, one)
+            if a * b1 == a1 * b:
+                raise InternalCheckError(
+                    "the exact |.|^2 cross ratio holds at the counted "
+                    "witness")
+            return d, lam
+    return None if zero else "inconclusive"

@@ -239,10 +239,11 @@ def stalk_trace_at_zero(system, datum: MonomialDatum):
 def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
     """Full trace function on F_{q^d}^k.
 
-    On the torus the value is psi(a prod x_i^{n_i}) prod chi_i(x_i); at a
-    boundary point the coordinates away from the vanishing set contribute
-    their character values and fold their monomial part into the
-    coefficient of the sub-datum whose origin stalk supplies the rest.
+    At every point the coordinates away from the vanishing set contribute
+    their character values, one root of unity, and fold their monomial part
+    into the coefficient of the sub-datum whose origin stalk supplies the
+    rest.  On the torus that sub-datum is empty and its stalk is
+    psi(coefficient), so the value is psi(a prod x_i^{n_i}) prod chi_i(x_i).
 
     Supported: k <= 2, or any k whose exponents share one absolute value.
     """
@@ -258,19 +259,12 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
 
     def value(codes):
         zero_set = tuple(i for i, c in enumerate(codes) if c == 0)
-        if not zero_set:
-            mono = datum.a
-            val = cy.from_int(1)
-            for c, n, chi in zip(codes, exps, datum.characters):
-                mono = t.mul(d, mono, t.pow_elem(d, c, n))
-                val = val * system.char_value(chi, c)
-            return val * system.psi_value(d, mono)
         coeff = datum.a
-        val = cy.from_int(1)
-        for i, c in enumerate(codes):
-            if i not in zero_set:
-                coeff = t.mul(d, coeff, t.pow_elem(d, c, exps[i]))
-                val = val * system.char_value(datum.characters[i], c)
+        charge = 0
+        for c, n, chi in zip(codes, exps, datum.characters):
+            if c:
+                coeff = t.mul(d, coeff, t.pow_elem(d, c, n))
+                charge += chi.index * t.log(d, c)
         key = (zero_set, coeff)
         stalk = stalk_cache.get(key)
         if stalk is None:
@@ -279,7 +273,7 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
                                 coeff)
             stalk = stalk_trace_at_zero(system, sub)
             stalk_cache[key] = stalk
-        return val * stalk
+        return cy.root(t.group_order(d), charge) * stalk
 
     return GridFunction.build(t, d, datum.k, value)
 

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from charsum.characters import CharSystem
+from charsum.characters import CharSystem, MultCharacter
 from charsum.cyclotomic import from_int, from_root_counts, root
 from charsum.errors import SchemaError
 from charsum.field_tower import build_tower
@@ -221,15 +221,26 @@ def test_kloosterman_three_variables():
 
 
 def test_product_of_gauss_cached_and_order_free():
-    sy = system(7)
-    v1 = sy.product_of_gauss(1, (1, 2, 3))
-    v2 = sy.product_of_gauss(1, (3, 2, 1))
-    v3 = sy.product_of_gauss(1, (1 + 6, 2, 3))
-    assert v1 == v2 == v3
+    sy = system(7, degrees=(1, 2))
+    chars = [sy.character(1, i) for i in (1, 2, 3)]
+    v1 = sy.product_of_gauss(chars)
+    v2 = sy.product_of_gauss(reversed(chars))
+    v3 = sy.product_of_gauss([MultCharacter(1, 1 + 6)] + chars[1:])
+    assert v1 is v2 is v3
     direct = from_int(1)
-    for i in (1, 2, 3):
-        direct = direct * sy.gauss_sum(sy.character(1, i))
+    for chi in chars:
+        direct = direct * sy.gauss_sum(chi)
     assert v1 == direct
+    # mixed degrees: one multiset key over (degree, index) pairs
+    mixed = [sy.character(2, 5), sy.character(1, 4), sy.character(2, 5)]
+    want = sy.gauss_sum(mixed[0]) ** 2 * sy.gauss_sum(mixed[1])
+    assert sy.product_of_gauss(mixed) == want
+    assert sy.product_of_gauss(mixed[::-1]) is sy.product_of_gauss(mixed)
+    # the degree is part of the key: index 4 at degree 2 is another character
+    assert sy.product_of_gauss([sy.character(2, 4)]) != \
+        sy.product_of_gauss([sy.character(1, 4)])
+    assert sy.product_of_gauss([]) == 1
+    assert len(sy._product_cache) == 5
 
 
 def test_gauss_sum_lifted_character_stays_small_order():

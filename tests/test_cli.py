@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import charsum
 from charsum.cli import Options, main, run, suite
 from charsum.errors import SchemaError, SizeBoundError
 
@@ -388,6 +391,33 @@ def test_stdin_job(tmp_path, capsys, monkeypatch):
                                                 "r": 1, "s": 1})))
     assert main(["--job", "-"]) == 0
     capsys.readouterr()
+
+
+_WRONG_GAUSS_SUM = """
+import sys
+import charsum.characters as ch
+from charsum.cli import main
+assert False, "asserts must be stripped"
+gauss_sum = ch.CharSystem.gauss_sum
+ch.CharSystem.gauss_sum = lambda system, chi: gauss_sum(system, chi) + 1
+sys.exit(main(["--job", sys.argv[1]]))
+"""
+
+
+def test_forced_breach_exits_4_under_optimize(tmp_path):
+    # python -O strips assert statements; a wrong Gauss sum must still
+    # surface as an InternalCheckError and exit code 4
+    job = {"kind": "identity", "p": 5, "depth": 1,
+           "terms": [{"degree": 1, "char": "trivial", "n": 2},
+                     {"degree": 1, "char": "trivial", "n": -1},
+                     {"degree": 1, "char": "e2", "n": -1}]}
+    src = str(Path(charsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_GAUSS_SUM,
+         write_job(tmp_path, job)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "InternalCheckError" in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

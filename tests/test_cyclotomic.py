@@ -312,10 +312,15 @@ def test_pow_negative_raises():
 _BREACHES = """
 import sys
 import charsum.cyclotomic as cy
+from charsum.characters import CharSystem
 from charsum.errors import InternalCheckError
+from charsum.field_tower import build_tower
 assert False, "asserts must be stripped"
+S = CharSystem(build_tower(3, 1, degrees=(1, 2)))
 for breach in (lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
-               lambda: cy.root(6).at_order(9)):
+               lambda: cy.root(6).at_order(9),
+               lambda: S.char_mul(S.character(1, 1), S.character(2, 1)),
+               lambda: S.lift_character(S.character(2, 1), 3)):
     try:
         breach()
     except InternalCheckError:
@@ -325,8 +330,8 @@ for breach in (lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
 
 
 def test_invariants_fire_under_optimize():
-    # python -O strips assert statements; the kernel's checks must not be
-    # asserts, or a breach would pass silently
+    # python -O strips assert statements; the kernel's and the character
+    # group's checks must not be asserts, or a breach would pass silently
     src = str(Path(charsum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", _BREACHES], env=env,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import charsum.identity_engine as ie
 from charsum.characters import CharSystem
+from charsum.cyclotomic import CycloValue
 from charsum.divisor_calc import Divisor
 from charsum.errors import InternalCheckError, SchemaError
 from charsum.field_tower import build_tower
@@ -17,6 +19,7 @@ from charsum.identity_engine import (
     predicted_divisor,
     verify_monomial_identity,
 )
+from charsum.monomial_fourier import MonomialDatum, solve_monomial_transform
 
 F = Fraction
 
@@ -189,3 +192,113 @@ def test_find_violation_inconclusive_until_deep_enough():
     got = find_violation(sys, m, 2)
     assert got is not None and got != "inconclusive"
     assert got[0] == 2
+
+
+def exact_scan(sys, mono, max_degree):
+    """Reference: the exact |.|^2 scan find_violation ran before it
+    counted.  At every lambda it compares the |.|^2 of the positive and
+    negative twisted Gauss-sum products with the trivial lambda's.  |.|^2
+    is multiplicative, so each product's |.|^2 is taken as the product of
+    the exact abs_squared of its Gauss sums, read from the ring and not
+    from the law |g(chi)|^2 = Q^[chi nontrivial] that the count uses."""
+    zero = predicted_divisor(sys, mono).is_zero()
+    abs2 = {}
+    for d in range(1, max_degree + 1):
+        if any(d % chi.degree for chi, _ in mono.terms):
+            continue
+        lifted = [(sys.lift_character(chi, d), n) for chi, n in mono.terms]
+        base = None
+        for idx in range(sys.tower.group_order(d)):
+            lam = sys.character(d, idx)
+            sides = [1, 1]
+            for chi, n in lifted:
+                chi = chi if n > 0 else sys.char_inv(chi)
+                twisted = sys.char_mul(sys.char_pow(lam, abs(n)), chi)
+                if twisted not in abs2:
+                    abs2[twisted] = sys.gauss_sum(twisted).abs_squared()
+                sides[n < 0] *= abs2[twisted]
+            if idx == 0:
+                base = sides
+            elif sides[0] * base[1] != base[0] * sides[1]:
+                assert not zero, "witness for a zero-divisor monomial"
+                return d, lam
+    return None if zero else "inconclusive"
+
+
+def criterion_05_library():
+    """The zero-divisor monomials of acceptance criterion 05."""
+    s5, s7, s13 = (system(p, degrees=(1, 2)) for p in (5, 7, 13))
+
+    def relation(sys, exps, chs):
+        sol = solve_monomial_transform(sys, MonomialDatum(1, exps, chs, 1))
+        terms = [(sys.char_inv(ch), n) for ch, n in zip(chs, exps)]
+        terms.append((sys.trivial(1), -1))
+        terms.append((sol.chi, -1) if sol.case == 1
+                     else (sys.char_inv(sol.chi), 1))
+        return GammaMonomial(terms)
+
+    e4 = s5.char_of_order(1, 4)
+    return ([(s7, hd_monomial(s7, n)) for n in (2, 3, 6)]
+            + [(s13, hd_monomial(s13, n)) for n in (2, 3, 4, 6, 12)]
+            + [(s5, relation(s5, (2,), (s5.trivial(1),))),
+               (s7, relation(s7, (3, -1),
+                             (s7.trivial(1), s7.char_of_order(1, 3)))),
+               (s5, relation(s5, (4, -2),
+                             (s5.trivial(1), s5.char_of_order(1, 2)))),
+               (s5, GammaMonomial([(e4, 1), (s5.char_inv(e4), -1)]))])
+
+
+def random_monomials(seed, count):
+    rng = random.Random(seed)
+    systems = {p: system(p, degrees=(1, 2)) for p in (3, 5, 7)}
+    for _ in range(count):
+        p = rng.choice((3, 5, 7))
+        sys = systems[p]
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 2)
+            n = rng.choice([n for n in range(-4, 5) if n and n % p])
+            terms.append((sys.character(deg, rng.randrange(
+                sys.tower.group_order(deg))), n))
+        yield sys, GammaMonomial(terms), rng.randint(1, 2)
+
+
+def test_find_violation_matches_exact_scan(monkeypatch):
+    s3, s7 = system(3, degrees=(1, 2)), system(7, degrees=(1, 2))
+    broken = [
+        (s3, GammaMonomial([(s3.trivial(1), 1),
+                            (s3.char_of_order(1, 2), -1)]), 2),
+        (s7, GammaMonomial([(s7.trivial(1), 3),
+                            (s7.char_of_order(1, 3), -1)]), 2),
+        (s3, GammaMonomial([(s3.char_of_order(1, 2), 2)]), 2),
+    ]
+    cases = (broken + [(sys, m, 2) for sys, m in criterion_05_library()]
+             + list(random_monomials(7, 40)))
+    wants = [exact_scan(*case) for case in cases]
+    assert {w if w is None else type(w) for w in wants} == {None, tuple, str}
+    calls = []
+    abs_squared = CycloValue.abs_squared
+
+    def counting(v):
+        calls.append(v)
+        return abs_squared(v)
+
+    monkeypatch.setattr(CycloValue, "abs_squared", counting)
+    for (sys, mono, depth), want in zip(cases, wants):
+        assert find_violation(sys, mono, depth) == want, mono
+        # abs_squared runs only to certify a returned witness
+        assert len(calls) == (4 if isinstance(want, tuple) else 0)
+        calls.clear()
+
+
+def test_find_violation_certifies_counted_witness(monkeypatch):
+    # the count sees no witness for (eps_2, 2) over F_3 at degree 1; a
+    # fabricated one must fail the exact certificate
+    sys = system(3)
+    mono = GammaMonomial([(sys.char_of_order(1, 2), 2)])
+    assert find_violation(sys, mono, 1) == "inconclusive"
+    monkeypatch.setattr(ie, "_balance", lambda system, lifted, lam: lam.index)
+    with pytest.raises(InternalCheckError, match="cross ratio"):
+        find_violation(sys, mono, 1)
+    with pytest.raises(InternalCheckError, match="zero-divisor"):
+        find_violation(sys, hd_monomial(sys, 2), 1)

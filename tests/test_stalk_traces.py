@@ -270,19 +270,31 @@ def test_trace_function_unsupported_shape():
 
 def test_trace_function_uniform_shape_k3():
     e2 = S5.char_of_order(1, 2)
-    dat = MonomialDatum(1, (2, 2, -2), (e2, S5.trivial(1), e2), 1)
+    exps, chars = (2, 2, -2), (e2, S5.trivial(1), e2)
+    dat = MonomialDatum(1, exps, chars, 1)
     f = gm_trace_function(S5, dat)
     t = S5.tower
-    # boundary coordinates with positive exponent and trivial character
-    # do not force vanishing; negative exponents do
-    assert f.value((1, 0, 1)).is_zero() is False or True
-    # spot check a torus value
-    x = (2, 3, 4)
-    mono = t.mul(1, t.mul(1, t.pow_elem(1, 2, 2), t.pow_elem(1, 3, 2)),
-                 t.pow_elem(1, 4, -2))
-    want = (S5.psi_value(1, mono) * S5.char_value(e2, 2)
-            * S5.char_value(e2, 4))
-    assert f.value(x) == want
+    for x in product(range(5), repeat=3):
+        zero_set = [i for i in range(3) if x[i] == 0]
+        mono = dat.a
+        want = cy.from_int(1)
+        for i in range(3):
+            if x[i]:
+                mono = t.mul(1, mono, t.pow_elem(1, x[i], exps[i]))
+                want = want * S5.char_value(chars[i], x[i])
+        if zero_set:
+            # a boundary point: the character values away from the zero
+            # set times the origin stalk of the sub-datum on it
+            sub = MonomialDatum(1, tuple(exps[i] for i in zero_set),
+                                tuple(chars[i] for i in zero_set), mono)
+            want = want * stalk_trace_at_zero(S5, sub)
+        else:
+            want = want * S5.psi_value(1, mono)
+        assert f.value(x) == want, x
+    # a trivial character on a positive exponent does not force vanishing:
+    # the sub-datum (2,) with trivial character has stalk 1, so (2, 0, 1)
+    # reads e2(2) e2(1) = -1
+    assert f.value((2, 0, 1)) == -1
     # any point with the negative-exponent coordinate zero and some
     # positive coordinate nonzero vanishes (all-negative sub-datum)
     assert f.value((1, 2, 0)).is_zero()
