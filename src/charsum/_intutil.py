@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from charsum.errors import InternalCheckError
+
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
-    assert n >= 1
+    if n < 1:
+        raise InternalCheckError(f"factorize({n}): n must be positive")
     out = []
     m = n
     d = 2

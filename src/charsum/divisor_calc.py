@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Mapping
 
-from charsum.errors import SchemaError
+from charsum.errors import InternalCheckError, SchemaError
 
 
 def frac_mod1(x: Fraction) -> Fraction:
@@ -143,7 +143,9 @@ class SymbolSum:
         return SymbolSum(self.N, terms, self.char_coprime)
 
     def __add__(self, other: "SymbolSum") -> "SymbolSum":
-        assert self.N == other.N
+        if self.N != other.N:
+            raise InternalCheckError(
+                f"sum of symbols at levels {self.N} and {other.N}")
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c

@@ -125,6 +125,11 @@ def _first_irreducible(p, m):
     raise InternalCheckError("no irreducible polynomial found")
 
 
+def _check_subfield(d, e):
+    if d % e:
+        raise InternalCheckError(f"degree {e} does not divide {d}")
+
+
 # ------------------------------------------------------------------ levels
 
 
@@ -223,7 +228,8 @@ class FieldTower:
 
     def _raw_pow(self, lv, a, e):
         if a == 0:
-            assert e > 0
+            if e <= 0:
+                raise InternalCheckError(f"0 raised to the power {e}")
             return 0
         return _encode(
             _pm_powmod(_decode(a, self.p, lv.m), e, lv.modulus, self.p),
@@ -266,7 +272,8 @@ class FieldTower:
         for _ in range(lv.m):
             conjs.append(cur)
             cur = self._raw_pow(lv, cur, self.p)
-        assert cur == lv.gen
+        if cur != lv.gen:
+            raise InternalCheckError("Frobenius orbit of the generator did not close")
         poly = [1]
         for r in conjs:
             neg_r = self.neg(lv.d, r)
@@ -275,8 +282,8 @@ class FieldTower:
                 new[i + 1] = self.add(lv.d, new[i + 1], c)
                 new[i] = self.add(lv.d, new[i], self._raw_mul(lv, c, neg_r))
             poly = new
-        for c in poly:
-            assert c < self.p, "minimal polynomial not over the prime field"
+        if any(c >= self.p for c in poly):
+            raise InternalCheckError("minimal polynomial not over the prime field")
         return tuple(poly)
 
     # ---- discrete log tables and their disk cache
@@ -298,7 +305,9 @@ class FieldTower:
             for i in range(lv.n):
                 exp[i] = cur
                 cur = self._raw_mul(lv, cur, lv.gen)
-            assert cur == 1 and len(set(exp)) == lv.n
+            if cur != 1 or len(set(exp)) != lv.n:
+                raise InternalCheckError(
+                    f"generator of degree {lv.d} does not have order {lv.n}")
             log = array("I", bytes(4 * (lv.n + 1)))
             log[0] = _NO_LOG
             for i, code in enumerate(exp):
@@ -418,7 +427,8 @@ class FieldTower:
         return self._raw_mul(lv, a, b)
 
     def inv(self, d, a):
-        assert a != 0
+        if a == 0:
+            raise InternalCheckError("inverse of 0")
         lv = self.level(d)
         if lv.log_table is not None:
             return lv.exp_table[(-lv.log_table[a]) % lv.n]
@@ -426,7 +436,8 @@ class FieldTower:
 
     def pow_elem(self, d, a, k):
         if a == 0:
-            assert k > 0
+            if k <= 0:
+                raise InternalCheckError(f"0 raised to the power {k}")
             return 0
         lv = self.level(d)
         if k < 0:
@@ -443,7 +454,8 @@ class FieldTower:
         return self._raw_pow(lv, lv.gen, k % lv.n if lv.n > 1 else 1)
 
     def log(self, d, a):
-        assert a != 0
+        if a == 0:
+            raise InternalCheckError("discrete log of 0")
         lv = self.level(d)
         if lv.log_table is not None:
             return int(lv.log_table[a])
@@ -475,7 +487,7 @@ class FieldTower:
     # ---- maps between levels
 
     def embed(self, e, d, a):
-        assert d % e == 0
+        _check_subfield(d, e)
         if a == 0:
             return 0
         lvd = self.level(d)
@@ -483,7 +495,7 @@ class FieldTower:
         return self.exp(d, self.log(e, a) * (lvd.n // lve.n))
 
     def norm_to(self, d, e, a):
-        assert d % e == 0
+        _check_subfield(d, e)
         if a == 0:
             return 0
         lve = self.level(e)
@@ -491,7 +503,7 @@ class FieldTower:
         return self.exp(e, self.log(d, a) % lve.n)
 
     def trace_to(self, d, e, a):
-        assert d % e == 0
+        _check_subfield(d, e)
         if a == 0:
             return 0
         lvd = self.level(d)
@@ -502,12 +514,14 @@ class FieldTower:
         for _ in range(d // e):
             acc = self.add(d, acc, cur)
             cur = self.pow_elem(d, cur, qe)
-        assert cur == a
+        if cur != a:
+            raise InternalCheckError("Frobenius orbit did not close")
         if acc == 0:
             return 0
         stride = lvd.n // lve.n
         la = self.log(d, acc)
-        assert la % stride == 0, "trace left the subfield"
+        if la % stride:
+            raise InternalCheckError("trace left the subfield")
         return self.exp(e, la // stride)
 
     def absolute_trace(self, d, a):
@@ -520,8 +534,10 @@ class FieldTower:
         for _ in range(lv.m):
             acc = self.add(d, acc, cur)
             cur = self.pow_elem(d, cur, self.p)
-        assert cur == a
-        assert acc < self.p, "absolute trace not in the prime field"
+        if cur != a:
+            raise InternalCheckError("Frobenius orbit did not close")
+        if acc >= self.p:
+            raise InternalCheckError("absolute trace not in the prime field")
         return acc
 
     def absolute_trace_table(self, d):

@@ -11,8 +11,10 @@ its transform solver (exponent sum 2 or 0: the transformed datum
 (W, eta, b) and the exact constant c) and its moment sweeps are fronts
 that validate the datum and run norm_algebra's engine on the split
 algebra.  This module adds what is particular to monomials: grid
-functions on F_{q^d}^k with cyclotomic-integer values, the naive (exact)
-Fourier transform, pointwise transform checks and the ratio transforms.
+functions on F_{q^d}^k with cyclotomic-integer values, the exact Fourier
+transform in row-column form (one coordinate axis at a time, psi summed
+by trace index, one reduction per output point), pointwise transform
+checks and the ratio transforms.
 Everything is integer arithmetic in cyclotomic fields; nothing is floated.
 """
 
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import cyclotomic as cy
+from ._intutil import euler_phi
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
 from .errors import SchemaError, SizeBoundError
@@ -142,25 +145,53 @@ class GridFunction:
 
 def fourier_transform(system: CharSystem, f: GridFunction, *,
                       max_terms: int = DEFAULT_TERM_BOUND) -> GridFunction:
-    """fhat(y) = sum_x f(x) psi(<y, x>), summed naively over the full grid."""
+    """fhat(y) = sum_x f(x) psi(<y, x>), exact, one coordinate at a time.
+
+    psi(<y, x>) = prod_i psi(y_i x_i), so the transform is k one-variable
+    transforms, each along every line of the grid parallel to one axis:
+    k q^{k+1} vector additions in place of q^{2k} ring products.  Every
+    value is lifted once to L = lcm(p, value orders) and kept as an
+    integer vector modulo x^L - 1, where multiplying by
+    psi(yx) = zeta_L^{(L/p) Tr(c y x)} (c the additive twist) is a
+    rotation; each output point is reduced mod Phi_L once.  The bound
+    counts the q^{2k} terms of the full double sum.
+    """
     t, d, k = f.tower, f.degree, f.k
     q = t.order(d)
     if q ** (2 * k) > max_terms:
         raise SizeBoundError(
             f"{q ** (2 * k)} transform terms exceed the bound {max_terms}")
-    psi = [system.psi_value(d, x) for x in range(q)]
-    points = [f.codes(i) for i in range(q ** k)]
-    support = [(points[i], v) for i, v in enumerate(f.values) if not v.is_zero()]
-    out = []
-    for star in points:
-        acc = cy.from_int(0)
-        for xc, v in support:
-            dot = 0
-            for ys, xs in zip(star, xc):
-                dot = t.add(d, dot, t.mul(d, ys, xs))
-            acc = acc + v * psi[dot]
-        out.append(acc)
-    return GridFunction(t, d, k, out)
+    p = t.p
+    L = math.lcm(p, *(v.order for v in f.values))
+    step = L // p
+    tr = t.absolute_trace_table(d)
+    twist = system._twist_at(d)
+    psi_exp = [[tr[t.mul(d, twist, t.mul(d, y, x))] for x in range(q)]
+               for y in range(q)]
+    pad = [0] * (L - euler_phi(L))
+    grid = [None if v.is_zero() else list(cy._lift_coeffs(v, L)) + pad
+            for v in f.values]
+    stride = 1
+    for _ in range(k):
+        for base in range(q ** k):
+            if base // stride % q:
+                continue
+            line = range(base, base + q * stride, stride)
+            # rotations of each live value by zeta_p^0 .. zeta_p^{p-1}
+            live = [(x, [vec[L - e * step:] + vec[:L - e * step]
+                         for e in range(p)])
+                    for x, vec in enumerate(grid[i] for i in line)
+                    if vec is not None]
+            if not live:
+                continue
+            for y, i in enumerate(line):
+                row = psi_exp[y]
+                grid[i] = [sum(col) for col in
+                           zip(*(rots[row[x]] for x, rots in live))]
+        stride *= q
+    return GridFunction(t, d, k, (
+        cy.from_int(0) if vec is None
+        else cy._make(L, cy.reduce_mod_cyclotomic(vec, L)) for vec in grid))
 
 
 # ---------------------------------------------------------------- I-sums

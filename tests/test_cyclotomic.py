@@ -312,26 +312,35 @@ def test_pow_negative_raises():
 _BREACHES = """
 import sys
 import charsum.cyclotomic as cy
+from charsum._intutil import factorize
 from charsum.characters import CharSystem
+from charsum.divisor_calc import SymbolSum
 from charsum.errors import InternalCheckError
 from charsum.field_tower import build_tower
 assert False, "asserts must be stripped"
 S = CharSystem(build_tower(3, 1, degrees=(1, 2)))
-for breach in (lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
-               lambda: cy.root(6).at_order(9),
-               lambda: S.char_mul(S.character(1, 1), S.character(2, 1)),
-               lambda: S.lift_character(S.character(2, 1), 3)):
+T = S.tower
+for i, breach in enumerate((
+        lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
+        lambda: cy.root(6).at_order(9),
+        lambda: S.char_mul(S.character(1, 1), S.character(2, 1)),
+        lambda: S.lift_character(S.character(2, 1), 3),
+        lambda: T.log(1, 0), lambda: T.inv(2, 0), lambda: T.pow_elem(1, 0, 0),
+        lambda: T.embed(2, 3, 1), lambda: T.norm_to(3, 2, 1),
+        lambda: T.trace_to(3, 2, 1), lambda: factorize(0),
+        lambda: SymbolSum(6, {(1, 1): 1}) + SymbolSum(12, {(1, 1): 1}))):
     try:
         breach()
     except InternalCheckError:
         continue
-    sys.exit("no InternalCheckError")
+    sys.exit(f"breach {i} raised no InternalCheckError")
 """
 
 
 def test_invariants_fire_under_optimize():
-    # python -O strips assert statements; the kernel's and the character
-    # group's checks must not be asserts, or a breach would pass silently
+    # python -O strips assert statements; the kernel's, the character
+    # group's, the field tower's and the integer helpers' checks must not be
+    # asserts, or a breach would pass silently
     src = str(Path(charsum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", _BREACHES], env=env,

@@ -110,9 +110,80 @@ def test_transform_of_quadratic_character():
 
 
 def test_transform_size_bound():
+    # the bound counts the q^{2k} terms of the full double sum, whatever
+    # the algorithm, so it accepts and refuses the same grids
     f = _random_grid(S3, 1, 2, seed=5)
     with pytest.raises(SizeBoundError):
         fourier_transform(S3, f, max_terms=10)
+    with pytest.raises(SizeBoundError, match="81 transform terms exceed"):
+        fourier_transform(S3, f, max_terms=3 ** 4 - 1)
+    assert fourier_transform(S3, f, max_terms=3 ** 4) == fourier_transform(S3, f)
+    g = _random_grid(S5, 1, 1, seed=5)
+    with pytest.raises(SizeBoundError):
+        fourier_transform(S5, g, max_terms=5 ** 2 - 1)
+    assert fourier_transform(S5, g, max_terms=5 ** 2) == fourier_transform(S5, g)
+
+
+def _naive_transform(sys, f):
+    """fhat(y) = sum_x f(x) psi(<y, x>), one ring product per (y, x) pair."""
+    t, d, k = f.tower, f.degree, f.k
+    q = t.order(d)
+    psi = [sys.psi_value(d, x) for x in range(q)]
+    points = [f.codes(i) for i in range(q ** k)]
+    support = [(points[i], v) for i, v in enumerate(f.values) if not v.is_zero()]
+    out = []
+    for ys in points:
+        acc = cy.from_int(0)
+        for xs, v in support:
+            dot = 0
+            for y, x in zip(ys, xs):
+                dot = t.add(d, dot, t.mul(d, y, x))
+            acc = acc + v * psi[dot]
+        out.append(acc)
+    return GridFunction(t, d, k, out)
+
+
+def _mixed_value(rng, p):
+    """A value of order 1, p, 12 or 3p, or a sum of two roots."""
+    orders = (1, p, 12, 3 * p)
+    pick = rng.randrange(6)
+    if pick == 0:
+        return cy.from_int(0)
+    if pick == 5:
+        return (cy.root(rng.choice(orders), rng.randrange(36))
+                - cy.root(rng.choice(orders), rng.randrange(36)) * 2)
+    return cy.root(orders[pick - 1], rng.randrange(36)) * rng.randrange(-3, 4)
+
+
+@pytest.mark.parametrize("p,degree,k", [
+    (3, 1, 1), (3, 1, 2), (3, 1, 3),
+    (5, 1, 1), (5, 1, 2),
+    (3, 2, 1), (3, 2, 2),
+])
+def test_transform_matches_naive_sum(p, degree, k):
+    # additive twist c = 2: the default twist 1 would hide a dropped twist
+    sys = CharSystem(build_tower(p, degrees=(degree,)), 2)
+    t = sys.tower
+    q = t.order(degree)
+    rng = random.Random(1000 * p + 10 * degree + k)
+    grids = [
+        [_mixed_value(rng, p) for _ in range(q ** k)],
+        [cy.from_int(0)] * q ** k,
+    ]
+    # nonzero on one line along each axis, with values of orders 1 and 4
+    # only, so no value carries the p-th roots of the additive character
+    for axis in range(k):
+        base = [rng.randrange(1, q) for _ in range(k)]
+        line = [cy.from_int(0)] * q ** k
+        for x in range(q):
+            codes = base[:axis] + [x] + base[axis + 1:]
+            idx = sum(c * q ** i for i, c in enumerate(codes))
+            line[idx] = (cy.root(4, rng.randrange(4))
+                         * rng.choice((-2, -1, 1, 3)))
+        grids.append(line)
+    for vals in grids:
+        f = GridFunction(t, degree, k, vals)
+        assert fourier_transform(sys, f) == _naive_transform(sys, f)
 
 
 def inner(f, g):
