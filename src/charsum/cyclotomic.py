@@ -234,9 +234,6 @@ class CycloValue:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_rational_integer(self) -> bool:
-        return self.order == 1
-
     def as_int(self) -> int:
         if self.order != 1:
             raise ValueError("value is not a rational integer")

@@ -9,6 +9,12 @@ satisfies pi_e(g_d^{(q^d-1)/(q^e-1)}) = 0 for the minimal polynomial pi_e of
 every lower generator g_e, which makes g_e^j |-> g_d^{j*(q^d-1)/(q^e-1)} an
 actual field embedding.  Norms, traces and embeddings then reduce to index
 arithmetic on discrete logs.
+
+Every level carries its exp and log tables, so multiplication, inversion,
+powers and discrete logs are single table lookups.  Fields of more than
+2^22 elements (_SIZE_BOUND) are refused.  When $CHARSUM_CACHE_DIR is set, log
+tables are kept there between runs; a cached table is used only if it is a
+bijection whose inverse starts 1, g, and is rebuilt and rewritten otherwise.
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ import os
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass
 
 from charsum._intutil import divisors, factorize, prime_divisors
 from charsum.errors import InternalCheckError, SchemaError, SizeBoundError
 
 _MAGIC = b"CHARSUMDL1"
 _NO_LOG = 0xFFFFFFFF
+_SIZE_BOUND = 2 ** 22
 
 
 # --------------------------------------------------- polynomials over F_p
@@ -135,42 +141,22 @@ def _check_subfield(d, e):
 
 class _Level:
     __slots__ = ("d", "m", "n", "modulus", "gen", "minpoly", "fact_n",
-                 "exp_table", "log_table", "abs_tr", "_baby", "_giant", "_m0")
+                 "exp_table", "log_table", "abs_tr")
 
     def __init__(self):
-        self.exp_table = None
-        self.log_table = None
         self.abs_tr = None
-        self._baby = None
-
-
-@dataclass
-class TowerConfig:
-    p: int
-    s: int = 1
-    dlog_table_max: int = 2 ** 16
-    size_bound: int = 2 ** 22
-    cache_dir: str | None = None  # falls back to $CHARSUM_CACHE_DIR
 
 
 class FieldTower:
-    def __init__(self, config: TowerConfig):
-        p = config.p
+    def __init__(self, p: int, s: int):
         if p < 2 or factorize(p) != ((p, 1),):
             raise SchemaError(f"p = {p} is not prime")
-        if config.s < 1:
-            raise SchemaError(f"s = {config.s} must be positive")
-        self.config = config
+        if s < 1:
+            raise SchemaError(f"s = {s} must be positive")
         self.p = p
-        self.s = config.s
-        self.q = p ** config.s
+        self.s = s
+        self.q = p ** s
         self._levels: dict[int, _Level] = {}
-
-    @property
-    def cache_dir(self):
-        if self.config.cache_dir is not None:
-            return self.config.cache_dir
-        return os.environ.get("CHARSUM_CACHE_DIR")
 
     # ---- level management
 
@@ -200,10 +186,10 @@ class FieldTower:
     def _build_level(self, d: int) -> _Level:
         m = self.s * d
         size = self.p ** m
-        if size > self.config.size_bound:
+        if size > _SIZE_BOUND:
             raise SizeBoundError(
                 f"field of order {self.p}^{m} exceeds size bound "
-                f"{self.config.size_bound}")
+                f"{_SIZE_BOUND}")
         lv = _Level()
         lv.d = d
         lv.m = m
@@ -212,12 +198,11 @@ class FieldTower:
         lv.fact_n = factorize(lv.n) if lv.n > 1 else ()
         h = self._first_generator(lv)
         lv.gen = self._compatible_generator(lv, h)
-        if size <= self.config.dlog_table_max:
-            self._attach_tables(lv)
+        self._attach_tables(lv)
         lv.minpoly = self._minimal_polynomial(lv)
         return lv
 
-    # ---- raw polynomial-model arithmetic (used at build time / BSGS mode)
+    # ---- raw polynomial-model arithmetic (used at build time)
 
     def _raw_mul(self, lv, a, b):
         if a == 0 or b == 0:
@@ -289,7 +274,7 @@ class FieldTower:
     # ---- discrete log tables and their disk cache
 
     def _dlog_cache_path(self, lv):
-        dirp = self.cache_dir
+        dirp = os.environ.get("CHARSUM_CACHE_DIR")
         if not dirp:
             return None
         mod_low = _encode(lv.modulus[:-1], self.p)
@@ -297,10 +282,16 @@ class FieldTower:
         return os.path.join(dirp, name)
 
     def _attach_tables(self, lv):
-        log = self._load_dlog_cache(lv)
-        fresh = log is None
-        if fresh:
-            exp = [0] * lv.n
+        # a cached log table is kept only if it is a bijection onto [0, n)
+        # whose inverse starts 1, g; otherwise it is rebuilt and rewritten
+        path = self._dlog_cache_path(lv)
+        log = self._load_dlog_cache(lv, path)
+        exp = [0] * lv.n
+        if log is not None:
+            for code in range(1, lv.n + 1):
+                exp[log[code]] = code
+        if (log is None or 0 in exp or exp[0] != 1
+                or exp[1 % lv.n] != lv.gen):
             cur = 1
             for i in range(lv.n):
                 exp[i] = cur
@@ -312,30 +303,11 @@ class FieldTower:
             log[0] = _NO_LOG
             for i, code in enumerate(exp):
                 log[code] = i
-        else:
-            exp = [0] * lv.n
-            for code in range(1, lv.n + 1):
-                exp[log[code]] = code
-            if exp[0] != 1 or (lv.n > 1 and exp[1] != lv.gen):
-                self._attach_tables_fresh_fallback(lv)
-                return
+            self._write_dlog_cache(lv, path, log)
         lv.exp_table = exp
         lv.log_table = log
-        if fresh:
-            self._write_dlog_cache(lv)
 
-    def _attach_tables_fresh_fallback(self, lv):
-        # cached table failed sanity checks; rebuild from scratch
-        path = self._dlog_cache_path(lv)
-        if path:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        self._attach_tables(lv)
-
-    def _load_dlog_cache(self, lv):
-        path = self._dlog_cache_path(lv)
+    def _load_dlog_cache(self, lv, path):
         if not path:
             return None
         try:
@@ -361,13 +333,12 @@ class FieldTower:
         except (OSError, ValueError, struct.error):
             return None
 
-    def _write_dlog_cache(self, lv):
-        path = self._dlog_cache_path(lv)
+    def _write_dlog_cache(self, lv, path, log):
         if not path:
             return
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            payload = lv.log_table.tobytes()
+            payload = log.tobytes()
             mod_low = _encode(lv.modulus[:-1], self.p)
             blob = (_MAGIC
                     + struct.pack("<5Q", self.p, self.s, lv.d, mod_low, lv.n)
@@ -422,17 +393,13 @@ class FieldTower:
         if a == 0 or b == 0:
             return 0
         lv = self.level(d)
-        if lv.log_table is not None:
-            return lv.exp_table[(lv.log_table[a] + lv.log_table[b]) % lv.n]
-        return self._raw_mul(lv, a, b)
+        return lv.exp_table[(lv.log_table[a] + lv.log_table[b]) % lv.n]
 
     def inv(self, d, a):
         if a == 0:
             raise InternalCheckError("inverse of 0")
         lv = self.level(d)
-        if lv.log_table is not None:
-            return lv.exp_table[(-lv.log_table[a]) % lv.n]
-        return self._raw_pow(lv, a, lv.n - 1)
+        return lv.exp_table[-lv.log_table[a] % lv.n]
 
     def pow_elem(self, d, a, k):
         if a == 0:
@@ -440,48 +407,19 @@ class FieldTower:
                 raise InternalCheckError(f"0 raised to the power {k}")
             return 0
         lv = self.level(d)
-        if k < 0:
-            a = self.inv(d, a)
-            k = -k
-        if lv.log_table is not None:
-            return lv.exp_table[(lv.log_table[a] * k) % lv.n]
-        return self._raw_pow(lv, a, k % lv.n if lv.n > 1 else 1)
+        return lv.exp_table[lv.log_table[a] * k % lv.n]
 
     def exp(self, d, k):
         lv = self.level(d)
-        if lv.exp_table is not None:
-            return lv.exp_table[k % lv.n]
-        return self._raw_pow(lv, lv.gen, k % lv.n if lv.n > 1 else 1)
+        return lv.exp_table[k % lv.n]
 
     def log(self, d, a):
         if a == 0:
             raise InternalCheckError("discrete log of 0")
-        lv = self.level(d)
-        if lv.log_table is not None:
-            return int(lv.log_table[a])
-        return self._bsgs_log(lv, a)
-
-    def _bsgs_log(self, lv, a):
-        if lv._baby is None:
-            m0 = math.isqrt(lv.n) + 1
-            baby = {}
-            cur = 1
-            for j in range(m0):
-                baby.setdefault(cur, j)
-                cur = self._raw_mul(lv, cur, lv.gen)
-            lv._baby = baby
-            lv._m0 = m0
-            lv._giant = self._raw_pow(lv, lv.gen, lv.n - (m0 % lv.n))
-        y = a
-        for i in range(lv._m0 + 1):
-            j = lv._baby.get(y)
-            if j is not None:
-                return (i * lv._m0 + j) % lv.n
-            y = self._raw_mul(lv, y, lv._giant)
-        raise InternalCheckError("discrete log not found")
+        return self.level(d).log_table[a]
 
     def exp_table(self, d):
-        """Codes g^0, g^1, ... in exponent order, or None without tables."""
+        """Codes g^0, g^1, ... in exponent order."""
         return self.level(d).exp_table
 
     # ---- maps between levels
@@ -557,11 +495,8 @@ class FieldTower:
         return lv.abs_tr
 
 
-def build_tower(p, s=1, degrees=(1,), *, dlog_table_max=2 ** 16,
-                size_bound=2 ** 22, cache_dir=None) -> FieldTower:
-    tower = FieldTower(TowerConfig(p=p, s=s, dlog_table_max=dlog_table_max,
-                                   size_bound=size_bound,
-                                   cache_dir=cache_dir))
+def build_tower(p, s=1, degrees=(1,)) -> FieldTower:
+    tower = FieldTower(p, s)
     for d in degrees:
         tower.level(d)
     return tower

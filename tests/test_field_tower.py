@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import os
 import random
+import struct
+import zlib
+from array import array
 
 import pytest
 
 from charsum.errors import SchemaError, SizeBoundError
-from charsum.field_tower import build_tower
+from charsum.field_tower import FieldTower, build_tower
 
 # --------------------------------------------------------- fixed moduli
 # first irreducible monic polynomial in ascending code order
@@ -174,19 +177,6 @@ def test_absolute_trace_table_matches():
             assert tab[a] == t.absolute_trace(d, a)
 
 
-def test_bsgs_matches_tables():
-    ta = build_tower(3, 1, degrees=(1, 3))
-    tb = build_tower(3, 1, degrees=(1, 3), dlog_table_max=1)
-    assert tb.exp_table(3) is None
-    assert ta.generator(3) == tb.generator(3)
-    for a in range(1, 27):
-        assert ta.log(3, a) == tb.log(3, a)
-    for a in range(27):
-        for b in range(27):
-            assert ta.mul(3, a, b) == tb.mul(3, a, b)
-    assert [tb.exp(3, k) for k in range(26)] == list(ta.exp_table(3))
-
-
 def test_pow_elem_negative():
     t = build_tower(3, 1, degrees=(2,))
     for a in range(1, 9):
@@ -197,8 +187,6 @@ def test_pow_elem_negative():
 def test_size_bound():
     with pytest.raises(SizeBoundError):
         build_tower(2, 1, degrees=(23,))
-    with pytest.raises(SizeBoundError):
-        build_tower(3, 1, degrees=(2,), size_bound=8)
 
 
 def test_bad_params():
@@ -225,13 +213,36 @@ def test_deep_tower_embed_sample():
 # ------------------------------------------------------------- disk cache
 
 
-def test_dlog_cache_roundtrip(tmp_path):
+def _count_raw_muls(monkeypatch):
+    calls = []
+    raw_mul = FieldTower._raw_mul
+
+    def counted(self, lv, a, b):
+        calls.append(1)
+        return raw_mul(self, lv, a, b)
+
+    monkeypatch.setattr(FieldTower, "_raw_mul", counted)
+    return calls
+
+
+def _dlog_file(d):
+    return os.path.join(d, [f for f in os.listdir(d)
+                            if f.startswith("dlog_p3_s1_d2_")][0])
+
+
+def test_dlog_cache_roundtrip(tmp_path, monkeypatch):
     d = str(tmp_path)
-    t1 = build_tower(3, 1, degrees=(2,), cache_dir=d)
+    monkeypatch.setenv("CHARSUM_CACHE_DIR", d)
+    calls = _count_raw_muls(monkeypatch)
+    t1 = build_tower(3, 1, degrees=(2,))
+    first = len(calls)
     files = os.listdir(d)
     assert any(f.startswith("dlog_p3_") for f in files)
-    t2 = build_tower(3, 1, degrees=(2,), cache_dir=d)
+    t2 = build_tower(3, 1, degrees=(2,))
+    second = len(calls) - first
     assert t1.exp_table(2) == t2.exp_table(2)
+    # the second build read its tables instead of walking the q^d - 1 powers
+    assert first - second >= 3 ** 2 - 1
 
 
 def test_dlog_cache_env_var(tmp_path, monkeypatch):
@@ -240,19 +251,40 @@ def test_dlog_cache_env_var(tmp_path, monkeypatch):
     assert any(f.startswith("dlog_p5_") for f in os.listdir(str(tmp_path)))
 
 
-def test_dlog_cache_corruption_is_ignored(tmp_path):
+def test_dlog_cache_corruption_is_ignored(tmp_path, monkeypatch):
     d = str(tmp_path)
-    t1 = build_tower(3, 1, degrees=(2,), cache_dir=d)
-    fname = [f for f in os.listdir(d) if f.startswith("dlog_")][0]
-    path = os.path.join(d, fname)
+    monkeypatch.setenv("CHARSUM_CACHE_DIR", d)
+    t1 = build_tower(3, 1, degrees=(2,))
+    path = _dlog_file(d)
     blob = bytearray(open(path, "rb").read())
     blob[-1] ^= 0xFF
     open(path, "wb").write(bytes(blob))
-    t2 = build_tower(3, 1, degrees=(2,), cache_dir=d)
+    t2 = build_tower(3, 1, degrees=(2,))
     assert t2.exp_table(2) == t1.exp_table(2)
     open(path, "wb").write(b"garbage")
-    t3 = build_tower(3, 1, degrees=(2,), cache_dir=d)
+    t3 = build_tower(3, 1, degrees=(2,))
     assert t3.exp_table(2) == t1.exp_table(2)
+
+
+def test_dlog_cache_rejects_non_bijective_table(tmp_path, monkeypatch):
+    # a CRC-valid log table that maps two codes to log 4 and none to 5
+    d = str(tmp_path)
+    monkeypatch.setenv("CHARSUM_CACHE_DIR", d)
+    fresh = build_tower(3, 1, degrees=(2,))
+    path = _dlog_file(d)
+    good = open(path, "rb").read()
+    hdr = len(b"CHARSUMDL1") + 40 + 4
+    log = array("I")
+    log.frombytes(good[hdr:])
+    log[list(log).index(5)] = 4
+    payload = log.tobytes()
+    crc = struct.pack("<I", zlib.crc32(payload))
+    open(path, "wb").write(good[:hdr - 4] + crc + payload)
+    t = build_tower(3, 1, degrees=(2,))
+    assert t.exp_table(2) == fresh.exp_table(2)
+    assert all(t.mul(2, a, b) == fresh.mul(2, a, b)
+               for a in range(9) for b in range(9))
+    assert open(path, "rb").read() == good
 
 
 def test_no_cache_dir_still_works(monkeypatch):
