@@ -1,0 +1,65 @@
+"""Time the Z[zeta_M] kernel: products, reductions and Galois maps.
+
+Usage: python3 scripts/kernel_probe.py --repeat 20 --seed 1
+Prints one row per order M and coefficient width with the median
+microseconds per call, over five batches of --repeat calls, of
+`_poly_mul` on two reduced vectors, `reduce_mod_cyclotomic` of their
+product and `CycloValue.galois` by a unit.  The orders are M = 336 and
+2184 (phi 96 and 576); "small" coefficients lie in [-13, 13] and "wide"
+ones in (-10^31, 10^31).
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import random
+import statistics
+from time import perf_counter
+
+from charsum._intutil import euler_phi
+from charsum.cyclotomic import CycloValue, _poly_mul, reduce_mod_cyclotomic
+
+
+def _per_call_us(fn, repeat, batches=5):
+    times = []
+    for _ in range(batches):
+        t0 = perf_counter()
+        for _ in range(repeat):
+            fn()
+        times.append((perf_counter() - t0) / repeat)
+    return statistics.median(times) * 1e6
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=20)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+
+    rng = random.Random(args.seed)
+    print(f"{'order':<6} {'coeffs':<6} {'poly_mul_us':>12} {'reduce_us':>12} "
+          f"{'galois_us':>12}")
+    for M in (336, 2184):
+        n = euler_phi(M)
+        unit = rng.choice([u for u in range(2, M) if math.gcd(u, M) == 1])
+        for label, bound in (("small", 14), ("wide", 10 ** 31)):
+            a, b = (tuple(rng.randrange(-bound + 1, bound) for _ in range(n))
+                    for _ in range(2))
+            prod = _poly_mul(a, b)
+            v = CycloValue(M, a)
+            ops = (lambda: _poly_mul(a, b),
+                   lambda: reduce_mod_cyclotomic(prod, M),
+                   lambda: v.galois(unit))
+            for op in ops:
+                op()  # fills the Barrett-inverse and shift-table caches
+            row = " ".join(f"{_per_call_us(op, args.repeat):12.1f}"
+                           for op in ops)
+            print(f"M{M:<5} {label:<6} {row}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -25,7 +25,7 @@ from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
 from .divisor_calc import Divisor, injectivity_probe
 from .errors import InternalCheckError, SchemaError, SizeBoundError
-from .field_tower import build_tower
+from .field_tower import FieldTower, build_tower
 from .identity_engine import GammaMonomial, find_violation, \
     verify_monomial_identity
 from .monomial_fourier import GridFunction, MonomialDatum, \
@@ -175,6 +175,21 @@ def _check_sweep_size(q, factor_degrees, depth, opts):
                              f"the bound {opts.max_grid}")
 
 
+def _base_order(payload):
+    """q = p^s of the job's base field, with p and s checked as the tower
+    checks them; builds no tower level."""
+    return FieldTower(_as_int(payload, "p"), _as_int(payload, "s", 1)).q
+
+
+def _check_gauss_terms(terms, opts):
+    """Cost preflight of gauss and hd jobs: terms counts the field elements
+    summed over, one per term of each Gauss sum.  It runs before the job
+    builds any tower level."""
+    if terms > opts.max_grid:
+        raise SizeBoundError(f"{terms} Gauss-sum terms exceed the bound "
+                             f"{opts.max_grid}")
+
+
 def _chars(system, payload, degrees, what):
     """The "characters" field: one spec per entry of degrees."""
     specs = payload.get("characters")
@@ -202,6 +217,11 @@ def _system(payload, degrees=(1,)):
 def _run_gauss(payload, opts):
     _check_keys(payload, {"p", "s", "degrees"})
     degrees = _as_int_list(payload, "degrees", [1])
+    if min(degrees) < 1:
+        raise SchemaError("field 'degrees' must list positive degrees")
+    q = _base_order(payload)
+    # each of the q^d - 1 characters of degree d sums q^d terms
+    _check_gauss_terms(sum((q ** d - 1) * q ** d for d in degrees), opts)
     system = _system(payload, degrees)
     t = system.tower
     cases = []
@@ -233,11 +253,22 @@ def _run_hd(payload, opts):
     if not isinstance(laws, list) or not laws \
             or not set(laws) <= {"lift", "product"}:
         raise SchemaError("field 'laws' must list 'lift' and/or 'product'")
+    lam_specs = payload.get("lambdas", "all")
+    if lam_specs != "all" and not isinstance(lam_specs, list):
+        raise SchemaError("field 'lambdas' must be \"all\" or a list of "
+                          "character specs")
+    q = _base_order(payload)
+    # per character: the lifting law sums over F_q and F_{q^n}, the product
+    # law n Gauss sums over F_q; it runs only where n divides q - 1
+    per_char = sum((q + q ** n if "lift" in laws else 0)
+                   + (n * q if "product" in laws and (q - 1) % n == 0
+                      else 0) for n in orders)
+    _check_gauss_terms(
+        (q - 1 if lam_specs == "all" else len(lam_specs)) * per_char, opts)
     # the product law stays in the base field; only lifting needs degree n
     degrees = [1] + (orders if "lift" in laws else [])
     system = _system(payload, degrees)
     t = system.tower
-    lam_specs = payload.get("lambdas", "all")
     if lam_specs == "all":
         lams = [system.character(1, i) for i in range(t.group_order(1))]
     else:
@@ -556,7 +587,8 @@ def main(argv=None) -> int:
                         help="override the extension-sweep depth")
     parser.add_argument("--max-grid", type=int, default=DEFAULT_MAX_GRID,
                         help="largest dense grid a job may materialize, "
-                        "and most tuples a moment sweep may check")
+                        "most tuples a moment sweep may check, and most "
+                        "Gauss-sum terms a gauss or hd job may sum")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probes")
     parser.add_argument("--emit-floats", action="store_true",

@@ -5,15 +5,21 @@ of Q(zeta_M), reduced mod the M-th cyclotomic polynomial.  Every operation is
 exact; no floating point appears anywhere in this module.
 
 Polynomial products use signed Kronecker substitution above a small cutoff:
-each operand is packed into one signed big integer with a fixed-width slot per
-coefficient, the two are multiplied once, and the product's slots are read
-back through a bias of half a slot.  Reduction mod Phi_M uses a cached Barrett
-inverse, so Gauss-sum accumulation stays fast even at orders in the thousands.
+each operand's coefficients are written as two's-complement slots of one
+fixed width, read as one unsigned integer T and corrected to the signed
+packing T - 2 (T & H), where H has the top bit of every slot set.  The two
+are multiplied once, and the product P is read back as the two's-complement
+slots of (P + H) ^ H.  Slots of up to 8 bytes are written and read by one
+`struct` call each, so no Python code runs per coefficient.  Reduction mod
+Phi_M uses a cached Barrett inverse, so Gauss-sum accumulation stays fast
+even at orders in the thousands.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +31,7 @@ from charsum.errors import InternalCheckError
 # ------------------------------------------------------------------ integer
 # polynomials: tuples of coefficients, index = degree
 
-_SCHOOLBOOK_MAX = 32
+_SCHOOLBOOK_MAX = 7
 
 
 def _trim(p: Sequence[int]) -> tuple[int, ...]:
@@ -38,32 +44,46 @@ def _trim(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # signed Kronecker substitution in slots of w = 8 * nbytes bits: each
-    # operand is (positive part) - (negative part), both packed base 2^w,
-    # and one product gives sum c_k 2^{wk}.  Adding 2^{w-1} to every slot
-    # makes each slot a digit in [0, 2^w), read back minus that bias.  The
-    # slots must hold |c_k| < 2^{w-1} and each operand's own coefficients.
-    # For nonzero operands, as _poly_mul passes, min(m, n) * ma * mb covers
-    # both; the ma, mb terms keep direct calls with an all-zero operand safe.
+    # signed Kronecker substitution in two's-complement slots of
+    # w = 8 * nbytes bits.  H has the top bit of every slot set.  An
+    # operand's slots read as one unsigned integer T; T - 2 (T & H) is
+    # sum c_k 2^{wk}, since each negative slot was read 2^w too high.  One
+    # product gives P = sum c_k 2^{wk}; (P + H) ^ H has the c_k as its
+    # two's-complement slots, because P + H has the digits c_k + 2^{w-1},
+    # in [0, 2^w) without carries, and the xor takes 2^{w-1} back off.
+    # The slots must hold |c_k| < 2^{w-1} and each operand's own
+    # coefficients.  For nonzero operands, as _poly_mul passes,
+    # min(m, n) * ma * mb covers both; the ma, mb terms keep direct calls
+    # with an all-zero operand safe.  Slots of 1, 2, 4 or 8 bytes go
+    # through struct in one call each way; wider ones, reached only by
+    # coefficients near 10^31, take one to_bytes or from_bytes per slot.
     m, n = len(a), len(b)
     out_len = m + n - 1
     ma = max(map(abs, a))
     mb = max(map(abs, b))
     nbytes = (max(min(m, n) * ma * mb, ma, mb).bit_length() + 8) // 8
-    zero = bytes(nbytes)
+    wide = nbytes > 8
+    if not wide:
+        nbytes = 1 << (nbytes - 1).bit_length()
+        fmt = "<%d" + "bhiq"[nbytes.bit_length() - 1]
+    H = int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
+                       * out_len, "little")
 
     def pack(p: tuple[int, ...]) -> int:
-        pos = b"".join(c.to_bytes(nbytes, "little") if c > 0 else zero
-                       for c in p)
-        neg = b"".join((-c).to_bytes(nbytes, "little") if c < 0 else zero
-                       for c in p)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        if wide:
+            t = int.from_bytes(b"".join(
+                c.to_bytes(nbytes, "little", signed=True) for c in p),
+                "little")
+        else:
+            t = int.from_bytes(struct.pack(fmt % len(p), *p), "little")
+        return t - 2 * (t & H)
 
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * out_len, "little")
-    raw = (pack(a) * pack(b) + bias).to_bytes(nbytes * out_len, "little")
-    return tuple(int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
-                 - half for k in range(out_len))
+    raw = ((pack(a) * pack(b) + H) ^ H).to_bytes(nbytes * out_len, "little")
+    if wide:
+        return tuple(int.from_bytes(raw[k * nbytes:(k + 1) * nbytes],
+                                    "little", signed=True)
+                     for k in range(out_len))
+    return struct.unpack(fmt % out_len, raw)
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -170,7 +190,7 @@ def _barrett_reduce(f: Sequence[int], M: int) -> tuple[int, ...]:
     prod += (0,) * (d + 1 - len(prod))
     if f[n:] != prod[n:]:
         raise InternalCheckError(f"Barrett quotient mod Phi_{M} is wrong")
-    return tuple(f[i] - prod[i] for i in range(n))
+    return tuple(map(operator.sub, f[:n], prod))
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ import pytest
 import charsum
 from charsum.cli import Options, main, run, suite
 from charsum.errors import SchemaError, SizeBoundError
+from charsum.field_tower import FieldTower
 
 
 def write_job(tmp_path, payload):
@@ -164,6 +165,8 @@ def test_exit_codes_for_malformed_jobs(tmp_path, capsys):
                     {"kind": "gauss", "p": 5, "s": "one"},
                     {"kind": "hd", "p": 7, "n": 1},
                     {"kind": "hd", "p": 7, "n": 2, "laws": ["bogus"]},
+                    {"kind": "hd", "p": 7, "n": 2, "lambdas": 3},
+                    {"kind": "gauss", "p": 5, "degrees": [1, 0]},
                     {"kind": "monom", "p": 7, "exponents": [3, -1],
                      "characters": ["trivial"], "a": 1},
                     {"kind": "monom", "p": 7, "exponents": [3, -1],
@@ -219,6 +222,30 @@ def test_sweep_preflight_stops_large_job_at_once(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1
     assert code == 3
     assert f"{11 ** 3 + 167 ** 3} tuples" in err["error"]
+
+
+@pytest.mark.parametrize("job,terms", [
+    ({"kind": "gauss", "p": 2, "s": 2}, 3 * 4),
+    ({"kind": "gauss", "p": 5, "degrees": [1, 2]}, 4 * 5 + 24 * 25),
+    ({"kind": "hd", "p": 7, "n": 3}, 6 * (7 + 7 ** 3) + 6 * 3 * 7),
+    ({"kind": "hd", "p": 13, "n": [12], "laws": ["product"]}, 12 * 12 * 13),
+    # 3 does not divide 5 - 1, so only the lifting law runs
+    ({"kind": "hd", "p": 5, "n": 3, "lambdas": ["e2", "trivial"]},
+     2 * (5 + 5 ** 3)),
+])
+def test_gauss_preflight_is_exact(tmp_path, capsys, monkeypatch, job, terms):
+    # a bound equal to the term count runs; one below it exits 3 before
+    # the job builds any tower level
+    code, out = run_main(tmp_path, capsys, job, "--max-grid", str(terms))
+    assert code == 0
+    built = []
+    monkeypatch.setattr(FieldTower, "_build_level",
+                        lambda self, d: built.append(d))
+    code, err = run_error(tmp_path, capsys, job,
+                          "--max-grid", str(terms - 1))
+    assert code == 3 and err["kind"] == "SizeBoundError"
+    assert f"{terms} Gauss-sum terms" in err["error"]
+    assert built == []
 
 
 @pytest.mark.parametrize("job,flags,code", [

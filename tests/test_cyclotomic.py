@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import charsum
 from charsum._intutil import euler_phi
 from charsum.cyclotomic import (
+    _SCHOOLBOOK_MAX,
     CycloValue,
     _barrett_reduce,
     _kronecker_mul,
@@ -99,19 +100,42 @@ def _naive_mul(a, b):
 def _coeff_lists(bound):
     # every length is past _SCHOOLBOOK_MAX, the only lengths _poly_mul hands
     # to the kernel
-    return st.integers(33, 600).flatmap(
+    return st.integers(_SCHOOLBOOK_MAX + 1, 600).flatmap(
         lambda n: st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
 
 
-# 10**31 is the coefficient width the falsifier reaches at M = 2184.  The
-# first fixed example fills the middle slot to exactly min(m, n) * ma * mb;
-# the last checks that an all-zero operand, which only a direct call can
-# pass, does not shrink the slots below the other operand's width
+def _width_examples(test):
+    # one product per slot-bound bit length on both sides of each codec
+    # width: 7 | 8 bits split 1- and 2-byte slots, 15 | 16 the 2- and
+    # 4-byte, 31 | 32 the 4- and 8-byte, and 63 | 64 the 8-byte struct slots
+    # and the wide per-slot codec.  Constant operands put length * ma * mb,
+    # close to 2^bits, in the middle slot; each bit length gets a mixed-sign
+    # and an all-negative pair
+    length = _SCHOOLBOOK_MAX + 1
+    for bits in (7, 8, 15, 16, 31, 32, 63, 64):
+        ma = math.isqrt(((1 << bits) - 1) // length)
+        mb = ((1 << bits) - 1) // (length * ma)
+        if (length * ma * mb).bit_length() != bits:
+            raise ValueError(f"no width example of {bits} bits")
+        test = example([ma] * length, [-mb] * length)(test)
+        test = example([-ma] * length, [-mb] * length)(test)
+    return test
+
+
+# 10**31 is the coefficient width the falsifier reaches at M = 2184, and
+# 13, 2**10 and 2**20 with the lengths drawn reach the 1-, 2-, 4- and
+# 8-byte slots.  Of the last three fixed examples, the first fills the
+# middle slot to exactly min(m, n) * ma * mb in the wide codec; the last
+# checks that an all-zero operand, which only a direct call can pass, does
+# not shrink the slots below the other operand's width
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([1, 2**40, 10**31]).flatmap(_coeff_lists),
-    st.sampled_from([1, 2**40, 10**31]).flatmap(_coeff_lists),
+    st.sampled_from([1, 13, 2**10, 2**20, 2**40, 10**31]).flatmap(
+        _coeff_lists),
+    st.sampled_from([1, 13, 2**10, 2**20, 2**40, 10**31]).flatmap(
+        _coeff_lists),
 )
+@_width_examples
 @example([10**31] * 600, [-10**31] * 599)
 @example([-10**31, 10**31] * 300, [10**31, 10**31, -10**31] * 200)
 @example([0] * 40, [-10**31, 10**31] * 300)

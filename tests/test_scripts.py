@@ -55,3 +55,16 @@ def test_hd_scan_reports_failures(monkeypatch, capsys):
     assert out[:2] == ["p=3: lifting law FAILS at index 0, degree 2",
                        "p=3: lifting law FAILS at index 1, degree 2"]
     assert out[-1] == "2 failures"
+
+
+def test_kernel_probe_runs_optimized():
+    proc = _run_optimized("kernel_probe.py", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["order", "coeffs", "poly_mul_us",
+                                "reduce_us", "galois_us"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [
+        ["M336", "small"], ["M336", "wide"],
+        ["M2184", "small"], ["M2184", "wide"]]
+    assert all(float(x) > 0 for row in rows for x in row[2:])
