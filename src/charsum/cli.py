@@ -19,41 +19,37 @@ import math
 import re
 import sys
 import time
+from pathlib import Path
+from typing import NamedTuple
 
 from . import cyclotomic as cy
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
-from .divisor_calc import Divisor, injectivity_probe
+from .divisor_calc import injectivity_probe, probe_size
 from .errors import InternalCheckError, SchemaError, SizeBoundError
-from .field_tower import FieldTower, build_tower
-from .identity_engine import GammaMonomial, find_violation, \
+from .field_tower import FieldTower
+from .identity_engine import GammaMonomial, check_terms, find_violation, \
     verify_monomial_identity
 from .monomial_fourier import GridFunction, MonomialDatum, \
-    solve_monomial_transform, sweep_twisted_moments
+    check_monomial_datum, solve_monomial_transform, sweep_twisted_moments
 from .norm_algebra import EtaleAlgebra, NormCharacter, VirtualModule, \
-    module_divisor, solve_norm_transform, sweep_norm_moments, \
-    verify_norm_identity
-from .stalk_traces import QPolynomial, gm_trace_function, \
-    stalk_trace_at_zero, verify_binomial_identities
-
-KINDS = ("gauss", "hd", "divisor", "identity", "monom", "stalk", "binom",
-         "norm", "suite")
+    check_norm_data, check_rank_coprimality, module_divisor, \
+    solve_norm_transform, sweep_norm_moments, verify_norm_identity
+from .stalk_traces import gm_trace_function, stalk_trace_at_zero, \
+    verify_binomial_identities
 
 DEFAULT_DEPTH = 2
 DEFAULT_MAX_GRID = 1 << 16
 
 
-class Options:
-    """Resolved command-line options; flag values override payload fields."""
-
-    def __init__(self, depth=None, max_grid=DEFAULT_MAX_GRID, seed=0,
-                 emit_floats=False, timings=False, ndjson=False):
-        self.depth = depth
-        self.max_grid = max_grid
-        self.seed = seed
-        self.emit_floats = emit_floats
-        self.timings = timings
-        self.ndjson = ndjson
+class Options(NamedTuple):
+    """Command-line options, named as their argparse destinations."""
+    depth: int | None = None
+    max_grid: int = DEFAULT_MAX_GRID
+    seed: int = 0
+    emit_floats: bool = False
+    timings: bool = False
+    ndjson: bool = False
 
 
 # ------------------------------------------------------------ serialization
@@ -71,10 +67,6 @@ def _jsonable(obj, emit_floats=False):
                 "advisory_float": [approx.real, approx.imag]}
     if isinstance(obj, MultCharacter):
         return {"degree": obj.degree, "index": obj.index}
-    if isinstance(obj, Divisor):
-        return obj.records()
-    if isinstance(obj, QPolynomial):
-        return list(obj.coeffs)
     if isinstance(obj, GridFunction):
         return {"degree": obj.degree, "k": obj.k,
                 "values": [_jsonable(v, emit_floats) for v in obj.values]}
@@ -82,14 +74,8 @@ def _jsonable(obj, emit_floats=False):
         return {str(k): _jsonable(v, emit_floats) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v, emit_floats) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
-        # floats reach the report only through advisory fields
-        return obj
-    if isinstance(obj, str):
+    # floats reach the report only through advisory fields
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise InternalCheckError(f"unserializable report value {obj!r}")
 
@@ -98,59 +84,49 @@ _CHAR_RE = re.compile(r"^(?:e|eps|ε_?)(\d+)(?:\^(-?\d+))?$")
 
 
 def _parse_char(system, degree, spec) -> MultCharacter:
-    """Character specs: "trivial", "eN", "eN^k", an index, or {degree,index}."""
+    """Character specs: "trivial", "eN", "eN^k", an index, or {degree,index}
+    and {order,power} objects.  Resolved from q^degree alone, so a spec is
+    checked before any tower level is built."""
+    n = system.tower.size(degree) - 1
+    m = _CHAR_RE.match(spec) if isinstance(spec, str) else None
     if spec in ("trivial", "1", 1) or spec == 0:
-        return system.trivial(degree)
-    if isinstance(spec, str):
-        m = _CHAR_RE.match(spec)
-        if not m:
-            raise SchemaError(f"unrecognized character spec {spec!r}")
-        power = int(m.group(2)) if m.group(2) else 1
-        return system.char_of_order(degree, int(m.group(1)), power)
+        return MultCharacter(degree, 0)
     if isinstance(spec, int):
-        return system.character(degree, spec)
-    if isinstance(spec, dict):
-        if set(spec) == {"degree", "index"}:
-            return system.character(_as_int(spec, "degree"),
-                                    _as_int(spec, "index"))
-        if set(spec) <= {"order", "power"} and "order" in spec:
-            return system.char_of_order(degree, _as_int(spec, "order"),
-                                        _as_int(spec, "power", 1))
-    raise SchemaError(f"unrecognized character spec {spec!r}")
+        return MultCharacter(degree, spec % n)
+    if isinstance(spec, dict) and set(spec) == {"degree", "index"} \
+            and _as_int(spec, "degree") == degree:
+        return MultCharacter(degree, _as_int(spec, "index") % n)
+    if m:
+        order, power = int(m.group(1)), int(m.group(2) or 1)
+    elif isinstance(spec, dict) and "order" in spec \
+            and set(spec) <= {"order", "power"}:
+        order, power = _as_int(spec, "order"), _as_int(spec, "power", 1)
+    else:
+        raise SchemaError(f"unrecognized character spec {spec!r}")
+    if order < 1 or n % order:
+        raise SchemaError(f"no character of order {order} at degree {degree}")
+    return MultCharacter(degree, n // order * power % n)
 
 
 # ------------------------------------------------------- payload validation
 
 
-def _as_int(payload, key, default=None):
+def _as_int(payload, key, default=None, many=False, minimum=None):
+    """The integer field key, required unless a default is given, at least
+    minimum if given; with many, an integer or a non-empty list of them,
+    returned as a list."""
     if key not in payload:
         if default is None:
             raise SchemaError(f"missing field {key!r}")
         return default
     v = payload[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"field {key!r} must be an integer, got {v!r}")
-    return v
-
-
-def _as_int_list(payload, key, default=None):
-    if key not in payload:
-        if default is None:
-            raise SchemaError(f"missing field {key!r}")
-        return default
-    v = payload[key]
-    if isinstance(v, int) and not isinstance(v, bool):
-        return [v]
-    if isinstance(v, list) and v \
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in v):
-        return list(v)
-    raise SchemaError(f"field {key!r} must be an integer or a list of them")
-
-
-def _check_keys(payload, allowed):
-    extra = set(payload) - set(allowed) - {"kind"}
-    if extra:
-        raise SchemaError(f"unknown field(s) {sorted(extra)} for this kind")
+    items = v if many and isinstance(v, list) and v else [v]
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in items):
+        what = "an integer or a list of them" if many else "an integer"
+        raise SchemaError(f"field {key!r} must be {what}, got {v!r}")
+    if minimum is not None and min(items) < minimum:
+        raise SchemaError(f"field {key!r} must be at least {minimum}")
+    return list(items) if many else v
 
 
 def _depth(payload, opts, minimum=0):
@@ -161,33 +137,10 @@ def _depth(payload, opts, minimum=0):
     return depth
 
 
-def _check_sweep_size(q, factor_degrees, depth, opts):
-    """Cost preflight of a moment sweep, which checks one identity per
-    tuple; runs before the sweep builds its extension fields.  The
-    degree-e base change splits a factor of degree d into gcd(d, e)
-    factors of degree lcm(d, e), and a sweep tuple is one nontrivial
-    character on each."""
-    tuples = sum(math.prod((q ** math.lcm(d, e) - 2) ** math.gcd(d, e)
-                           for d in factor_degrees)
-                 for e in range(1, depth + 1))
-    if tuples > opts.max_grid:
-        raise SizeBoundError(f"moment sweep of {tuples} tuples exceeds "
-                             f"the bound {opts.max_grid}")
-
-
-def _base_order(payload):
-    """q = p^s of the job's base field, with p and s checked as the tower
-    checks them; builds no tower level."""
-    return FieldTower(_as_int(payload, "p"), _as_int(payload, "s", 1)).q
-
-
-def _check_gauss_terms(terms, opts):
-    """Cost preflight of gauss and hd jobs: terms counts the field elements
-    summed over, one per term of each Gauss sum.  It runs before the job
-    builds any tower level."""
-    if terms > opts.max_grid:
-        raise SizeBoundError(f"{terms} Gauss-sum terms exceed the bound "
-                             f"{opts.max_grid}")
+def _system(payload):
+    """The job's characters over F_q, q = p^s, with no tower level built."""
+    return CharSystem(FieldTower(_as_int(payload, "p"),
+                                 _as_int(payload, "s", 1)))
 
 
 def _chars(system, payload, degrees, what):
@@ -198,36 +151,53 @@ def _chars(system, payload, degrees, what):
     return tuple(_parse_char(system, d, s) for d, s in zip(degrees, specs))
 
 
+def _datum(system, payload, a):
+    """The checked degree-1 monomial datum of the exponents and characters."""
+    exponents = _as_int(payload, "exponents", many=True)
+    chars = _chars(system, payload, (1,) * len(exponents), "exponent")
+    datum = MonomialDatum(1, tuple(exponents), chars, a)
+    check_monomial_datum(system, datum)
+    return datum
+
+
+def _gauss_terms(tower, degrees):
+    """Each of the q^d - 1 characters of degree d sums q^d terms."""
+    return sum((q - 1) * q for q in map(tower.size, degrees))
+
+
+def _sweep_tuples(tower, factor_degrees, depth):
+    """A moment sweep checks one identity per tuple.  The degree-e base
+    change splits a factor of degree d into gcd(d, e) factors of degree
+    lcm(d, e), and a sweep tuple is one nontrivial character on each."""
+    return sum(math.prod((tower.size(math.lcm(d, e)) - 2) ** math.gcd(d, e)
+                         for d in factor_degrees)
+               for e in range(1, depth + 1))
+
+
 def _moments_record(sweep):
-    return {"record": "moments", "depth": sweep["depth"],
-            "checked": sweep["checked"],
-            "nonvanishing": sweep["nonvanishing"],
-            "failures": sweep["failures"], "pass": sweep["pass"]}
+    return {"record": "moments", **{key: sweep[key] for key in (
+        "depth", "checked", "nonvanishing", "failures", "pass")}}
 
 
-def _system(payload, degrees=(1,)):
-    p = _as_int(payload, "p")
-    s = _as_int(payload, "s", 1)
-    return CharSystem(build_tower(p, s, degrees=tuple(sorted(set(degrees)))))
+# --------------------------------------------------------------- job kinds
+# A kind's prepare(payload, opts) validates every field it reads and builds
+# no tower level.  It returns the job's cost estimate, which run() holds
+# against --max-grid, and the runner that does the work and returns cases.
 
 
-# ------------------------------------------------------------ job handlers
+def _gauss(payload, opts):
+    system = _system(payload)
+    degrees = _as_int(payload, "degrees", [1], many=True)
+    return (_gauss_terms(system.tower, degrees),
+            lambda: _gauss_cases(system, degrees))
 
 
-def _run_gauss(payload, opts):
-    _check_keys(payload, {"p", "s", "degrees"})
-    degrees = _as_int_list(payload, "degrees", [1])
-    if min(degrees) < 1:
-        raise SchemaError("field 'degrees' must list positive degrees")
-    q = _base_order(payload)
-    # each of the q^d - 1 characters of degree d sums q^d terms
-    _check_gauss_terms(sum((q ** d - 1) * q ** d for d in degrees), opts)
-    system = _system(payload, degrees)
+def _gauss_cases(system, degrees):
     t = system.tower
     cases = []
     for d in degrees:
         q = t.order(d)
-        for i in range(t.group_order(d)):
+        for i in range(q - 1):
             lam = system.character(d, i)
             g = system.gauss_sum(lam)
             if i == 0:
@@ -244,57 +214,46 @@ def _run_gauss(payload, opts):
     return cases
 
 
-def _run_hd(payload, opts):
-    _check_keys(payload, {"p", "s", "n", "lambdas", "laws"})
-    orders = _as_int_list(payload, "n")
-    if any(n < 2 for n in orders):
-        raise SchemaError("lifting/product parameters n must be >= 2")
+def _hd(payload, opts):
+    system = _system(payload)
+    tower, q = system.tower, system.tower.q
+    orders = _as_int(payload, "n", many=True, minimum=2)
     laws = payload.get("laws", ["lift", "product"])
     if not isinstance(laws, list) or not laws \
             or not set(laws) <= {"lift", "product"}:
         raise SchemaError("field 'laws' must list 'lift' and/or 'product'")
-    lam_specs = payload.get("lambdas", "all")
-    if lam_specs != "all" and not isinstance(lam_specs, list):
+    specs = payload.get("lambdas", "all")
+    if specs != "all" and not isinstance(specs, list):
         raise SchemaError("field 'lambdas' must be \"all\" or a list of "
                           "character specs")
-    q = _base_order(payload)
-    # per character: the lifting law sums over F_q and F_{q^n}, the product
-    # law n Gauss sums over F_q; it runs only where n divides q - 1
-    per_char = sum((q + q ** n if "lift" in laws else 0)
-                   + (n * q if "product" in laws and (q - 1) % n == 0
-                      else 0) for n in orders)
-    _check_gauss_terms(
-        (q - 1 if lam_specs == "all" else len(lam_specs)) * per_char, opts)
-    # the product law stays in the base field; only lifting needs degree n
-    degrees = [1] + (orders if "lift" in laws else [])
-    system = _system(payload, degrees)
-    t = system.tower
-    if lam_specs == "all":
-        lams = [system.character(1, i) for i in range(t.group_order(1))]
-    else:
-        lams = [_parse_char(system, 1, s) for s in lam_specs]
-    cases = []
-    for n in orders:
-        if "lift" in laws:
-            for lam in lams:
-                cases.append({"law": "lift", "n": n, "index": lam.index,
-                              "pass": system.check_hd_lift(lam, n)})
-        if "product" in laws and (t.order(1) - 1) % n == 0:
-            for lam in lams:
-                cases.append({"law": "product", "n": n, "index": lam.index,
-                              "pass": system.check_hd_product(lam, n)})
-    return cases
+    lams = [MultCharacter(1, i) for i in range(q - 1)] if specs == "all" \
+        else [_parse_char(system, 1, spec) for spec in specs]
+    # per character, the lifting law sums over F_q and F_{q^n}, and the
+    # product law, which holds only where n divides q - 1, n times over F_q
+    runs = [(n, law) for n in orders for law in ("lift", "product")
+            if law in laws and (law == "lift" or (q - 1) % n == 0)]
+    cost = len(lams) * sum(q + tower.size(n) if law == "lift" else n * q
+                           for n, law in runs)
+    return cost, lambda: _hd_cases(system, runs, lams)
 
 
-def _run_divisor(payload, opts):
-    _check_keys(payload, {"N", "char_coprime", "trials", "seed"})
-    levels = _as_int_list(payload, "N")
-    coprime = payload.get("char_coprime")
-    if coprime is not None and (not isinstance(coprime, int)
-                                or isinstance(coprime, bool)):
-        raise SchemaError("char_coprime must be an integer when present")
-    trials = _as_int(payload, "trials", 200)
-    seed = payload.get("seed", opts.seed)
+def _hd_cases(system, runs, lams):
+    check = {"lift": system.check_hd_lift, "product": system.check_hd_product}
+    return [{"law": law, "n": n, "index": lam.index,
+             "pass": check[law](lam, n)} for n, law in runs for lam in lams]
+
+
+def _divisor(payload, opts):
+    levels = _as_int(payload, "N", many=True, minimum=1)
+    coprime = _as_int(payload, "char_coprime") \
+        if "char_coprime" in payload else None
+    trials = _as_int(payload, "trials", 200, minimum=0)
+    seed = _as_int(payload, "seed", opts.seed)
+    return (sum(probe_size(n, coprime, trials) for n in levels),
+            lambda: _divisor_cases(levels, coprime, seed, trials))
+
+
+def _divisor_cases(levels, coprime, seed, trials):
     cases = []
     for n in levels:
         rep = injectivity_probe(n, coprime, seed=seed, trials=trials)
@@ -303,133 +262,143 @@ def _run_divisor(payload, opts):
     return cases
 
 
-def _run_identity(payload, opts):
-    _check_keys(payload, {"p", "s", "terms", "depth", "search_depth"})
+def _identity(payload, opts):
+    system = _system(payload)
     terms = payload.get("terms")
     if not isinstance(terms, list) or not terms:
         raise SchemaError("field 'terms' must be a non-empty list")
-    depth = _depth(payload, opts)
-    if depth == 0 and "search_depth" not in payload:
-        raise SchemaError("an identity job of depth 0 checks nothing "
-                          "without search_depth")
-    term_degrees = []
-    for t_ in terms:
-        if not isinstance(t_, dict):
-            raise SchemaError("each term must be an object")
-        term_degrees.append(_as_int(t_, "degree", 1))
-    base = math.lcm(*term_degrees)
-    degrees = set(term_degrees) | {base * e for e in range(1, depth + 1)}
-    system = _system(payload, [1] + sorted(degrees))
-    t = system.tower
     parsed = []
-    for t_, d in zip(terms, term_degrees):
-        spec = t_.get("char", t_.get("index", "trivial"))
-        parsed.append((_parse_char(system, d, spec), _as_int(t_, "n")))
+    for term in terms:
+        if not isinstance(term, dict) \
+                or set(term) - {"degree", "char", "index", "n"}:
+            raise SchemaError("each term must be an object with keys among "
+                              "degree, char, index and n")
+        spec = term.get("char", term.get("index", "trivial"))
+        parsed.append((_parse_char(system, _as_int(term, "degree", 1), spec),
+                       _as_int(term, "n")))
     mono = GammaMonomial(parsed)
+    check_terms(system, mono)
+    base = math.lcm(*(chi.degree for chi, _ in mono.terms))
+    depth = _depth(payload, opts)
+    search = _as_int(payload, "search_depth", minimum=0) \
+        if "search_depth" in payload else None
+    # the lambdas of degree base * e, e <= depth, may sum the Gauss sums of
+    # every character there; the search goes on over the multiples of base
+    # up to search_depth and certifies one witness with 2k Gauss sums
+    tower, k = system.tower, len(mono.terms)
+    cost = _gauss_terms(tower, (base * e for e in range(1, depth + 1))) \
+        + sum(2 * k * tower.size(base * e)
+              for e in range(depth + 1, (search or 0) // base + 1))
+    return cost, lambda: _identity_cases(system, mono, base, depth, search)
+
+
+def _identity_cases(system, mono, base, depth, search):
     cases = []
-    for e in range(1, depth + 1):
-        d = base * e
-        for i in range(t.group_order(d)):
-            lam = system.character(d, i)
-            m = verify_monomial_identity(system, mono, lam)
+    for d in range(base, base * depth + 1, base):
+        for i in range(system.tower.group_order(d)):
+            m = verify_monomial_identity(system, mono, system.character(d, i))
             cases.append({"lambda_degree": d, "lambda_index": i, "m": m,
                           "pass": True})
-    if "search_depth" in payload:
-        witness = find_violation(system, mono,
-                                 _as_int(payload, "search_depth"))
+    if search is not None:
+        witness = find_violation(system, mono, search)
         cases.append({"search": True, "witness": witness,
                       "pass": witness is None})
     return cases
 
 
-def _run_monom(payload, opts):
-    _check_keys(payload, {"p", "s", "exponents", "characters", "a", "depth"})
+def _monom(payload, opts):
+    system = _system(payload)
+    datum = _datum(system, payload, _as_int(payload, "a"))
     depth = _depth(payload, opts, minimum=1)
-    system = _system(payload)
-    exponents = _as_int_list(payload, "exponents")
-    ones = (1,) * len(exponents)
-    chars = _chars(system, payload, ones, "exponent")
-    datum = MonomialDatum(1, tuple(exponents), chars, _as_int(payload, "a"))
-    _check_sweep_size(system.tower.q, ones, depth, opts)
+    return (_sweep_tuples(system.tower, (1,) * datum.k, depth),
+            lambda: _monom_cases(system, datum, depth))
+
+
+def _monom_cases(system, datum, depth):
     sol = solve_monomial_transform(system, datum)
-    cases = [{"record": "transform", "case": sol.case,
-              "exponents": sol.exponents, "characters": sol.characters,
-              "chi": sol.chi, "b": sol.b, "c": sol.c, "m": sol.twist,
-              "pass": True}]
-    cases.append(_moments_record(
-        sweep_twisted_moments(system, datum, depth=depth)))
-    return cases
+    return [{"record": "transform", "case": sol.case,
+             "exponents": sol.exponents, "characters": sol.characters,
+             "chi": sol.chi, "b": sol.b, "c": sol.c, "m": sol.twist,
+             "pass": True},
+            _moments_record(sweep_twisted_moments(system, datum,
+                                                  depth=depth))]
 
 
-def _run_stalk(payload, opts):
-    _check_keys(payload, {"p", "s", "exponents", "characters", "a",
-                          "emit_grid"})
+def _stalk(payload, opts):
     system = _system(payload)
-    t = system.tower
-    exponents = _as_int_list(payload, "exponents")
-    chars = _chars(system, payload, (1,) * len(exponents), "exponent")
-    a_field = payload.get("a", "all")
-    if a_field == "all":
-        a_values = list(range(1, t.order(1)))
-    else:
-        a_values = [_as_int(payload, "a")]
+    a_values = range(1, system.tower.q) if payload.get("a", "all") == "all" \
+        else [_as_int(payload, "a")]
+    shape = _datum(system, payload, a_values[0])
+    q, k = system.tower.q, shape.k
     emit_grid = payload.get("emit_grid", False)
-    k = len(exponents)
-    supported = k <= 2 or len({abs(n) for n in exponents}) == 1
+    if not isinstance(emit_grid, bool):
+        raise SchemaError("field 'emit_grid' must be true or false")
+    # gm_trace_function covers k <= 2 and shapes of one absolute exponent
+    grid = k <= 2 or len({abs(n) for n in shape.exponents}) == 1
+    # per a: q^k grid points, and 3^k sums of q - 1 terms in the recursion
+    cost = len(a_values) * ((q ** k if grid else 0) + 3 ** k * (q - 1))
+    return cost, lambda: _stalk_cases(system, shape, a_values, grid,
+                                      emit_grid)
+
+
+def _stalk_cases(system, shape, a_values, grid, emit_grid):
     cases = []
     for a in a_values:
-        datum = MonomialDatum(1, tuple(exponents), chars, a)
+        datum = MonomialDatum(1, shape.exponents, shape.characters, a)
         val = stalk_trace_at_zero(system, datum)
         case = {"a": a, "at_zero": val, "pass": True}
-        if supported:
-            points = t.order(1) ** k
-            if points > opts.max_grid:
-                raise SizeBoundError(
-                    f"stalk grid of {points} points exceeds the bound "
-                    f"{opts.max_grid}")
-            grid = gm_trace_function(system, datum)
-            case["pass"] = grid.value((0,) * k) == val
+        if grid:
+            fn = gm_trace_function(system, datum)
+            case["pass"] = fn.value((0,) * datum.k) == val
             if emit_grid:
-                case["grid"] = grid
+                case["grid"] = fn
         cases.append(case)
     return cases
 
 
-def _run_binom(payload, opts):
-    _check_keys(payload, {"n", "r", "s", "n_max"})
-    cases = []
-    if "n_max" in payload:
-        if {"n", "r", "s"} & set(payload):
-            raise SchemaError("give either n_max or a single (n, r, s)")
-        for n in range(1, _as_int(payload, "n_max") + 1):
-            for r in range(n + 1):
-                for s in range(n + 1):
-                    cases.append(verify_binomial_identities(n, r, s))
-    else:
-        cases.append(verify_binomial_identities(
-            _as_int(payload, "n"), _as_int(payload, "r"),
-            _as_int(payload, "s")))
-    return cases
+def _binom(payload, opts):
+    # the a and b identities at (n, r, s) each sum
+    # (r+1)(n-r+1)(s+1)(n-s+1) - 1 weighted terms
+    if "n_max" not in payload:
+        n, r, s = (_as_int(payload, key) for key in "nrs")
+        if n < 1 or not (0 <= r <= n and 0 <= s <= n):
+            raise SchemaError("need n >= 1 and 0 <= r,s <= n")
+        return (2 * ((r + 1) * (n - r + 1) * (s + 1) * (n - s + 1) - 1),
+                lambda: [verify_binomial_identities(n, r, s)])
+    if {"n", "r", "s"} & set(payload):
+        raise SchemaError("give either n_max or a single (n, r, s)")
+    n_max = _as_int(payload, "n_max")
+    # summed over r, s <= n the products are C(n+3, 3)^2; writing
+    # C(m, 3)^2 = sum_j a_j C(m, j), hockey-stick sums close the sum over n
+    top = max(n_max, 0)
+    squares = sum(a * (math.comb(top + 4, j + 1) - math.comb(4, j + 1))
+                  for j, a in ((3, 1), (4, 12), (5, 30), (6, 20)))
+    ones = (top + 1) * (top + 2) * (2 * top + 3) // 6 - 1
+    return 2 * (squares - ones), lambda: [
+        verify_binomial_identities(n, r, s) for n in range(1, n_max + 1)
+        for r in range(n + 1) for s in range(n + 1)]
 
 
-def _run_norm(payload, opts):
-    _check_keys(payload, {"p", "s", "factor_degrees", "ranks", "characters",
-                          "a", "depth"})
-    depth = _depth(payload, opts, minimum=1)
-    factor_degrees = _as_int_list(payload, "factor_degrees")
-    system = _system(payload, [1, *factor_degrees])
-    algebra = EtaleAlgebra(system.tower, tuple(factor_degrees))
-    module = VirtualModule(_as_int_list(payload, "ranks"))
-    chi = NormCharacter(_chars(system, payload, factor_degrees,
-                               "algebra factor"))
+def _norm(payload, opts):
+    system = _system(payload)
+    degrees = _as_int(payload, "factor_degrees", many=True)
+    algebra = EtaleAlgebra(system.tower, degrees)
+    chi = NormCharacter(_chars(system, payload, degrees, "algebra factor"))
+    module = VirtualModule(_as_int(payload, "ranks", many=True))
     a = _as_int(payload, "a")
-    _check_sweep_size(system.tower.q, factor_degrees, depth, opts)
+    check_norm_data(system, algebra, module, chi, a)
+    check_rank_coprimality(system, module)
+    depth = _depth(payload, opts, minimum=1)
+    return (_sweep_tuples(system.tower, degrees, depth),
+            lambda: _norm_cases(system, algebra, module, chi, a, depth))
+
+
+def _norm_cases(system, algebra, module, chi, a, depth):
     cases = []
     if module_divisor(system, algebra, chi, module).is_zero():
-        grp = system.tower.group_order(1)
-        for i in range(grp):
-            lam = system.character(1, i)
-            m = verify_norm_identity(system, algebra, module, chi, lam)
+        for i in range(system.tower.group_order(1)):
+            m = verify_norm_identity(system, algebra, module, chi,
+                                     system.character(1, i))
             cases.append({"record": "gauss_identity", "lambda_index": i,
                           "m": m, "pass": True})
     sol = solve_norm_transform(system, algebra, module, chi, a)
@@ -437,20 +406,36 @@ def _run_norm(payload, opts):
                   "ranks": sol.ranks, "characters": sol.characters.chars,
                   "nu": sol.nu, "b": sol.b, "c": sol.c, "m": sol.twist,
                   "pass": True})
-    cases.append(_moments_record(
-        sweep_norm_moments(system, algebra, module, chi, a, depth=depth)))
+    cases.append(_moments_record(sweep_norm_moments(
+        system, algebra, module, chi, a, depth=depth)))
     return cases
 
 
-_HANDLERS = {
-    "gauss": _run_gauss,
-    "hd": _run_hd,
-    "divisor": _run_divisor,
-    "identity": _run_identity,
-    "monom": _run_monom,
-    "stalk": _run_stalk,
-    "binom": _run_binom,
-    "norm": _run_norm,
+class Kind(NamedTuple):
+    """One row of the job table: the payload keys a kind allows, the unit
+    its cost estimate counts, and its prepare function, whose result is
+    (estimate, runner)."""
+    keys: set
+    unit: str
+    prepare: object
+
+
+KINDS = {
+    "gauss": Kind({"p", "s", "degrees"}, "Gauss-sum terms", _gauss),
+    "hd": Kind({"p", "s", "n", "lambdas", "laws"}, "Gauss-sum terms", _hd),
+    "divisor": Kind({"N", "char_coprime", "trials", "seed"}, "checks",
+                    _divisor),
+    "identity": Kind({"p", "s", "terms", "depth", "search_depth"},
+                     "Gauss-sum terms", _identity),
+    "monom": Kind({"p", "s", "exponents", "characters", "a", "depth"},
+                  "tuples", _monom),
+    "stalk": Kind({"p", "s", "exponents", "characters", "a", "emit_grid"},
+                  "grid points and sum terms", _stalk),
+    "binom": Kind({"n", "r", "s", "n_max"}, "weighted terms", _binom),
+    "norm": Kind({"p", "s", "factor_degrees", "ranks", "characters", "a",
+                  "depth"}, "tuples", _norm),
+    # a suite has its own report, and each of its jobs its own estimate
+    "suite": Kind({"name"}, "", None),
 }
 
 
@@ -498,6 +483,8 @@ FULL_JOBS = ACCEPTANCE_JOBS + (
                        "a": 1, "depth": 2}),
 )
 
+SUITES = {"acceptance": ACCEPTANCE_JOBS, "full": FULL_JOBS}
+
 
 def _summarize(job, cases):
     passed = sum(1 for c in cases if c["pass"])
@@ -513,14 +500,23 @@ def run(job: dict, opts: Options | None = None) -> dict:
     if not isinstance(job, dict):
         raise SchemaError("a job must be a JSON object")
     kind = job.get("kind")
-    if kind == "suite":
-        return suite(job.get("name", "acceptance"), opts)
-    if kind not in _HANDLERS:
+    row = KINDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
         raise SchemaError(f"unknown job kind {kind!r}; expected one of "
                           f"{', '.join(KINDS)}")
+    extra = set(job) - row.keys - {"kind"}
+    if extra:
+        raise SchemaError(f"unknown field(s) {sorted(extra)} for {kind}")
+    if row.prepare is None:
+        return suite(job.get("name", "acceptance"), opts)
+    cost, cases = row.prepare(job, opts)
+    if cost == 0:
+        raise SchemaError(f"this {kind} job checks nothing")
+    if cost > opts.max_grid:
+        raise SizeBoundError(f"{kind} job of {cost} {row.unit} exceeds the "
+                             f"bound {opts.max_grid}")
     start = time.perf_counter()
-    cases = _HANDLERS[kind](job, opts)
-    report = _summarize(job, cases)
+    report = _summarize(job, cases())
     if opts.timings:
         report["timing"] = {"advisory": True,
                             "elapsed_s": time.perf_counter() - start}
@@ -530,15 +526,11 @@ def run(job: dict, opts: Options | None = None) -> dict:
 def suite(name: str, opts: Options | None = None) -> dict:
     """Run a named battery of jobs; size-bound errors name the culprit."""
     opts = opts or Options()
-    if name == "acceptance":
-        jobs = ACCEPTANCE_JOBS
-    elif name == "full":
-        jobs = FULL_JOBS
-    else:
+    if not isinstance(name, str) or name not in SUITES:
         raise SchemaError(f"unknown suite {name!r}")
     start = time.perf_counter()
     out = []
-    for job_name, job in jobs:
+    for job_name, job in SUITES[name]:
         try:
             rep = run(job, opts)
         except SizeBoundError as exc:
@@ -557,23 +549,22 @@ def suite(name: str, opts: Options | None = None) -> dict:
 # ------------------------------------------------------------------- main
 
 
-def _emit(report, opts, out=None):
-    out = out or sys.stdout
+def _emit(report, opts):
     doc = _jsonable(report, opts.emit_floats)
     if not opts.ndjson:
-        print(json.dumps(doc, sort_keys=True, indent=1), file=out)
+        print(json.dumps(doc, sort_keys=True, indent=1))
         return
     compact = {"separators": (",", ":"), "sort_keys": True}
     if "jobs" in doc:
-        print(json.dumps({"suite": doc["suite"]}, **compact), file=out)
+        print(json.dumps({"suite": doc["suite"]}, **compact))
         rows = [dict(j["report"], name=j["name"]) for j in doc["jobs"]]
     else:
         rows = [doc]
     for row in rows:
         head = {k: v for k, v in row.items() if k not in ("cases",)}
         for case in row.get("cases", []):
-            print(json.dumps(case, **compact), file=out)
-        print(json.dumps(head, **compact), file=out)
+            print(json.dumps(case, **compact))
+        print(json.dumps(head, **compact))
 
 
 def main(argv=None) -> int:
@@ -582,13 +573,14 @@ def main(argv=None) -> int:
         description="Exact verification jobs for character-sum identities.")
     parser.add_argument("--job", metavar="FILE",
                         help="path to a JSON job spec, or - for stdin")
-    parser.add_argument("--suite", choices=("acceptance", "full"))
+    parser.add_argument("--suite", choices=tuple(SUITES))
     parser.add_argument("--depth", type=int,
                         help="override the extension-sweep depth")
     parser.add_argument("--max-grid", type=int, default=DEFAULT_MAX_GRID,
-                        help="largest dense grid a job may materialize, "
-                        "most tuples a moment sweep may check, and most "
-                        "Gauss-sum terms a gauss or hd job may sum")
+                        help="largest cost estimate a job may have, "
+                        "counted before it builds anything: " + "; ".join(
+                            f"{kind} {row.unit}" for kind, row in KINDS.items()
+                            if row.prepare))
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probes")
     parser.add_argument("--emit-floats", action="store_true",
@@ -598,9 +590,7 @@ def main(argv=None) -> int:
     parser.add_argument("--ndjson", action="store_true",
                         help="stream case records as JSON lines")
     ns = parser.parse_args(argv)
-    opts = Options(depth=ns.depth, max_grid=ns.max_grid, seed=ns.seed,
-                   emit_floats=ns.emit_floats, timings=ns.timings,
-                   ndjson=ns.ndjson)
+    opts = Options(*(getattr(ns, field) for field in Options._fields))
     try:
         if (ns.job is None) == (ns.suite is None):
             raise SchemaError("exactly one of --job and --suite is required")
@@ -608,12 +598,10 @@ def main(argv=None) -> int:
             report = suite(ns.suite, opts)
         else:
             try:
-                text = sys.stdin.read() if ns.job == "-" \
-                    else open(ns.job, encoding="utf-8").read()
+                job = json.loads(sys.stdin.read() if ns.job == "-" else
+                                 Path(ns.job).read_text(encoding="utf-8"))
             except OSError as exc:
                 raise SchemaError(f"cannot read job file: {exc}") from exc
-            try:
-                job = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"job file is not valid JSON: {exc}") \
                     from exc

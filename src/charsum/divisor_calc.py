@@ -214,6 +214,18 @@ class SymbolSum:
         return Divisor(pts)
 
 
+def _admitted(n: int, char_coprime: int | None) -> bool:
+    return char_coprime is None or math.gcd(n, char_coprime) == 1
+
+
+def probe_size(N: int, char_coprime: int | None = None,
+               trials: int = 200) -> int:
+    """The number of checks injectivity_probe makes: S^2 + trials, for the
+    S single symbols and their S(S - 1) differences."""
+    singles = N * sum(_admitted(n, char_coprime) for n in range(1, 4))
+    return singles ** 2 + trials
+
+
 def injectivity_probe(N: int, char_coprime: int | None = None, seed: int = 0,
                       trials: int = 200) -> dict:
     """Check to_divisor(x) = 0 iff reduce_to_basis(x) = 0 on a test battery.
@@ -225,23 +237,21 @@ def injectivity_probe(N: int, char_coprime: int | None = None, seed: int = 0,
     checked = 0
     failures = []
 
-    def valid(n):
-        return char_coprime is None or math.gcd(n, char_coprime) == 1
-
     def check(x: SymbolSum):
         nonlocal checked
         checked += 1
         if x.to_divisor().is_zero() != x.reduce_to_basis().is_zero():
             failures.append(repr(x))
 
-    singles = [(s, n) for n in range(1, 4) if valid(n) for s in range(N)]
+    singles = [(s, n) for n in range(1, 4) if _admitted(n, char_coprime)
+               for s in range(N)]
     for sym in singles:
         check(SymbolSum(N, {sym: 1}, char_coprime))
     for a in singles:
         for b in singles:
             if a != b:
                 check(SymbolSum(N, {a: 1, b: -1}, char_coprime))
-    widths = [n for n in range(1, 7) if valid(n)]
+    widths = [n for n in range(1, 7) if _admitted(n, char_coprime)]
     for _ in range(trials):
         terms: dict[tuple[int, int], int] = {}
         for _ in range(rng.randint(1, 4)):

@@ -12,23 +12,17 @@ arithmetic on discrete logs.
 
 Every level carries its exp and log tables, so multiplication, inversion,
 powers and discrete logs are single table lookups.  Fields of more than
-2^22 elements (_SIZE_BOUND) are refused.  When $CHARSUM_CACHE_DIR is set, log
-tables are kept there between runs; a cached table is used only if it is a
-bijection whose inverse starts 1, g, and is rebuilt and rewritten otherwise.
+2^22 elements (_SIZE_BOUND) are refused.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
-import zlib
 from array import array
 
 from charsum._intutil import divisors, factorize, prime_divisors
 from charsum.errors import InternalCheckError, SchemaError, SizeBoundError
 
-_MAGIC = b"CHARSUMDL1"
 _NO_LOG = 0xFFFFFFFF
 _SIZE_BOUND = 2 ** 22
 
@@ -171,6 +165,19 @@ class FieldTower:
             lv = self._levels[d]
         return lv
 
+    def size(self, d: int) -> int:
+        """q^d, the order of level d, without building the level; a field
+        over the size bound is refused as building it would be."""
+        if d < 1:
+            raise SchemaError(f"degree {d} must be positive")
+        m = self.s * d
+        # p^m > 2^22 for every p once m > 22: no huge power is formed
+        if m >= _SIZE_BOUND.bit_length() or self.p ** m > _SIZE_BOUND:
+            raise SizeBoundError(
+                f"field of order {self.p}^{m} exceeds size bound "
+                f"{_SIZE_BOUND}")
+        return self.p ** m
+
     def order(self, d: int) -> int:
         return self.level(d).n + 1
 
@@ -184,17 +191,11 @@ class FieldTower:
         return self.level(d).gen
 
     def _build_level(self, d: int) -> _Level:
-        m = self.s * d
-        size = self.p ** m
-        if size > _SIZE_BOUND:
-            raise SizeBoundError(
-                f"field of order {self.p}^{m} exceeds size bound "
-                f"{_SIZE_BOUND}")
         lv = _Level()
         lv.d = d
-        lv.m = m
-        lv.n = size - 1
-        lv.modulus = _first_irreducible(self.p, m)
+        lv.m = self.s * d
+        lv.n = self.size(d) - 1
+        lv.modulus = _first_irreducible(self.p, lv.m)
         lv.fact_n = factorize(lv.n) if lv.n > 1 else ()
         h = self._first_generator(lv)
         lv.gen = self._compatible_generator(lv, h)
@@ -271,85 +272,23 @@ class FieldTower:
             raise InternalCheckError("minimal polynomial not over the prime field")
         return tuple(poly)
 
-    # ---- discrete log tables and their disk cache
-
-    def _dlog_cache_path(self, lv):
-        dirp = os.environ.get("CHARSUM_CACHE_DIR")
-        if not dirp:
-            return None
-        mod_low = _encode(lv.modulus[:-1], self.p)
-        name = f"dlog_p{self.p}_s{self.s}_d{lv.d}_{mod_low}.bin"
-        return os.path.join(dirp, name)
+    # ---- discrete log tables
 
     def _attach_tables(self, lv):
-        # a cached log table is kept only if it is a bijection onto [0, n)
-        # whose inverse starts 1, g; otherwise it is rebuilt and rewritten
-        path = self._dlog_cache_path(lv)
-        log = self._load_dlog_cache(lv, path)
         exp = [0] * lv.n
-        if log is not None:
-            for code in range(1, lv.n + 1):
-                exp[log[code]] = code
-        if (log is None or 0 in exp or exp[0] != 1
-                or exp[1 % lv.n] != lv.gen):
-            cur = 1
-            for i in range(lv.n):
-                exp[i] = cur
-                cur = self._raw_mul(lv, cur, lv.gen)
-            if cur != 1 or len(set(exp)) != lv.n:
-                raise InternalCheckError(
-                    f"generator of degree {lv.d} does not have order {lv.n}")
-            log = array("I", bytes(4 * (lv.n + 1)))
-            log[0] = _NO_LOG
-            for i, code in enumerate(exp):
-                log[code] = i
-            self._write_dlog_cache(lv, path, log)
+        cur = 1
+        for i in range(lv.n):
+            exp[i] = cur
+            cur = self._raw_mul(lv, cur, lv.gen)
+        if cur != 1 or len(set(exp)) != lv.n:
+            raise InternalCheckError(
+                f"generator of degree {lv.d} does not have order {lv.n}")
+        log = array("I", bytes(4 * (lv.n + 1)))
+        log[0] = _NO_LOG
+        for i, code in enumerate(exp):
+            log[code] = i
         lv.exp_table = exp
         lv.log_table = log
-
-    def _load_dlog_cache(self, lv, path):
-        if not path:
-            return None
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-            hdr = len(_MAGIC) + 40 + 4
-            if blob[:len(_MAGIC)] != _MAGIC or len(blob) != hdr + 4 * (lv.n + 1):
-                return None
-            p, s, d, mod_low, n = struct.unpack_from("<5Q", blob, len(_MAGIC))
-            (crc,) = struct.unpack_from("<I", blob, len(_MAGIC) + 40)
-            if (p, s, d, n) != (self.p, self.s, lv.d, lv.n):
-                return None
-            if mod_low != _encode(lv.modulus[:-1], self.p):
-                return None
-            payload = blob[hdr:]
-            if zlib.crc32(payload) != crc:
-                return None
-            log = array("I")
-            log.frombytes(payload)
-            if log[0] != _NO_LOG or any(v >= lv.n for v in log[1:]):
-                return None
-            return log
-        except (OSError, ValueError, struct.error):
-            return None
-
-    def _write_dlog_cache(self, lv, path, log):
-        if not path:
-            return
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            payload = log.tobytes()
-            mod_low = _encode(lv.modulus[:-1], self.p)
-            blob = (_MAGIC
-                    + struct.pack("<5Q", self.p, self.s, lv.d, mod_low, lv.n)
-                    + struct.pack("<I", zlib.crc32(payload))
-                    + payload)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            pass
 
     # ---- element arithmetic (codes)
 

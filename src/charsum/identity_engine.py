@@ -36,7 +36,7 @@ class GammaMonomial:
                            tuple((chi, int(n)) for chi, n in terms))
 
 
-def _check_terms(system: CharSystem, mono: GammaMonomial) -> None:
+def check_terms(system: CharSystem, mono: GammaMonomial) -> None:
     p = system.tower.p
     for chi, n in mono.terms:
         if n == 0:
@@ -48,7 +48,7 @@ def _check_terms(system: CharSystem, mono: GammaMonomial) -> None:
 
 def predicted_divisor(system: CharSystem, mono: GammaMonomial) -> Divisor:
     """The divisor sum over terms; zero is the identity-holds criterion."""
-    _check_terms(system, mono)
+    check_terms(system, mono)
     total = Divisor()
     for chi, n in mono.terms:
         total = total + divisor_of_char_power(system.char_point(chi), n)

@@ -48,7 +48,7 @@ def check_monomial_datum(system: CharSystem, datum: MonomialDatum):
     for chi in datum.characters:
         if chi.degree != datum.degree:
             raise SchemaError("character degree differs from the datum degree")
-    if not (0 < datum.a < t.order(datum.degree)):
+    if not (0 < datum.a < t.size(datum.degree)):
         raise SchemaError("coefficient must be a nonzero field element")
 
 

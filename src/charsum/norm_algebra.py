@@ -36,8 +36,8 @@ DEFAULT_TERM_BOUND = 1 << 26
 
 __all__ = [
     "EtaleAlgebra", "VirtualModule", "NormCharacter", "NormSolution",
-    "MonomialDatum",
-    "check_norm_data", "rk", "d_of", "p_of", "det_module", "module_divisor",
+    "MonomialDatum", "check_norm_data", "check_rank_coprimality", "rk",
+    "d_of", "p_of", "det_module", "module_divisor",
     "is_nondegenerate", "iter_nondegenerate", "gauss_sum_algebra",
     "verify_norm_identity", "i_norm_direct", "i_norm_closed",
     "solve_norm_transform", "verify_norm_moments", "sweep_norm_moments",
@@ -59,14 +59,14 @@ class EtaleAlgebra:
         base_degree = int(base_degree)
         if not degrees:
             raise SchemaError("an etale algebra needs at least one factor")
-        # tower levels are built on demand; level() rejects degrees below 1
-        tower.level(base_degree)
+        # levels are built on demand; size() checks degrees without a build
+        tower.size(base_degree)
         for d in degrees:
             if d % base_degree:
                 raise SchemaError(
                     f"factor degree {d} is not a multiple of the base "
                     f"degree {base_degree}")
-            tower.level(d)
+            tower.size(d)
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "base_degree", base_degree)
@@ -150,7 +150,7 @@ def check_norm_data(system: CharSystem, algebra: EtaleAlgebra,
                     f"character of degree {ch.degree} on a factor of "
                     f"degree {d}")
     if a is not None:
-        if not 0 < a < system.tower.order(algebra.base_degree):
+        if not 0 < a < system.tower.size(algebra.base_degree):
             raise SchemaError(f"coefficient {a} is not a base-field unit")
 
 
@@ -164,7 +164,7 @@ def d_of(module: VirtualModule) -> int:
     return math.gcd(*(abs(n) for n in module.ranks))
 
 
-def _check_rank_coprimality(system: CharSystem, module: VirtualModule):
+def check_rank_coprimality(system: CharSystem, module: VirtualModule):
     p = system.tower.p
     for n in module.ranks:
         if n and math.gcd(n, p) != 1:
@@ -177,7 +177,7 @@ def p_of(system: CharSystem, algebra: EtaleAlgebra,
     """The scale prod n_i^{n_i d_i} as a base-field unit; zero ranks
     contribute factor 1, negative exponents mean inversion."""
     check_norm_data(system, algebra, module)
-    _check_rank_coprimality(system, module)
+    check_rank_coprimality(system, module)
     t = system.tower
     e = algebra.base_degree
     out = t.embed(1, e, t.from_int(1))
@@ -211,7 +211,7 @@ def module_divisor(system: CharSystem, algebra: EtaleAlgebra,
     """Weighted divisor sum_i d_i * (divisor of the n_i-th power points of
     chi_i); zero-rank factors contribute nothing."""
     check_norm_data(system, algebra, module, chi)
-    _check_rank_coprimality(system, module)
+    check_rank_coprimality(system, module)
     total = Divisor()
     for ch, n, d in zip(chi.chars, module.ranks, algebra.rel_degrees()):
         if n == 0:
@@ -355,7 +355,7 @@ def i_norm_direct(system: CharSystem, algebra: EtaleAlgebra,
     """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x), summed
     by brute force over every point as an oracle for the closed form."""
     check_norm_data(system, algebra, module, lam, a)
-    _check_rank_coprimality(system, module)
+    check_rank_coprimality(system, module)
     return _i_direct(system, algebra, module, lam, a, max_terms)
 
 
@@ -408,7 +408,7 @@ def i_norm_closed(system: CharSystem, algebra: EtaleAlgebra,
     found by solving n_i idx(mu) = idx(lam_i)/s_i mod q-1 with gcd and CRT,
     not by scanning the base character group."""
     check_norm_data(system, algebra, module, lam, a)
-    _check_rank_coprimality(system, module)
+    check_rank_coprimality(system, module)
     return _i_closed(system, algebra, module, lam, a)
 
 
@@ -565,7 +565,7 @@ def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
     for a non-degenerate lam; q is the base field size.  The solution is
     a NormSolution, or any object whose transformed() gives (W, eta, b, c)."""
     check_norm_data(system, algebra, module, chi, a)
-    _check_rank_coprimality(system, module)
+    check_rank_coprimality(system, module)
     check_norm_data(system, algebra, chi=lam)
     if not is_nondegenerate(system, lam):
         raise SchemaError("twisting characters must all be nontrivial")
@@ -658,7 +658,7 @@ def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
     non-degenerate character at each extension degree e <= depth; the
     report counts nonvanishing ones."""
     check_norm_data(system, algebra, module, chi, a)
-    _check_rank_coprimality(system, module)
+    check_rank_coprimality(system, module)
     return _sweep(system, algebra, module, chi, a, depth, method,
                   lambda *data: solve_norm_transform(system, *data))
 

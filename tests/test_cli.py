@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import charsum
-from charsum.cli import Options, main, run, suite
+from charsum.cli import FULL_JOBS, KINDS, Options, main, run, suite
 from charsum.errors import SchemaError, SizeBoundError
 from charsum.field_tower import FieldTower
 
@@ -171,7 +172,20 @@ def test_exit_codes_for_malformed_jobs(tmp_path, capsys):
                      "characters": ["trivial"], "a": 1},
                     {"kind": "monom", "p": 7, "exponents": [3, -1],
                      "characters": ["trivial", "nope"], "a": 1},
-                    {"kind": "binom", "n_max": 2, "n": 1}):
+                    {"kind": "binom", "n_max": 2, "n": 1},
+                    {"kind": "binom", "n_max": 0},
+                    {"kind": "binom", "n_max": -2},
+                    {"kind": "hd", "p": 7, "n": 2, "lambdas": []},
+                    {"kind": "hd", "p": 7, "n": [5], "laws": ["product"]},
+                    {"kind": "divisor", "N": [2], "seed": [1]},
+                    {"kind": "divisor", "N": [2], "seed": "x"},
+                    {"kind": "divisor", "N": [2], "seed": 1.5},
+                    {"kind": "identity", "p": 5, "depth": 1,
+                     "terms": [{"degree": 1, "n": 1, "bogus": 3},
+                               {"degree": 1, "n": -1}]},
+                    {"kind": "stalk", "p": 5, "exponents": [1, -1],
+                     "characters": ["e2", "e2"], "a": 1, "emit_grid": "no"},
+                    {"kind": "suite", "name": "acceptance", "bogus": 1}):
         assert main(["--job", write_job(tmp_path, payload)]) == 2, payload
         capsys.readouterr()
     assert main([]) == 2
@@ -246,6 +260,96 @@ def test_gauss_preflight_is_exact(tmp_path, capsys, monkeypatch, job, terms):
     assert code == 3 and err["kind"] == "SizeBoundError"
     assert f"{terms} Gauss-sum terms" in err["error"]
     assert built == []
+
+
+PREFLIGHT_JOBS = [next(job for _, job in FULL_JOBS if job["kind"] == kind)
+                  for kind in KINDS if kind != "suite"] + [
+    # a search-only identity job, one binomial triple, a stalk shape that
+    # has no grid
+    {"kind": "identity", "p": 5, "depth": 0, "search_depth": 2,
+     "terms": [{"degree": 1, "n": 1}, {"degree": 1, "n": -1}]},
+    {"kind": "binom", "n": 3, "r": 1, "s": 2},
+    {"kind": "stalk", "p": 5, "exponents": [2, 1, -1], "a": 1,
+     "characters": ["trivial"] * 3},
+]
+
+
+@pytest.mark.parametrize("job", PREFLIGHT_JOBS,
+                         ids=lambda job: job["kind"])
+def test_every_kind_preflights(tmp_path, capsys, monkeypatch, job):
+    # a bound equal to the estimate runs; one below it exits 3 before the
+    # job builds any tower level
+    kind = job["kind"]
+    cost, _ = KINDS[kind].prepare(job, Options())
+    code, out = run_main(tmp_path, capsys, job, "--max-grid", str(cost))
+    assert code == 0
+    if kind == "divisor":
+        assert cost == sum(c["checked"] for c in json.loads(out)["cases"])
+    built = []
+    monkeypatch.setattr(FieldTower, "_build_level",
+                        lambda self, d: built.append(d))
+    code, err = run_error(tmp_path, capsys, job, "--max-grid", str(cost - 1))
+    assert code == 3 and err["kind"] == "SizeBoundError"
+    assert f"{cost} {KINDS[kind].unit}" in err["error"]
+    assert built == []
+
+
+def test_divisor_preflight_stops_large_job_at_once(tmp_path, capsys):
+    job = {"kind": "divisor", "N": [150], "trials": 0}
+    t0 = time.perf_counter()
+    code, err = run_error(tmp_path, capsys, job)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert f"{450 ** 2} checks" in err["error"]
+
+
+def test_binom_estimate_counts_weighted_terms():
+    # each of the a and b identities sums (r+1)(n-r+1)(s+1)(n-s+1) - 1 terms
+    def terms(n, r, s):
+        return 2 * ((r + 1) * (n - r + 1) * (s + 1) * (n - s + 1) - 1)
+
+    def estimate(job):
+        return KINDS["binom"].prepare(dict(job, kind="binom"), Options())[0]
+
+    for n_max in range(9):
+        assert estimate({"n_max": n_max}) == sum(
+            terms(n, r, s) for n in range(1, n_max + 1)
+            for r in range(n + 1) for s in range(n + 1))
+    assert estimate({"n": 4, "r": 1, "s": 3}) == terms(4, 1, 3)
+
+
+@pytest.mark.parametrize("job", [
+    {"kind": "monom", "p": 13, "exponents": [2, 1, -1], "a": 1,
+     "characters": ["trivial", "trivial", "nope"]},
+    {"kind": "binom", "n": 1, "r": 100, "s": 100},
+    {"kind": "stalk", "p": 13, "exponents": [1, 1, 1, -1],
+     "characters": ["trivial"] * 4, "emit_grid": "no"},
+    {"kind": "identity", "p": 2, "depth": 30,
+     "terms": [{"degree": 1, "n": 1, "bogus": 3}]},
+    # the library's own preconditions on the data hold before the bound too
+    {"kind": "monom", "p": 7, "exponents": [7, -1], "a": 1, "depth": 3,
+     "characters": ["trivial", "trivial"]},
+    {"kind": "identity", "p": 5, "depth": 9, "terms": [{"n": 5}, {"n": -1}]},
+    {"kind": "stalk", "p": 13, "exponents": [13, 13, 13, -13],
+     "characters": ["trivial"] * 4},
+    {"kind": "norm", "p": 3, "factor_degrees": [2], "ranks": [3], "a": 1,
+     "characters": ["trivial"], "depth": 6},
+    {"kind": "norm", "p": 3, "factor_degrees": [2], "ranks": [1], "a": 0,
+     "characters": ["trivial"], "depth": 6},
+])
+def test_malformed_large_job_exits_2(tmp_path, capsys, job):
+    # a malformed job exits 2 even where its estimate exceeds the bound
+    code, err = run_error(tmp_path, capsys, job)
+    assert code == 2 and err["kind"] == "SchemaError"
+
+
+def test_readme_lists_every_kind_with_its_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    rows = dict(re.findall(r"^- `(\w+)` \(([^)]*)\)", readme, re.M))
+    assert list(rows) == list(KINDS)
+    for kind, keys in rows.items():
+        assert set(re.findall(r"`(\w+)`", keys)) == KINDS[kind].keys, kind
 
 
 @pytest.mark.parametrize("job,flags,code", [

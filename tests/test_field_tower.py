@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import random
-import struct
-import zlib
-from array import array
 
 import pytest
 
@@ -210,84 +206,23 @@ def test_deep_tower_embed_sample():
             t.mul(6, t.embed(3, 6, a), t.embed(3, 6, b))
 
 
-# ------------------------------------------------------------- disk cache
+# ------------------------------------------------------------ log tables
 
 
-def _count_raw_muls(monkeypatch):
-    calls = []
-    raw_mul = FieldTower._raw_mul
-
-    def counted(self, lv, a, b):
-        calls.append(1)
-        return raw_mul(self, lv, a, b)
-
-    monkeypatch.setattr(FieldTower, "_raw_mul", counted)
-    return calls
-
-
-def _dlog_file(d):
-    return os.path.join(d, [f for f in os.listdir(d)
-                            if f.startswith("dlog_p3_s1_d2_")][0])
-
-
-def test_dlog_cache_roundtrip(tmp_path, monkeypatch):
-    d = str(tmp_path)
-    monkeypatch.setenv("CHARSUM_CACHE_DIR", d)
-    calls = _count_raw_muls(monkeypatch)
-    t1 = build_tower(3, 1, degrees=(2,))
-    first = len(calls)
-    files = os.listdir(d)
-    assert any(f.startswith("dlog_p3_") for f in files)
-    t2 = build_tower(3, 1, degrees=(2,))
-    second = len(calls) - first
-    assert t1.exp_table(2) == t2.exp_table(2)
-    # the second build read its tables instead of walking the q^d - 1 powers
-    assert first - second >= 3 ** 2 - 1
-
-
-def test_dlog_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHARSUM_CACHE_DIR", str(tmp_path))
-    build_tower(5, 1, degrees=(2,))
-    assert any(f.startswith("dlog_p5_") for f in os.listdir(str(tmp_path)))
-
-
-def test_dlog_cache_corruption_is_ignored(tmp_path, monkeypatch):
-    d = str(tmp_path)
-    monkeypatch.setenv("CHARSUM_CACHE_DIR", d)
-    t1 = build_tower(3, 1, degrees=(2,))
-    path = _dlog_file(d)
-    blob = bytearray(open(path, "rb").read())
-    blob[-1] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
-    t2 = build_tower(3, 1, degrees=(2,))
-    assert t2.exp_table(2) == t1.exp_table(2)
-    open(path, "wb").write(b"garbage")
-    t3 = build_tower(3, 1, degrees=(2,))
-    assert t3.exp_table(2) == t1.exp_table(2)
-
-
-def test_dlog_cache_rejects_non_bijective_table(tmp_path, monkeypatch):
-    # a CRC-valid log table that maps two codes to log 4 and none to 5
-    d = str(tmp_path)
-    monkeypatch.setenv("CHARSUM_CACHE_DIR", d)
-    fresh = build_tower(3, 1, degrees=(2,))
-    path = _dlog_file(d)
-    good = open(path, "rb").read()
-    hdr = len(b"CHARSUMDL1") + 40 + 4
-    log = array("I")
-    log.frombytes(good[hdr:])
-    log[list(log).index(5)] = 4
-    payload = log.tobytes()
-    crc = struct.pack("<I", zlib.crc32(payload))
-    open(path, "wb").write(good[:hdr - 4] + crc + payload)
-    t = build_tower(3, 1, degrees=(2,))
-    assert t.exp_table(2) == fresh.exp_table(2)
-    assert all(t.mul(2, a, b) == fresh.mul(2, a, b)
-               for a in range(9) for b in range(9))
-    assert open(path, "rb").read() == good
-
-
-def test_no_cache_dir_still_works(monkeypatch):
-    monkeypatch.delenv("CHARSUM_CACHE_DIR", raising=False)
+def test_no_cache_dir_still_works():
     t = build_tower(3, 1, degrees=(2,))
     assert t.log(2, t.generator(2)) == 1
+
+
+def test_size_builds_nothing():
+    t = FieldTower(3, 2)
+    assert [t.size(d) for d in (1, 2, 3)] == [9, 81, 729]
+    with pytest.raises(SizeBoundError):
+        t.size(12)
+    # a degree this large is refused before any power is formed
+    with pytest.raises(SizeBoundError):
+        t.size(10 ** 12)
+    with pytest.raises(SchemaError):
+        t.size(0)
+    assert t._levels == {}
+    assert t.size(3) == t.order(3)
