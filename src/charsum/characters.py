@@ -44,14 +44,15 @@ class CharSystem:
     # ---- the character group at each degree
 
     def character(self, degree: int, index: int) -> MultCharacter:
-        n = self.tower.group_order(degree)
+        # q^d - 1 from size(), so resolving a character builds no level
+        n = self.tower.size(degree) - 1
         return MultCharacter(degree, index % n)
 
     def trivial(self, degree: int) -> MultCharacter:
         return MultCharacter(degree, 0)
 
     def char_of_order(self, degree: int, n: int, power: int = 1) -> MultCharacter:
-        nd = self.tower.group_order(degree)
+        nd = self.tower.size(degree) - 1
         if n < 1 or nd % n:
             raise SchemaError(f"no character of order {n} at degree {degree}")
         return self.character(degree, (nd // n) * power)

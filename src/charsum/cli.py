@@ -19,13 +19,12 @@ import math
 import re
 import sys
 import time
-from pathlib import Path
 from typing import NamedTuple
 
 from . import cyclotomic as cy
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
-from .divisor_calc import injectivity_probe, probe_size
+from .divisor_calc import Divisor, injectivity_probe, probe_size
 from .errors import InternalCheckError, SchemaError, SizeBoundError
 from .field_tower import FieldTower
 from .identity_engine import GammaMonomial, check_terms, find_violation, \
@@ -35,21 +34,24 @@ from .monomial_fourier import GridFunction, MonomialDatum, \
 from .norm_algebra import EtaleAlgebra, NormCharacter, VirtualModule, \
     check_norm_data, check_rank_coprimality, module_divisor, \
     solve_norm_transform, sweep_norm_moments, verify_norm_identity
-from .stalk_traces import gm_trace_function, stalk_trace_at_zero, \
-    verify_binomial_identities
+from .stalk_traces import QPolynomial, check_triple, gm_trace_function, \
+    stalk_trace_at_zero, verify_binomial_identities
 
 DEFAULT_DEPTH = 2
 DEFAULT_MAX_GRID = 1 << 16
 
 
-class Options(NamedTuple):
-    """Command-line options, named as their argparse destinations."""
-    depth: int | None = None
-    max_grid: int = DEFAULT_MAX_GRID
-    seed: int = 0
-    emit_floats: bool = False
-    timings: bool = False
-    ndjson: bool = False
+class Options:
+    """Resolved command-line options; flag values override payload fields."""
+
+    def __init__(self, depth=None, max_grid=DEFAULT_MAX_GRID, seed=0,
+                 emit_floats=False, timings=False, ndjson=False):
+        self.depth = depth
+        self.max_grid = max_grid
+        self.seed = seed
+        self.emit_floats = emit_floats
+        self.timings = timings
+        self.ndjson = ndjson
 
 
 # ------------------------------------------------------------ serialization
@@ -67,6 +69,10 @@ def _jsonable(obj, emit_floats=False):
                 "advisory_float": [approx.real, approx.imag]}
     if isinstance(obj, MultCharacter):
         return {"degree": obj.degree, "index": obj.index}
+    if isinstance(obj, Divisor):
+        return obj.records()
+    if isinstance(obj, QPolynomial):
+        return list(obj.coeffs)
     if isinstance(obj, GridFunction):
         return {"degree": obj.degree, "k": obj.k,
                 "values": [_jsonable(v, emit_floats) for v in obj.values]}
@@ -74,8 +80,14 @@ def _jsonable(obj, emit_floats=False):
         return {str(k): _jsonable(v, emit_floats) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v, emit_floats) for v in obj]
-    # floats reach the report only through advisory fields
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, float):
+        # floats reach the report only through advisory fields
+        return obj
+    if isinstance(obj, str):
         return obj
     raise InternalCheckError(f"unserializable report value {obj!r}")
 
@@ -85,27 +97,25 @@ _CHAR_RE = re.compile(r"^(?:e|eps|ε_?)(\d+)(?:\^(-?\d+))?$")
 
 def _parse_char(system, degree, spec) -> MultCharacter:
     """Character specs: "trivial", "eN", "eN^k", an index, or {degree,index}
-    and {order,power} objects.  Resolved from q^degree alone, so a spec is
-    checked before any tower level is built."""
-    n = system.tower.size(degree) - 1
-    m = _CHAR_RE.match(spec) if isinstance(spec, str) else None
+    with the slot's degree; resolving a spec builds no tower level."""
     if spec in ("trivial", "1", 1) or spec == 0:
-        return MultCharacter(degree, 0)
+        return system.trivial(degree)
+    if isinstance(spec, str):
+        m = _CHAR_RE.match(spec)
+        if not m:
+            raise SchemaError(f"unrecognized character spec {spec!r}")
+        power = int(m.group(2)) if m.group(2) else 1
+        return system.char_of_order(degree, int(m.group(1)), power)
     if isinstance(spec, int):
-        return MultCharacter(degree, spec % n)
-    if isinstance(spec, dict) and set(spec) == {"degree", "index"} \
-            and _as_int(spec, "degree") == degree:
-        return MultCharacter(degree, _as_int(spec, "index") % n)
-    if m:
-        order, power = int(m.group(1)), int(m.group(2) or 1)
-    elif isinstance(spec, dict) and "order" in spec \
-            and set(spec) <= {"order", "power"}:
-        order, power = _as_int(spec, "order"), _as_int(spec, "power", 1)
-    else:
-        raise SchemaError(f"unrecognized character spec {spec!r}")
-    if order < 1 or n % order:
-        raise SchemaError(f"no character of order {order} at degree {degree}")
-    return MultCharacter(degree, n // order * power % n)
+        return system.character(degree, spec)
+    if isinstance(spec, dict):
+        if set(spec) == {"degree", "index"} \
+                and _as_int(spec, "degree") == degree:
+            return system.character(degree, _as_int(spec, "index"))
+        if set(spec) <= {"order", "power"} and "order" in spec:
+            return system.char_of_order(degree, _as_int(spec, "order"),
+                                        _as_int(spec, "power", 1))
+    raise SchemaError(f"unrecognized character spec {spec!r}")
 
 
 # ------------------------------------------------------- payload validation
@@ -175,8 +185,10 @@ def _sweep_tuples(tower, factor_degrees, depth):
 
 
 def _moments_record(sweep):
-    return {"record": "moments", **{key: sweep[key] for key in (
-        "depth", "checked", "nonvanishing", "failures", "pass")}}
+    return {"record": "moments", "depth": sweep["depth"],
+            "checked": sweep["checked"],
+            "nonvanishing": sweep["nonvanishing"],
+            "failures": sweep["failures"], "pass": sweep["pass"]}
 
 
 # --------------------------------------------------------------- job kinds
@@ -216,7 +228,6 @@ def _gauss_cases(system, degrees):
 
 def _hd(payload, opts):
     system = _system(payload)
-    tower, q = system.tower, system.tower.q
     orders = _as_int(payload, "n", many=True, minimum=2)
     laws = payload.get("laws", ["lift", "product"])
     if not isinstance(laws, list) or not laws \
@@ -226,21 +237,24 @@ def _hd(payload, opts):
     if specs != "all" and not isinstance(specs, list):
         raise SchemaError("field 'lambdas' must be \"all\" or a list of "
                           "character specs")
-    lams = [MultCharacter(1, i) for i in range(q - 1)] if specs == "all" \
-        else [_parse_char(system, 1, spec) for spec in specs]
+    tower = system.tower
+    q = tower.size(1)
+    indices = range(q - 1) if specs == "all" \
+        else [_parse_char(system, 1, spec).index for spec in specs]
     # per character, the lifting law sums over F_q and F_{q^n}, and the
     # product law, which holds only where n divides q - 1, n times over F_q
     runs = [(n, law) for n in orders for law in ("lift", "product")
             if law in laws and (law == "lift" or (q - 1) % n == 0)]
-    cost = len(lams) * sum(q + tower.size(n) if law == "lift" else n * q
-                           for n, law in runs)
-    return cost, lambda: _hd_cases(system, runs, lams)
+    cost = len(indices) * sum(q + tower.size(n) if law == "lift" else n * q
+                              for n, law in runs)
+    return cost, lambda: _hd_cases(system, runs, indices)
 
 
-def _hd_cases(system, runs, lams):
+def _hd_cases(system, runs, indices):
     check = {"lift": system.check_hd_lift, "product": system.check_hd_product}
-    return [{"law": law, "n": n, "index": lam.index,
-             "pass": check[law](lam, n)} for n, law in runs for lam in lams]
+    return [{"law": law, "n": n, "index": i,
+             "pass": check[law](system.character(1, i), n)}
+            for n, law in runs for i in indices]
 
 
 def _divisor(payload, opts):
@@ -361,8 +375,7 @@ def _binom(payload, opts):
     # (r+1)(n-r+1)(s+1)(n-s+1) - 1 weighted terms
     if "n_max" not in payload:
         n, r, s = (_as_int(payload, key) for key in "nrs")
-        if n < 1 or not (0 <= r <= n and 0 <= s <= n):
-            raise SchemaError("need n >= 1 and 0 <= r,s <= n")
+        check_triple(n, r, s)
         return (2 * ((r + 1) * (n - r + 1) * (s + 1) * (n - s + 1) - 1),
                 lambda: [verify_binomial_identities(n, r, s)])
     if {"n", "r", "s"} & set(payload):
@@ -549,22 +562,23 @@ def suite(name: str, opts: Options | None = None) -> dict:
 # ------------------------------------------------------------------- main
 
 
-def _emit(report, opts):
+def _emit(report, opts, out=None):
+    out = out or sys.stdout
     doc = _jsonable(report, opts.emit_floats)
     if not opts.ndjson:
-        print(json.dumps(doc, sort_keys=True, indent=1))
+        print(json.dumps(doc, sort_keys=True, indent=1), file=out)
         return
     compact = {"separators": (",", ":"), "sort_keys": True}
     if "jobs" in doc:
-        print(json.dumps({"suite": doc["suite"]}, **compact))
+        print(json.dumps({"suite": doc["suite"]}, **compact), file=out)
         rows = [dict(j["report"], name=j["name"]) for j in doc["jobs"]]
     else:
         rows = [doc]
     for row in rows:
         head = {k: v for k, v in row.items() if k not in ("cases",)}
         for case in row.get("cases", []):
-            print(json.dumps(case, **compact))
-        print(json.dumps(head, **compact))
+            print(json.dumps(case, **compact), file=out)
+        print(json.dumps(head, **compact), file=out)
 
 
 def main(argv=None) -> int:
@@ -590,7 +604,9 @@ def main(argv=None) -> int:
     parser.add_argument("--ndjson", action="store_true",
                         help="stream case records as JSON lines")
     ns = parser.parse_args(argv)
-    opts = Options(*(getattr(ns, field) for field in Options._fields))
+    opts = Options(depth=ns.depth, max_grid=ns.max_grid, seed=ns.seed,
+                   emit_floats=ns.emit_floats, timings=ns.timings,
+                   ndjson=ns.ndjson)
     try:
         if (ns.job is None) == (ns.suite is None):
             raise SchemaError("exactly one of --job and --suite is required")
@@ -598,10 +614,12 @@ def main(argv=None) -> int:
             report = suite(ns.suite, opts)
         else:
             try:
-                job = json.loads(sys.stdin.read() if ns.job == "-" else
-                                 Path(ns.job).read_text(encoding="utf-8"))
+                text = sys.stdin.read() if ns.job == "-" \
+                    else open(ns.job, encoding="utf-8").read()
             except OSError as exc:
                 raise SchemaError(f"cannot read job file: {exc}") from exc
+            try:
+                job = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"job file is not valid JSON: {exc}") \
                     from exc

@@ -24,7 +24,8 @@ from .monomial_fourier import (GridFunction, MonomialDatum,
 
 __all__ = [
     "QPolynomial", "MonomialDatum", "a_poly", "b_poly", "geometric_sum",
-    "stalk_trace_at_zero", "gm_trace_function", "verify_binomial_identities",
+    "stalk_trace_at_zero", "gm_trace_function", "check_triple",
+    "verify_binomial_identities",
 ]
 
 
@@ -281,14 +282,19 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
 # ------------------------------------------------------ binomial identities
 
 
+def check_triple(n, r, s) -> None:
+    """The binomial identities are stated for n >= 1 and 0 <= r, s <= n."""
+    if n < 1 or not (0 <= r <= n) or not (0 <= s <= n):
+        raise SchemaError("need n >= 1 and 0 <= r,s <= n")
+
+
 def verify_binomial_identities(n, r, s) -> dict:
     """Exact polynomial checks of the four a/b binomial identities.
 
     For (r,s) != (0,0) the general identities are checked; at (0,0) the
     degenerate pair with right side -(1+q+..+q^{n-1}) resp. its negative.
     """
-    if n < 1 or not (0 <= r <= n) or not (0 <= s <= n):
-        raise SchemaError("need n >= 1 and 0 <= r,s <= n")
+    check_triple(n, r, s)
     qm1 = QVAR - 1
 
     def weighted(poly_fn):

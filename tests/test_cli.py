@@ -294,13 +294,19 @@ def test_every_kind_preflights(tmp_path, capsys, monkeypatch, job):
     assert built == []
 
 
-def test_divisor_preflight_stops_large_job_at_once(tmp_path, capsys):
-    job = {"kind": "divisor", "N": [150], "trials": 0}
+@pytest.mark.parametrize("job,message", [
+    ({"kind": "divisor", "N": [150], "trials": 0}, f"{450 ** 2} checks"),
+    # hd with lambdas "all" makes nothing per character before the bound
+    ({"kind": "hd", "p": 2147483647, "n": 2}, "2147483647^1 exceeds"),
+    ({"kind": "hd", "p": 1000003, "s": 2, "n": 2}, "1000003^2 exceeds"),
+    ({"kind": "hd", "p": 4194301, "n": 2, "laws": ["product"]},
+     f"{4194300 * 2 * 4194301} Gauss-sum terms"),
+], ids=["divisor", "hd-p31", "hd-s2", "hd-product"])
+def test_preflight_stops_large_job_at_once(tmp_path, capsys, job, message):
     t0 = time.perf_counter()
     code, err = run_error(tmp_path, capsys, job)
     assert time.perf_counter() - t0 < 1
-    assert code == 3
-    assert f"{450 ** 2} checks" in err["error"]
+    assert code == 3 and message in err["error"]
 
 
 def test_binom_estimate_counts_weighted_terms():
