@@ -33,7 +33,8 @@ from .monomial_fourier import GridFunction, MonomialDatum, \
     check_monomial_datum, solve_monomial_transform, sweep_twisted_moments
 from .norm_algebra import EtaleAlgebra, NormCharacter, VirtualModule, \
     check_norm_data, check_rank_coprimality, module_divisor, \
-    solve_norm_transform, sweep_norm_moments, verify_norm_identity
+    solve_norm_transform, sweep_norm_moments, sweep_tuples, \
+    verify_norm_identity
 from .stalk_traces import QPolynomial, check_triple, gm_trace_function, \
     stalk_trace_at_zero, verify_binomial_identities
 
@@ -173,15 +174,6 @@ def _datum(system, payload, a):
 def _gauss_terms(tower, degrees):
     """Each of the q^d - 1 characters of degree d sums q^d terms."""
     return sum((q - 1) * q for q in map(tower.size, degrees))
-
-
-def _sweep_tuples(tower, factor_degrees, depth):
-    """A moment sweep checks one identity per tuple.  The degree-e base
-    change splits a factor of degree d into gcd(d, e) factors of degree
-    lcm(d, e), and a sweep tuple is one nontrivial character on each."""
-    return sum(math.prod((tower.size(math.lcm(d, e)) - 2) ** math.gcd(d, e)
-                         for d in factor_degrees)
-               for e in range(1, depth + 1))
 
 
 def _moments_record(sweep):
@@ -324,7 +316,7 @@ def _monom(payload, opts):
     system = _system(payload)
     datum = _datum(system, payload, _as_int(payload, "a"))
     depth = _depth(payload, opts, minimum=1)
-    return (_sweep_tuples(system.tower, (1,) * datum.k, depth),
+    return (sweep_tuples(system.tower, (1,) * datum.k, depth),
             lambda: _monom_cases(system, datum, depth))
 
 
@@ -402,7 +394,7 @@ def _norm(payload, opts):
     check_norm_data(system, algebra, module, chi, a)
     check_rank_coprimality(system, module)
     depth = _depth(payload, opts, minimum=1)
-    return (_sweep_tuples(system.tower, degrees, depth),
+    return (sweep_tuples(system.tower, degrees, depth),
             lambda: _norm_cases(system, algebra, module, chi, a, depth))
 
 

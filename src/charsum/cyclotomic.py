@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Mapping, Sequence, Union
 
 from charsum._intutil import euler_phi, factorize, moebius
@@ -426,16 +427,27 @@ def root(M: int, k: int = 1) -> CycloValue:
 
 def from_root_counts(M: int, counts: Union[Mapping[int, int], Sequence[int]]
                      ) -> CycloValue:
-    """Sum of c_e * zeta_M^e over the given exponent multiplicities.
+    """Sum of c_e * zeta_M^e over the given exponent multiplicities: a
+    mapping from exponents (taken mod M), or a sequence of length M.
 
     The order is shrunk by the gcd of the live exponents with M before
     reduction, so sums supported on a subring come back at small order.
     """
     if M < 1:
         raise InternalCheckError(f"root order {M} is not positive")
-    items = counts.items() if isinstance(counts, Mapping) else enumerate(counts)
+    if not isinstance(counts, Mapping):
+        if len(counts) != M:
+            raise InternalCheckError(
+                f"{len(counts)} root counts at order {M}")
+        # one entry per exponent: the live ones set the gcd, and every
+        # g-th entry is the vector at the shrunk order
+        live = list(compress(range(M), counts))
+        if not live:
+            return CycloValue(1, (0,))
+        g = math.gcd(M, *live)
+        return _make(M // g, reduce_mod_cyclotomic(counts[::g], M // g))
     agg: dict[int, int] = {}
-    for e, c in items:
+    for e, c in counts.items():
         if c:
             k = e % M
             agg[k] = agg.get(k, 0) + c

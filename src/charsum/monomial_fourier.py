@@ -294,7 +294,10 @@ def verify_twisted_moments(system, datum, solution, lams, *,
 def sweep_twisted_moments(system, datum, *, depth=2, method="closed"):
     """Run the check of verify_twisted_moments over every nontrivial tuple
     at each extension degree e <= depth; the report counts nonvanishing
-    tuples."""
+    tuples.  The closed method evaluates only the tuples where an I-sum
+    can be nonzero, those whose twisted characters factor through the
+    monomial; at the rest both sides are 0 by construction.  The direct
+    method evaluates every tuple."""
     check_monomial_datum(system, datum)
     return _sweep(system, *_split(system, datum), datum.a, depth, method,
                   lambda *data: solve_monomial_transform(

@@ -41,8 +41,8 @@ __all__ = [
     "is_nondegenerate", "iter_nondegenerate", "gauss_sum_algebra",
     "verify_norm_identity", "i_norm_direct", "i_norm_closed",
     "solve_norm_transform", "verify_norm_moments", "sweep_norm_moments",
-    "base_change", "extend_module", "extend_character", "extend_scalar",
-    "as_monomial_datum",
+    "sweep_tuples", "base_change", "extend_module", "extend_character",
+    "extend_scalar", "as_monomial_datum",
 ]
 
 
@@ -539,7 +539,9 @@ def _moment_sides(system, algebra, module, chi, a, target, lam, method):
     """Both sides of the moment identity at one twist, on validated data;
     target is the transformed (module, characters, b, c).  The right
     I-sum is evaluated first; when it vanishes the right side is exactly
-    0 and conj(g(lam)) is never formed."""
+    0 and conj(g(lam)) is never formed.  With method "closed" each side is
+    exactly 0 unless its twisted character factors through det, so the
+    closed sweep calls this only on the support that _support lists."""
     module_w, eta, b, c = target
     q = system.tower.order(algebra.base_degree)
     lhs_chars = NormCharacter(tuple(
@@ -588,11 +590,18 @@ def base_change(system: CharSystem, algebra: EtaleAlgebra,
     if e < 1:
         raise SchemaError(f"extension degree {e} must be positive")
     eb = algebra.base_degree
+    return EtaleAlgebra(algebra.tower,
+                        _changed_degrees(algebra.degrees, eb, e), eb * e)
+
+
+def _changed_degrees(degrees, base_degree, e):
+    """Factor degrees after base change by e: a factor of degree D splits
+    into gcd(D/base_degree, e) copies of degree lcm(D, base_degree e)."""
     out = []
-    for deg in algebra.degrees:
-        rel = deg // eb
-        out.extend([math.lcm(deg, eb * e)] * math.gcd(rel, e))
-    return EtaleAlgebra(algebra.tower, tuple(out), eb * e)
+    for deg in degrees:
+        out.extend([math.lcm(deg, base_degree * e)]
+                   * math.gcd(deg // base_degree, e))
+    return tuple(out)
 
 
 def extend_module(system: CharSystem, algebra: EtaleAlgebra,
@@ -625,10 +634,63 @@ def extend_scalar(system: CharSystem, algebra: EtaleAlgebra,
     return system.tower.embed(eb, eb * e, a)
 
 
+def sweep_tuples(tower, degrees, depth) -> int:
+    """Twists a moment sweep to depth checks on the algebra over F_q with
+    these factor degrees: at each e <= depth, the non-degenerate characters
+    of the base-changed algebra.  Reads field sizes only; builds no level."""
+    return sum(_nondegenerate_count(tower, _changed_degrees(degrees, 1, e))
+               for e in range(1, depth + 1))
+
+
+def _nondegenerate_count(tower, degrees):
+    """One nontrivial character per factor: prod of (q^D - 2)."""
+    return math.prod(tower.size(d) - 2 for d in degrees)
+
+
+def _support(system, algebra, module, chi, target):
+    """The non-degenerate twists lam at which a closed side of the moment
+    identity can be nonzero, in iter_nondegenerate order.
+
+    The left I-sum is 0 unless chi lam^{-1} = mu o det_V, and the right one
+    unless eta lam = mu o det_W, for a base character mu = chi_j.  On a
+    factor of degree D the lift of mu^n has index n s j, with
+    s = (q^D - 1)/(q^e - 1).  So the left support is
+    idx(lam_i) = idx(chi_i) - n_i s_i j and the right one
+    idx(lam_i) = n'_i s_i j - idx(eta_i), over the ranks n' of W, as j runs
+    over the q^e - 1 base characters.  Tuples with a trivial factor are
+    dropped; zero ranks or d(V) > 1 repeat tuples, so the union is a set.
+    """
+    t = system.tower
+    module_w, eta, _, _ = target
+    grp = t.group_order(algebra.base_degree)
+    orders = [t.group_order(d) for d in algebra.degrees]
+    sides = ([(ch.index, -n * (o // grp))
+              for ch, n, o in zip(chi.chars, module.ranks, orders)],
+             [(-et.index, n * (o // grp))
+              for et, n, o in zip(eta.chars, module_w.ranks, orders)])
+    found = set()
+    for j in range(grp):
+        for side in sides:
+            idx = tuple((c + s * j) % o for (c, s), o in zip(side, orders))
+            if all(idx):
+                found.add(idx)
+    return [NormCharacter(tuple(system.character(d, i)
+                                for d, i in zip(algebra.degrees, idx)))
+            for idx in sorted(found)]
+
+
 def _sweep(system, algebra, module, chi, a, depth, method, solve):
     """The moment sweep on validated data: at each extension degree
     e <= depth, solve the base-changed data with solve(algebra, module,
-    chi, a) and check every non-degenerate twist."""
+    chi, a) and check the identity at every non-degenerate twist.
+
+    checked counts every twist, _nondegenerate_count per degree.  The
+    direct method evaluates each one.  The closed method evaluates only
+    the union of the two supports of the solved target (_support): off
+    it both closed I-sums are exactly 0 by construction, so the identity
+    holds there and the twist is not nonvanishing.  A wrong eta or W moves
+    the right support, and the twists it moves to are still evaluated.
+    """
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
               "failures": [], "truncated_at_depth": depth}
     for e in range(1, depth + 1):
@@ -637,10 +699,14 @@ def _sweep(system, algebra, module, chi, a, depth, method, solve):
         chi_e = extend_character(system, algebra, chi, e)
         a_e = extend_scalar(system, algebra, a, e)
         target = solve(alg_e, mod_e, chi_e, a_e).transformed()
-        for lam in iter_nondegenerate(system, alg_e):
+        report["checked"] += _nondegenerate_count(system.tower, alg_e.degrees)
+        if method == "closed":
+            lams = _support(system, alg_e, mod_e, chi_e, target)
+        else:
+            lams = iter_nondegenerate(system, alg_e)
+        for lam in lams:
             lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e, target,
                                      lam, method)
-            report["checked"] += 1
             if lhs != rhs:
                 report["failures"].append(
                     {"degree": alg_e.base_degree,
@@ -656,7 +722,10 @@ def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
                        depth: int = 2, method: str = "closed") -> dict:
     """Run the moment check of verify_norm_moments over every
     non-degenerate character at each extension degree e <= depth; the
-    report counts nonvanishing ones."""
+    report counts nonvanishing ones.  The closed method evaluates only
+    the twists where a closed I-sum can be nonzero, those whose twisted
+    character factors through det; at the others both sides are 0 by
+    construction.  The direct method evaluates every twist."""
     check_norm_data(system, algebra, module, chi, a)
     check_rank_coprimality(system, module)
     return _sweep(system, algebra, module, chi, a, depth, method,

@@ -28,6 +28,7 @@ from charsum.cyclotomic import (
     reduce_mod_cyclotomic,
     root,
 )
+from charsum.errors import InternalCheckError
 
 # ------------------------------------------------------- cyclotomic polys
 
@@ -230,6 +231,22 @@ def test_root_counts_gcd_shrink():
     assert w.order == 1 and w.as_int() == 0
     u = from_root_counts(10, {2: 1})
     assert u.order == 5
+
+
+@given(st.sampled_from([1, 2, 12, 30, 336]), st.data())
+def test_root_counts_list_matches_mapping(M, data):
+    # a length-M list and the same counts as a mapping give the same order
+    # and coefficients, including supports on a subring
+    step = data.draw(st.sampled_from(
+        [d for d in range(1, M + 1) if M % d == 0]))
+    counts = [0] * M
+    for e in range(0, M, step):
+        counts[e] = data.draw(st.integers(-3, 3))
+    v = from_root_counts(M, counts)
+    w = from_root_counts(M, dict(enumerate(counts)))
+    assert (v.order, v.coeffs) == (w.order, w.coeffs)
+    with pytest.raises(InternalCheckError):
+        from_root_counts(M, counts + [0])
 
 
 def test_abs_squared_undefined():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -497,6 +498,125 @@ def test_sweep_fails_on_tampered_solution(monkeypatch, field):
         assert nonvanishing <= failed
     else:
         assert rep["failures"]
+
+
+def _every_twist_sweep(system, algebra, module, chi, a, depth, solve):
+    """The closed sweep report built by evaluating every non-degenerate
+    twist, in iter_nondegenerate order."""
+    report = {"depth": depth, "checked": 0, "nonvanishing": 0,
+              "failures": [], "truncated_at_depth": depth}
+    for e in range(1, depth + 1):
+        alg = base_change(system, algebra, e)
+        mod = extend_module(system, algebra, module, e)
+        chi_e = extend_character(system, algebra, chi, e)
+        a_e = extend_scalar(system, algebra, a, e)
+        target = solve(alg, mod, chi_e, a_e).transformed()
+        for lam in iter_nondegenerate(system, alg):
+            lhs, rhs = na._moment_sides(system, alg, mod, chi_e, a_e, target,
+                                        lam, "closed")
+            report["checked"] += 1
+            if lhs != rhs:
+                report["failures"].append(
+                    {"degree": alg.base_degree,
+                     "lams": [lm.index for lm in lam.chars]})
+            elif not lhs.is_zero():
+                report["nonvanishing"] += 1
+    report["pass"] = not report["failures"] and report["nonvanishing"] > 0
+    return report
+
+
+def _norm_case(system, degrees, ranks, chars):
+    algebra = EtaleAlgebra(system.tower, degrees)
+    return (system, algebra, VirtualModule(ranks), NormCharacter(chars),
+            lambda *data: solve_norm_transform(system, *data))
+
+
+def _monomial_case(system, exponents, chars):
+    algebra = EtaleAlgebra(system.tower, (1,) * len(exponents))
+    return (system, algebra, VirtualModule(exponents), NormCharacter(chars),
+            lambda *data: solve_monomial_transform(
+                system, as_monomial_datum(*data)))
+
+
+def _tampered(system, solve, field):
+    """solve with one field of its transformed target changed."""
+    def tampered(alg, mod, chi, a):
+        module_w, eta, b, c = solve(alg, mod, chi, a).transformed()
+        t = system.tower
+        e = alg.base_degree
+        if field == "c":
+            c = -c
+        elif field == "b":
+            b = t.mul(e, b, t.generator(e))
+        elif field == "eta":
+            first = eta.chars[0]
+            eta = NormCharacter(
+                (system.char_mul(first, system.character(first.degree, 1)),)
+                + eta.chars[1:])
+        else:
+            module_w = VirtualModule(
+                (module_w.ranks[0] + 1,) + module_w.ranks[1:])
+        return SimpleNamespace(transformed=lambda: (module_w, eta, b, c))
+    return tampered
+
+
+S5 = CharSystem(build_tower(5, degrees=(1, 2)))
+E3_7 = S7.char_of_order(1, 3)
+
+SWEEP_CASES = {
+    "monom-3-1-f7": lambda: _monomial_case(S7, (3, -1), (S7.trivial(1), E3_7)),
+    "monom-4-2-f7": lambda: _monomial_case(
+        S7, (4, -2), (S7.trivial(1), S7.char_of_order(1, 2))),
+    "monom-1-1-f7": lambda: _monomial_case(
+        S7, (1, -1), (E3_7, S7.char_inv(E3_7))),
+    "monom-2-1-1-f5": lambda: _monomial_case(
+        S5, (2, 1, -1), (S5.trivial(1),) * 3),
+    "norm-21-f3": lambda: _norm_case(S3, (2, 1), (1, -2), (TRIV9, TRIV3)),
+    "norm-2-f3": lambda: _norm_case(S3, (2,), (1,), (TRIV9,)),
+    "zero-module": lambda: _norm_case(S3, (2,), (0,), (S3.character(2, 1),)),
+    "zero-module-2": lambda: _norm_case(S3, (1, 2), (0, 0),
+                                        (E2, S3.character(2, 1))),
+}
+
+
+@pytest.mark.parametrize("name,tamper", [
+    *((name, None) for name in SWEEP_CASES),
+    *(("norm-21-f3", f) for f in ("c", "b", "eta", "W")),
+    *(("monom-3-1-f7", f) for f in ("c", "b", "eta", "W")),
+])
+def test_support_sweep_matches_every_twist(name, tamper):
+    system, algebra, module, chi, solve = SWEEP_CASES[name]()
+    if tamper is not None:
+        solve = _tampered(system, solve, tamper)
+    rep = na._sweep(system, algebra, module, chi, 1, 2, "closed", solve)
+    assert rep == _every_twist_sweep(system, algebra, module, chi, 1, 2,
+                                     solve)
+    assert rep["checked"] == na.sweep_tuples(system.tower, algebra.degrees, 2)
+    assert rep["pass"] if tamper is None else rep["failures"]
+
+
+@pytest.mark.parametrize("name", ["norm-2-f3", "monom-3-1-f7"])
+def test_direct_sweep_evaluates_every_twist(monkeypatch, name):
+    system, algebra, module, chi, solve = SWEEP_CASES[name]()
+    calls = {}
+    inner = na._moment_sides
+
+    def counting(system, algebra, *rest):
+        e = algebra.base_degree
+        calls[e] = calls.get(e, 0) + 1
+        return inner(system, algebra, *rest)
+
+    monkeypatch.setattr(na, "_moment_sides", counting)
+    depth = 2 if name == "norm-2-f3" else 1
+    direct = na._sweep(system, algebra, module, chi, 1, depth, "direct",
+                       solve)
+    assert sum(calls.values()) == direct["checked"]
+    calls.clear()
+    closed = na._sweep(system, algebra, module, chi, 1, depth, "closed",
+                       solve)
+    assert closed == direct
+    q = system.tower.q
+    assert all(n <= 2 * (q ** e - 1) for e, n in calls.items())
 
 
 # --------------------------------------------------------- split agreement
