@@ -35,7 +35,7 @@ class CharSystem:
             raise SchemaError(f"additive twist {c} is not a nonzero base field element")
         self.tower = tower
         self.c = c
-        self._twists: dict[int, int] = {}
+        self._psi_exponents: dict[int, list[int]] = {}
         self._gauss_cache: dict[tuple[int, int], CycloValue] = {}
         self._product_cache: dict[tuple[tuple[int, int], ...], CycloValue] = {}
         # GammaMonomial -> whether its predicted divisor vanishes
@@ -44,15 +44,13 @@ class CharSystem:
     # ---- the character group at each degree
 
     def character(self, degree: int, index: int) -> MultCharacter:
-        # q^d - 1 from size(), so resolving a character builds no level
-        n = self.tower.size(degree) - 1
-        return MultCharacter(degree, index % n)
+        return MultCharacter(degree, index % self.tower.group_order(degree))
 
     def trivial(self, degree: int) -> MultCharacter:
         return MultCharacter(degree, 0)
 
     def char_of_order(self, degree: int, n: int, power: int = 1) -> MultCharacter:
-        nd = self.tower.size(degree) - 1
+        nd = self.tower.group_order(degree)
         if n < 1 or nd % n:
             raise SchemaError(f"no character of order {n} at degree {degree}")
         return self.character(degree, (nd // n) * power)
@@ -102,17 +100,21 @@ class CharSystem:
         n = self.tower.group_order(chi.degree)
         return root(n, chi.index * self.tower.log(chi.degree, x))
 
-    def _twist_at(self, d: int) -> int:
-        cd = self._twists.get(d)
-        if cd is None:
-            cd = self.tower.embed(1, d, self.c)
-            self._twists[d] = cd
-        return cd
+    def psi_exponents(self, d: int) -> list[int]:
+        """AbsTr(c_d x) for every code x at degree d, c_d the twist embedded
+        at degree d, so psi(x) = zeta_p^{psi_exponents(d)[x]}.  Built once
+        per degree from the tower's trace table."""
+        tab = self._psi_exponents.get(d)
+        if tab is None:
+            t = self.tower
+            tr = t.absolute_trace_table(d)
+            cd = t.embed(1, d, self.c)
+            tab = [tr[t.mul(d, cd, x)] for x in range(t.order(d))]
+            self._psi_exponents[d] = tab
+        return tab
 
     def psi_value(self, d: int, x: int) -> CycloValue:
-        t = self.tower
-        tr = t.absolute_trace_table(d)
-        return root(t.p, tr[t.mul(d, self._twist_at(d), x)])
+        return root(self.tower.p, self.psi_exponents(d)[x])
 
     # ---- Gauss sums
 
@@ -126,15 +128,12 @@ class CharSystem:
         n = t.group_order(d)
         p = t.p
         M = n * p
-        tr = t.absolute_trace_table(d)
-        g = t.generator(d)
+        psi = self.psi_exponents(d)
         counts = [0] * M
         idx = chi.index
-        y = self._twist_at(d)
         a = 0
-        for _ in range(n):
-            counts[(a * p + tr[y] * n) % M] += 1
-            y = t.mul(d, y, g)
+        for x in t.exp_table(d):
+            counts[(a * p + psi[x] * n) % M] += 1
             a += idx
             if a >= n:
                 a -= n

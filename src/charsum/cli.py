@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -58,8 +59,8 @@ class Options:
 # ------------------------------------------------------------ serialization
 
 
-def _jsonable(obj, emit_floats=False):
-    """Rewrite domain objects into JSON-encodable structures."""
+def _report_value(obj, emit_floats=False):
+    """The json.dumps default= hook: domain objects as JSON values."""
     if isinstance(obj, CycloValue):
         exact = [obj.order, list(obj.coeffs)]
         if not emit_floats:
@@ -75,21 +76,7 @@ def _jsonable(obj, emit_floats=False):
     if isinstance(obj, QPolynomial):
         return list(obj.coeffs)
     if isinstance(obj, GridFunction):
-        return {"degree": obj.degree, "k": obj.k,
-                "values": [_jsonable(v, emit_floats) for v in obj.values]}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v, emit_floats) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v, emit_floats) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, float):
-        # floats reach the report only through advisory fields
-        return obj
-    if isinstance(obj, str):
-        return obj
+        return {"degree": obj.degree, "k": obj.k, "values": obj.values}
     raise InternalCheckError(f"unserializable report value {obj!r}")
 
 
@@ -173,7 +160,7 @@ def _datum(system, payload, a):
 
 def _gauss_terms(tower, degrees):
     """Each of the q^d - 1 characters of degree d sums q^d terms."""
-    return sum((q - 1) * q for q in map(tower.size, degrees))
+    return sum((q - 1) * q for q in map(tower.order, degrees))
 
 
 def _moments_record(sweep):
@@ -230,14 +217,14 @@ def _hd(payload, opts):
         raise SchemaError("field 'lambdas' must be \"all\" or a list of "
                           "character specs")
     tower = system.tower
-    q = tower.size(1)
+    q = tower.order(1)
     indices = range(q - 1) if specs == "all" \
         else [_parse_char(system, 1, spec).index for spec in specs]
     # per character, the lifting law sums over F_q and F_{q^n}, and the
     # product law, which holds only where n divides q - 1, n times over F_q
     runs = [(n, law) for n in orders for law in ("lift", "product")
             if law in laws and (law == "lift" or (q - 1) % n == 0)]
-    cost = len(indices) * sum(q + tower.size(n) if law == "lift" else n * q
+    cost = len(indices) * sum(q + tower.order(n) if law == "lift" else n * q
                               for n, law in runs)
     return cost, lambda: _hd_cases(system, runs, indices)
 
@@ -293,7 +280,7 @@ def _identity(payload, opts):
     # up to search_depth and certifies one witness with 2k Gauss sums
     tower, k = system.tower, len(mono.terms)
     cost = _gauss_terms(tower, (base * e for e in range(1, depth + 1))) \
-        + sum(2 * k * tower.size(base * e)
+        + sum(2 * k * tower.order(base * e)
               for e in range(depth + 1, (search or 0) // base + 1))
     return cost, lambda: _identity_cases(system, mono, base, depth, search)
 
@@ -556,16 +543,17 @@ def suite(name: str, opts: Options | None = None) -> dict:
 
 def _emit(report, opts, out=None):
     out = out or sys.stdout
-    doc = _jsonable(report, opts.emit_floats)
+    encode = {"sort_keys": True, "default": functools.partial(
+        _report_value, emit_floats=opts.emit_floats)}
     if not opts.ndjson:
-        print(json.dumps(doc, sort_keys=True, indent=1), file=out)
+        print(json.dumps(report, indent=1, **encode), file=out)
         return
-    compact = {"separators": (",", ":"), "sort_keys": True}
-    if "jobs" in doc:
-        print(json.dumps({"suite": doc["suite"]}, **compact), file=out)
-        rows = [dict(j["report"], name=j["name"]) for j in doc["jobs"]]
+    compact = dict(encode, separators=(",", ":"))
+    if "jobs" in report:
+        print(json.dumps({"suite": report["suite"]}, **compact), file=out)
+        rows = [dict(j["report"], name=j["name"]) for j in report["jobs"]]
     else:
-        rows = [doc]
+        rows = [report]
     for row in rows:
         head = {k: v for k, v in row.items() if k not in ("cases",)}
         for case in row.get("cases", []):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from charsum._intutil import euler_phi, factorize, moebius
 from charsum.errors import InternalCheckError
@@ -421,47 +421,33 @@ def from_int(n: int) -> CycloValue:
 
 
 def root(M: int, k: int = 1) -> CycloValue:
-    """zeta_M^k."""
-    return from_root_counts(M, {k % M: 1})
+    """zeta_M^k, reduced from a one-hot vector at its exact order
+    M / gcd(M, k), where the exponent is a unit."""
+    if M < 1:
+        raise InternalCheckError(f"root order {M} is not positive")
+    g = math.gcd(M, k)
+    return _make(M // g, reduce_mod_cyclotomic(
+        [0] * (k // g % (M // g)) + [1], M // g))
 
 
-def from_root_counts(M: int, counts: Union[Mapping[int, int], Sequence[int]]
-                     ) -> CycloValue:
-    """Sum of c_e * zeta_M^e over the given exponent multiplicities: a
-    mapping from exponents (taken mod M), or a sequence of length M.
+def from_root_counts(M: int, counts: Sequence[int]) -> CycloValue:
+    """Sum of counts[e] * zeta_M^e over a sequence of length M.
 
     The order is shrunk by the gcd of the live exponents with M before
     reduction, so sums supported on a subring come back at small order.
     """
     if M < 1:
         raise InternalCheckError(f"root order {M} is not positive")
-    if not isinstance(counts, Mapping):
-        if len(counts) != M:
-            raise InternalCheckError(
-                f"{len(counts)} root counts at order {M}")
-        # one entry per exponent: the live ones set the gcd, and every
-        # g-th entry is the vector at the shrunk order
-        live = list(compress(range(M), counts))
-        if not live:
-            return CycloValue(1, (0,))
-        g = math.gcd(M, *live)
-        return _make(M // g, reduce_mod_cyclotomic(counts[::g], M // g))
-    agg: dict[int, int] = {}
-    for e, c in counts.items():
-        if c:
-            k = e % M
-            agg[k] = agg.get(k, 0) + c
-    agg = {e: c for e, c in agg.items() if c}
-    if not agg:
+    if len(counts) != M:
+        raise InternalCheckError(f"{len(counts)} root counts at order {M}")
+    # the live entries set the gcd, and every g-th entry up to the last
+    # live one is the vector at the shrunk order
+    live = list(compress(range(M), counts))
+    if not live:
         return CycloValue(1, (0,))
-    g = M
-    for e in agg:
-        g = math.gcd(g, e)
-    M2 = M // g
-    vec = [0] * (max(e // g for e in agg) + 1)
-    for e, c in agg.items():
-        vec[e // g] = c
-    return _make(M2, reduce_mod_cyclotomic(vec, M2))
+    g = math.gcd(M, *live)
+    return _make(M // g,
+                 reduce_mod_cyclotomic(counts[:live[-1] + 1:g], M // g))
 
 
 # ------------------------------------------------------------------ ratios

@@ -151,6 +151,7 @@ class FieldTower:
         self.s = s
         self.q = p ** s
         self._levels: dict[int, _Level] = {}
+        self._orders: dict[int, int] = {}
 
     # ---- level management
 
@@ -165,24 +166,25 @@ class FieldTower:
             lv = self._levels[d]
         return lv
 
-    def size(self, d: int) -> int:
-        """q^d, the order of level d, without building the level; a field
-        over the size bound is refused as building it would be."""
-        if d < 1:
-            raise SchemaError(f"degree {d} must be positive")
-        m = self.s * d
-        # p^m > 2^22 for every p once m > 22: no huge power is formed
-        if m >= _SIZE_BOUND.bit_length() or self.p ** m > _SIZE_BOUND:
-            raise SizeBoundError(
-                f"field of order {self.p}^{m} exceeds size bound "
-                f"{_SIZE_BOUND}")
-        return self.p ** m
-
     def order(self, d: int) -> int:
-        return self.level(d).n + 1
+        """q^d, the size of level d, without building the level, memoised
+        per degree.  A degree below 1, or a field over the size bound, is
+        refused as building it would be."""
+        size = self._orders.get(d)
+        if size is None:
+            if d < 1:
+                raise SchemaError(f"degree {d} must be positive")
+            m = self.s * d
+            # p^m > 2^22 for every p once m > 22: no huge power is formed
+            if m >= _SIZE_BOUND.bit_length() or self.p ** m > _SIZE_BOUND:
+                raise SizeBoundError(
+                    f"field of order {self.p}^{m} exceeds size bound "
+                    f"{_SIZE_BOUND}")
+            size = self._orders[d] = self.p ** m
+        return size
 
     def group_order(self, d: int) -> int:
-        return self.level(d).n
+        return self.order(d) - 1
 
     def modulus(self, d: int):
         return tuple(self.level(d).modulus)
@@ -194,7 +196,7 @@ class FieldTower:
         lv = _Level()
         lv.d = d
         lv.m = self.s * d
-        lv.n = self.size(d) - 1
+        lv.n = self.group_order(d)
         lv.modulus = _first_irreducible(self.p, lv.m)
         lv.fact_n = factorize(lv.n) if lv.n > 1 else ()
         h = self._first_generator(lv)
@@ -385,7 +387,7 @@ class FieldTower:
             return 0
         lvd = self.level(d)
         lve = self.level(e)
-        qe = self.q ** e
+        qe = self.order(e)
         acc = 0
         cur = a
         for _ in range(d // e):

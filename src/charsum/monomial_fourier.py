@@ -48,7 +48,7 @@ def check_monomial_datum(system: CharSystem, datum: MonomialDatum):
     for chi in datum.characters:
         if chi.degree != datum.degree:
             raise SchemaError("character degree differs from the datum degree")
-    if not (0 < datum.a < t.size(datum.degree)):
+    if not (0 < datum.a < t.order(datum.degree)):
         raise SchemaError("coefficient must be a nonzero field element")
 
 
@@ -143,8 +143,7 @@ class GridFunction:
         return f"GridFunction(degree={self.degree}, k={self.k}, q={self._q})"
 
 
-def fourier_transform(system: CharSystem, f: GridFunction, *,
-                      max_terms: int = DEFAULT_TERM_BOUND) -> GridFunction:
+def fourier_transform(system: CharSystem, f: GridFunction) -> GridFunction:
     """fhat(y) = sum_x f(x) psi(<y, x>), exact, one coordinate at a time.
 
     psi(<y, x>) = prod_i psi(y_i x_i), so the transform is k one-variable
@@ -158,16 +157,14 @@ def fourier_transform(system: CharSystem, f: GridFunction, *,
     """
     t, d, k = f.tower, f.degree, f.k
     q = t.order(d)
-    if q ** (2 * k) > max_terms:
-        raise SizeBoundError(
-            f"{q ** (2 * k)} transform terms exceed the bound {max_terms}")
+    if q ** (2 * k) > DEFAULT_TERM_BOUND:
+        raise SizeBoundError(f"{q ** (2 * k)} transform terms exceed the "
+                             f"bound {DEFAULT_TERM_BOUND}")
     p = t.p
     L = math.lcm(p, *(v.order for v in f.values))
     step = L // p
-    tr = t.absolute_trace_table(d)
-    twist = system._twist_at(d)
-    psi_exp = [[tr[t.mul(d, twist, t.mul(d, y, x))] for x in range(q)]
-               for y in range(q)]
+    psi = system.psi_exponents(d)
+    psi_exp = [[psi[t.mul(d, y, x)] for x in range(q)] for y in range(q)]
     pad = [0] * (L - euler_phi(L))
     grid = [None if v.is_zero() else list(cy._lift_coeffs(v, L)) + pad
             for v in f.values]
@@ -256,7 +253,7 @@ class TransformSolution:
 def _minimal_degree(system, degree, den):
     t = system.tower
     for dm in range(1, degree + 1):
-        if degree % dm == 0 and (t.p ** (t.s * dm) - 1) % den == 0:
+        if degree % dm == 0 and t.group_order(dm) % den == 0:
             return dm
     raise SchemaError(f"no subfield of degree dividing {degree} carries "
                       f"a character point of denominator {den}")
@@ -305,8 +302,7 @@ def sweep_twisted_moments(system, datum, *, depth=2, method="closed"):
 
 
 def verify_transform_pointwise(system, datum, solution=None, *, target=None,
-                               scalar=None, arg_scale=None,
-                               max_terms=DEFAULT_TERM_BOUND) -> bool:
+                               scalar=None, arg_scale=None) -> bool:
     """Check fhat = (-1)^k c f' at every grid point, f and f' being the
     full trace functions of the datum and of its transformed partner.
 
@@ -323,7 +319,7 @@ def verify_transform_pointwise(system, datum, solution=None, *, target=None,
 
     check_monomial_datum(system, datum)
     f = gm_trace_function(system, datum)
-    fhat = fourier_transform(system, f, max_terms=max_terms)
+    fhat = fourier_transform(system, f)
     if target is None:
         if solution is None:
             solution = solve_monomial_transform(system, datum)
@@ -347,8 +343,7 @@ def _ratio_sum(system, chi, a, xhat, yhat) -> CycloValue:
     grp = t.group_order(d)
     p = t.p
     order = grp * p
-    tr = t.absolute_trace_table(d)
-    twist = system._twist_at(d)
+    psi = system.psi_exponents(d)
     log_a = t.log(d, a)
 
     def side(hats):
@@ -367,7 +362,7 @@ def _ratio_sum(system, chi, a, xhat, yhat) -> CycloValue:
         for (ey, lin_y), cnt_y in ys.items():
             lr = (ex - ey) % grp
             arg = t.add(d, t.exp(d, lr + log_a), t.add(d, lin_x, lin_y))
-            e = (chi.index * lr % grp) * p + tr[t.mul(d, twist, arg)] * grp
+            e = (chi.index * lr % grp) * p + psi[arg] * grp
             counts[e % order] += cnt_x * cnt_y
     return cy.from_root_counts(order, counts)
 

@@ -37,7 +37,7 @@ DEFAULT_TERM_BOUND = 1 << 26
 __all__ = [
     "EtaleAlgebra", "VirtualModule", "NormCharacter", "NormSolution",
     "MonomialDatum", "check_norm_data", "check_rank_coprimality", "rk",
-    "d_of", "p_of", "det_module", "module_divisor",
+    "d_of", "p_of", "module_divisor",
     "is_nondegenerate", "iter_nondegenerate", "gauss_sum_algebra",
     "verify_norm_identity", "i_norm_direct", "i_norm_closed",
     "solve_norm_transform", "verify_norm_moments", "sweep_norm_moments",
@@ -59,14 +59,13 @@ class EtaleAlgebra:
         base_degree = int(base_degree)
         if not degrees:
             raise SchemaError("an etale algebra needs at least one factor")
-        # levels are built on demand; size() checks degrees without a build
-        tower.size(base_degree)
+        tower.order(base_degree)
         for d in degrees:
             if d % base_degree:
                 raise SchemaError(
                     f"factor degree {d} is not a multiple of the base "
                     f"degree {base_degree}")
-            tower.size(d)
+            tower.order(d)
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "base_degree", base_degree)
@@ -150,7 +149,7 @@ def check_norm_data(system: CharSystem, algebra: EtaleAlgebra,
                     f"character of degree {ch.degree} on a factor of "
                     f"degree {d}")
     if a is not None:
-        if not 0 < a < system.tower.size(algebra.base_degree):
+        if not 0 < a < system.tower.order(algebra.base_degree):
             raise SchemaError(f"coefficient {a} is not a base-field unit")
 
 
@@ -189,23 +188,6 @@ def p_of(system: CharSystem, algebra: EtaleAlgebra,
     return out
 
 
-def det_module(system: CharSystem, algebra: EtaleAlgebra,
-               module: VirtualModule, x) -> int:
-    """det_V(x) = prod Nm(x_i)^{n_i} in the base field; x must be a unit."""
-    check_norm_data(system, algebra, module)
-    x = tuple(x)
-    if len(x) != algebra.r:
-        raise SchemaError(f"{len(x)} coordinates for {algebra.r} factors")
-    t = system.tower
-    e = algebra.base_degree
-    out = t.embed(1, e, t.from_int(1))
-    for xi, n, deg in zip(x, module.ranks, algebra.degrees):
-        if not 0 < xi < t.order(deg):
-            raise SchemaError(f"coordinate {xi} is not a unit at degree {deg}")
-        out = t.mul(e, out, t.pow_elem(e, t.norm_to(deg, e, xi), n))
-    return out
-
-
 def module_divisor(system: CharSystem, algebra: EtaleAlgebra,
                    chi: NormCharacter, module: VirtualModule) -> Divisor:
     """Weighted divisor sum_i d_i * (divisor of the n_i-th power points of
@@ -234,8 +216,8 @@ def iter_nondegenerate(system: CharSystem, algebra: EtaleAlgebra):
 
 
 def gauss_sum_algebra(system: CharSystem, algebra: EtaleAlgebra,
-                      chi: NormCharacter, *, method: str = "factor",
-                      max_terms: int = DEFAULT_TERM_BOUND) -> CycloValue:
+                      chi: NormCharacter, *,
+                      method: str = "factor") -> CycloValue:
     """Gauss sum over k^* against psi of the trace to the base field.
 
     The factor method multiplies the per-factor Gauss sums; the direct
@@ -248,11 +230,10 @@ def gauss_sum_algebra(system: CharSystem, algebra: EtaleAlgebra,
         raise SchemaError(f"unknown method {method!r}")
     t = system.tower
     e = algebra.base_degree
-    units = 1
-    for d in algebra.degrees:
-        units *= t.order(d) - 1
-    if units > max_terms:
-        raise SizeBoundError(f"{units} terms exceed the bound {max_terms}")
+    units = math.prod(t.group_order(d) for d in algebra.degrees)
+    if units > DEFAULT_TERM_BOUND:
+        raise SizeBoundError(
+            f"{units} terms exceed the bound {DEFAULT_TERM_BOUND}")
     pools = []
     for ch, d in zip(chi.chars, algebra.degrees):
         pools.append([(t.trace_to(d, e, x), system.char_value(ch, x))
@@ -313,7 +294,7 @@ def _identity_exponent(system, algebra, module, chi, lam):
 # ------------------------------------------------- determinant-twisted sums
 
 
-def _i_direct(system, algebra, module, lam, a, max_terms):
+def _i_direct(system, algebra, module, lam, a):
     """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x), every
     point enumerated by the discrete logs of its factors.
 
@@ -325,15 +306,14 @@ def _i_direct(system, algebra, module, lam, a, max_terms):
     e = algebra.base_degree
     grp = t.group_order(e)
     sizes = [t.group_order(d) for d in algebra.degrees]
-    if math.prod(sizes) > max_terms:
+    if math.prod(sizes) > DEFAULT_TERM_BOUND:
         raise SizeBoundError(
-            f"{math.prod(sizes)} terms exceed the bound {max_terms}")
+            f"{math.prod(sizes)} terms exceed the bound {DEFAULT_TERM_BOUND}")
     p = t.p
     span = math.lcm(*sizes)
     order = span * p
-    tr = t.absolute_trace_table(e)
-    twist = t.mul(e, system._twist_at(e), a)
-    tr_a = [tr[t.mul(e, twist, t.exp(e, j))] for j in range(grp)]
+    psi = system.psi_exponents(e)
+    tr_a = [psi[t.mul(e, a, t.exp(e, j))] for j in range(grp)]
     # per factor and x = g^j: (log of Nm(x)^n in the base, log_zeta_L lam(x))
     pools = [[(n * t.log(e, t.norm_to(d, e, t.exp(d, j))),
                ch.index * (span // size) * j) for j in range(size)]
@@ -350,13 +330,13 @@ def _i_direct(system, algebra, module, lam, a, max_terms):
 
 
 def i_norm_direct(system: CharSystem, algebra: EtaleAlgebra,
-                  module: VirtualModule, lam: NormCharacter, a: int, *,
-                  max_terms: int = DEFAULT_TERM_BOUND) -> CycloValue:
+                  module: VirtualModule, lam: NormCharacter,
+                  a: int) -> CycloValue:
     """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x), summed
     by brute force over every point as an oracle for the closed form."""
     check_norm_data(system, algebra, module, lam, a)
     check_rank_coprimality(system, module)
-    return _i_direct(system, algebra, module, lam, a, max_terms)
+    return _i_direct(system, algebra, module, lam, a)
 
 
 def _factor_through_det(system, algebra, module, lam):
@@ -417,7 +397,7 @@ def _i_sum(system, algebra, module, lam, a, method):
     if method == "closed":
         return _i_closed(system, algebra, module, lam, a)
     if method == "direct":
-        return _i_direct(system, algebra, module, lam, a, DEFAULT_TERM_BOUND)
+        return _i_direct(system, algebra, module, lam, a)
     raise SchemaError(f"unknown I-sum method {method!r}")
 
 
@@ -644,7 +624,7 @@ def sweep_tuples(tower, degrees, depth) -> int:
 
 def _nondegenerate_count(tower, degrees):
     """One nontrivial character per factor: prod of (q^D - 2)."""
-    return math.prod(tower.size(d) - 2 for d in degrees)
+    return math.prod(tower.order(d) - 2 for d in degrees)
 
 
 def _support(system, algebra, module, chi, target):

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from charsum.characters import CharSystem, MultCharacter
-from charsum.cyclotomic import from_int, from_root_counts, root
+from charsum.cyclotomic import from_int, root
 from charsum.errors import SchemaError
 from charsum.field_tower import build_tower
 
@@ -21,7 +21,7 @@ def system(p, s=1, degrees=(1,), c=1):
 def test_gauss_sum_quadratic_fixture():
     sy = system(3)
     eps2 = sy.char_of_order(1, 2)
-    assert sy.gauss_sum(eps2) == from_root_counts(3, {1: 1, 2: -1})
+    assert sy.gauss_sum(eps2) == root(3, 1) - root(3, 2)
 
 
 def test_trivial_gauss_sum_is_minus_one():
@@ -91,6 +91,27 @@ def test_psi_additive():
         for y in range(9):
             assert sy.psi_value(1, t.add(1, x, y)) == \
                 sy.psi_value(1, x) * sy.psi_value(1, y)
+
+
+def test_psi_exponents_twisted_over_f9():
+    # c = 5 lies outside F_3, so the table must carry the embedded twist
+    sy = system(3, 2, degrees=(1, 2), c=5)
+    t = sy.tower
+    for d in (1, 2):
+        cd = t.embed(1, d, 5)
+        assert sy.psi_exponents(d) == [t.absolute_trace(d, t.mul(d, cd, x))
+                                       for x in range(t.order(d))]
+
+
+def test_gauss_sum_is_per_term_sum_twisted_over_f9():
+    sy = system(3, 2, degrees=(1, 2), c=5)
+    t = sy.tower
+    for d in (1, 2):
+        for idx in range(0, t.group_order(d), 7):
+            chi = sy.character(d, idx)
+            per_term = sum((sy.psi_value(d, x) * sy.char_value(chi, x)
+                            for x in range(1, t.order(d))), from_int(0))
+            assert sy.gauss_sum(chi) == per_term
 
 
 def test_char_point_roundtrip():

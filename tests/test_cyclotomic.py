@@ -30,6 +30,16 @@ from charsum.cyclotomic import (
 )
 from charsum.errors import InternalCheckError
 
+
+def _counts(M, terms):
+    """The length-M count vector of a mapping from exponents (mod M) to
+    multiplicities."""
+    vec = [0] * M
+    for e, c in terms.items():
+        vec[e % M] += c
+    return vec
+
+
 # ------------------------------------------------------- cyclotomic polys
 
 
@@ -197,8 +207,8 @@ def test_quadratic_field_product():
 
 
 def test_conjugate_fixture():
-    v = from_root_counts(8, {1: 1, 3: 1})
-    assert v.conjugate() == from_root_counts(8, {5: 1, 7: 1})
+    v = root(8, 1) + root(8, 3)
+    assert v.conjugate() == root(8, 5) + root(8, 7)
 
 
 def test_cross_order_equality_and_hash():
@@ -225,26 +235,29 @@ def test_integer_storage_is_order_one():
 
 
 def test_root_counts_gcd_shrink():
-    v = from_root_counts(12, {0: 2, 4: 1, 8: 1})
+    v = from_root_counts(12, _counts(12, {0: 2, 4: 1, 8: 1}))
     assert v.order == 1 and v.as_int() == 1
-    w = from_root_counts(12, {3: 1, 9: 1})
+    w = from_root_counts(12, _counts(12, {3: 1, 9: 1}))
     assert w.order == 1 and w.as_int() == 0
-    u = from_root_counts(10, {2: 1})
+    u = from_root_counts(10, _counts(10, {2: 1}))
     assert u.order == 5
 
 
 @given(st.sampled_from([1, 2, 12, 30, 336]), st.data())
-def test_root_counts_list_matches_mapping(M, data):
-    # a length-M list and the same counts as a mapping give the same order
-    # and coefficients, including supports on a subring
+def test_root_counts_match_sum_of_roots(M, data):
+    # a count vector is the sum of its roots, and comes back at the order
+    # its live exponents span, including supports on a subring
     step = data.draw(st.sampled_from(
         [d for d in range(1, M + 1) if M % d == 0]))
     counts = [0] * M
-    for e in range(0, M, step):
-        counts[e] = data.draw(st.integers(-3, 3))
+    for e in data.draw(st.lists(st.sampled_from(range(0, M, step)),
+                                max_size=12)):
+        counts[e] += data.draw(st.integers(-3, 3))
     v = from_root_counts(M, counts)
-    w = from_root_counts(M, dict(enumerate(counts)))
-    assert (v.order, v.coeffs) == (w.order, w.coeffs)
+    w = sum((c * root(M, e) for e, c in enumerate(counts) if c), from_int(0))
+    assert v == w
+    live = [e for e, c in enumerate(counts) if c]
+    assert v.order in (1, M // math.gcd(M, *live))
     with pytest.raises(InternalCheckError):
         from_root_counts(M, counts + [0])
 
@@ -277,7 +290,7 @@ def test_q_power_ratio_fixtures():
 
 
 small_values = st.builds(
-    from_root_counts,
+    lambda M, terms: from_root_counts(M, _counts(M, terms)),
     st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]),
     st.dictionaries(st.integers(0, 11), st.integers(-4, 4), max_size=4),
 )
@@ -340,8 +353,8 @@ def test_abs_squared_nonnegative(v):
 
 
 def test_galois_preserves_products():
-    a = from_root_counts(12, {1: 1, 5: 2})
-    b = from_root_counts(12, {7: 1, 2: -1})
+    a = root(12, 1) + 2 * root(12, 5)
+    b = root(12, 7) - root(12, 2)
     assert (a * b).galois(5) == a.galois(5) * b.galois(5)
 
 

@@ -216,13 +216,18 @@ def test_no_cache_dir_still_works():
 
 def test_size_builds_nothing():
     t = FieldTower(3, 2)
-    assert [t.size(d) for d in (1, 2, 3)] == [9, 81, 729]
+    assert [t.order(d) for d in (1, 2, 3)] == [9, 81, 729]
+    assert [t.group_order(d) for d in (1, 2, 3)] == [8, 80, 728]
     with pytest.raises(SizeBoundError):
-        t.size(12)
+        t.order(12)
     # a degree this large is refused before any power is formed
     with pytest.raises(SizeBoundError):
-        t.size(10 ** 12)
+        t.order(10 ** 12)
+    with pytest.raises(SizeBoundError):
+        t.group_order(12)
     with pytest.raises(SchemaError):
-        t.size(0)
+        t.order(0)
+    with pytest.raises(SchemaError):
+        t.group_order(0)
     assert t._levels == {}
-    assert t.size(3) == t.order(3)
+    assert t.order(3) == t.level(3).n + 1

@@ -109,19 +109,25 @@ def test_transform_of_quadratic_character():
     assert fhat == want
 
 
-def test_transform_size_bound():
+def test_transform_size_bound(monkeypatch):
     # the bound counts the q^{2k} terms of the full double sum, whatever
     # the algorithm, so it accepts and refuses the same grids
     f = _random_grid(S3, 1, 2, seed=5)
-    with pytest.raises(SizeBoundError):
-        fourier_transform(S3, f, max_terms=10)
-    with pytest.raises(SizeBoundError, match="81 transform terms exceed"):
-        fourier_transform(S3, f, max_terms=3 ** 4 - 1)
-    assert fourier_transform(S3, f, max_terms=3 ** 4) == fourier_transform(S3, f)
     g = _random_grid(S5, 1, 1, seed=5)
+    fhat, ghat = fourier_transform(S3, f), fourier_transform(S5, g)
+    monkeypatch.setattr(mf, "DEFAULT_TERM_BOUND", 10)
     with pytest.raises(SizeBoundError):
-        fourier_transform(S5, g, max_terms=5 ** 2 - 1)
-    assert fourier_transform(S5, g, max_terms=5 ** 2) == fourier_transform(S5, g)
+        fourier_transform(S3, f)
+    monkeypatch.setattr(mf, "DEFAULT_TERM_BOUND", 3 ** 4 - 1)
+    with pytest.raises(SizeBoundError, match="81 transform terms exceed"):
+        fourier_transform(S3, f)
+    monkeypatch.setattr(mf, "DEFAULT_TERM_BOUND", 3 ** 4)
+    assert fourier_transform(S3, f) == fhat
+    monkeypatch.setattr(mf, "DEFAULT_TERM_BOUND", 5 ** 2 - 1)
+    with pytest.raises(SizeBoundError):
+        fourier_transform(S5, g)
+    monkeypatch.setattr(mf, "DEFAULT_TERM_BOUND", 5 ** 2)
+    assert fourier_transform(S5, g) == ghat
 
 
 def _naive_transform(sys, f):

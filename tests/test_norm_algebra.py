@@ -8,8 +8,6 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import charsum.cyclotomic as cy
 import charsum.norm_algebra as na
@@ -32,7 +30,6 @@ from charsum.norm_algebra import (
     base_change,
     check_norm_data,
     d_of,
-    det_module,
     extend_character,
     extend_module,
     extend_scalar,
@@ -140,27 +137,6 @@ def test_p_of_values():
     assert p_of(S3, K93, VirtualModule((0, 0))) == T3.from_int(1)
 
 
-def test_det_module_values():
-    # det of the degree-2 generator lands on the degree-1 generator
-    V = VirtualModule((1,))
-    assert det_module(S3, K9, V, (T3.exp(2, 1),)) == T3.exp(1, 1)
-    with pytest.raises(SchemaError):
-        det_module(S3, K9, V, (0,))
-    with pytest.raises(SchemaError):
-        det_module(S3, K9, V, (1, 1))
-
-
-@given(st.integers(1, 2), st.integers(1, 8), st.integers(1, 2),
-       st.integers(1, 8))
-def test_det_module_multiplicative(x1, x2, y1, y2):
-    V = VirtualModule((1, -2))
-    xy = (T3.mul(1, x1, y1), T3.mul(2, x2, y2))
-    lhs = det_module(S3, K39, V, xy)
-    rhs = T3.mul(1, det_module(S3, K39, V, (x1, x2)),
-                 det_module(S3, K39, V, (y1, y2)))
-    assert lhs == rhs
-
-
 # -------------------------------------------------------------- Gauss sums
 
 
@@ -183,10 +159,11 @@ def test_gauss_sum_factor_matches_direct():
         assert f.abs_squared() == sq
 
 
-def test_gauss_sum_direct_guards():
+def test_gauss_sum_direct_guards(monkeypatch):
     nc = NormCharacter((TRIV3, TRIV9))
-    with pytest.raises(SizeBoundError):
-        gauss_sum_algebra(S3, K39, nc, method="direct", max_terms=10)
+    monkeypatch.setattr(na, "DEFAULT_TERM_BOUND", 10)
+    with pytest.raises(SizeBoundError, match="16 terms exceed the bound 10"):
+        gauss_sum_algebra(S3, K39, nc, method="direct")
     with pytest.raises(SchemaError):
         gauss_sum_algebra(S3, K39, nc, method="resum")
 
