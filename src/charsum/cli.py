@@ -33,7 +33,7 @@ from .identity_engine import GammaMonomial, check_terms, find_violation, \
 from .monomial_fourier import GridFunction, MonomialDatum, \
     check_monomial_datum, solve_monomial_transform, sweep_twisted_moments
 from .norm_algebra import EtaleAlgebra, NormCharacter, VirtualModule, \
-    check_norm_data, check_rank_coprimality, module_divisor, \
+    check_norm_data, module_divisor, \
     solve_norm_transform, sweep_norm_moments, sweep_tuples, \
     verify_norm_identity
 from .stalk_traces import QPolynomial, check_triple, gm_trace_function, \
@@ -84,9 +84,10 @@ _CHAR_RE = re.compile(r"^(?:e|eps|ε_?)(\d+)(?:\^(-?\d+))?$")
 
 
 def _parse_char(system, degree, spec) -> MultCharacter:
-    """Character specs: "trivial", "eN", "eN^k", an index, or {degree,index}
-    with the slot's degree; resolving a spec builds no tower level."""
-    if spec in ("trivial", "1", 1) or spec == 0:
+    """Character specs: "trivial" or "1", "eN", "eN^k", an integer index
+    (not a bool), or {degree,index} with the slot's degree; resolving a
+    spec builds no tower level."""
+    if spec in ("trivial", "1"):
         return system.trivial(degree)
     if isinstance(spec, str):
         m = _CHAR_RE.match(spec)
@@ -94,7 +95,7 @@ def _parse_char(system, degree, spec) -> MultCharacter:
             raise SchemaError(f"unrecognized character spec {spec!r}")
         power = int(m.group(2)) if m.group(2) else 1
         return system.char_of_order(degree, int(m.group(1)), power)
-    if isinstance(spec, int):
+    if isinstance(spec, int) and not isinstance(spec, bool):
         return system.character(degree, spec)
     if isinstance(spec, dict):
         if set(spec) == {"degree", "index"} \
@@ -161,13 +162,6 @@ def _datum(system, payload, a):
 def _gauss_terms(tower, degrees):
     """Each of the q^d - 1 characters of degree d sums q^d terms."""
     return sum((q - 1) * q for q in map(tower.order, degrees))
-
-
-def _moments_record(sweep):
-    return {"record": "moments", "depth": sweep["depth"],
-            "checked": sweep["checked"],
-            "nonvanishing": sweep["nonvanishing"],
-            "failures": sweep["failures"], "pass": sweep["pass"]}
 
 
 # --------------------------------------------------------------- job kinds
@@ -313,8 +307,8 @@ def _monom_cases(system, datum, depth):
              "exponents": sol.exponents, "characters": sol.characters,
              "chi": sol.chi, "b": sol.b, "c": sol.c, "m": sol.twist,
              "pass": True},
-            _moments_record(sweep_twisted_moments(system, datum,
-                                                  depth=depth))]
+            dict(sweep_twisted_moments(system, datum, depth=depth),
+                 record="moments")]
 
 
 def _stalk(payload, opts):
@@ -379,7 +373,6 @@ def _norm(payload, opts):
     module = VirtualModule(_as_int(payload, "ranks", many=True))
     a = _as_int(payload, "a")
     check_norm_data(system, algebra, module, chi, a)
-    check_rank_coprimality(system, module)
     depth = _depth(payload, opts, minimum=1)
     return (sweep_tuples(system.tower, degrees, depth),
             lambda: _norm_cases(system, algebra, module, chi, a, depth))
@@ -398,8 +391,8 @@ def _norm_cases(system, algebra, module, chi, a, depth):
                   "ranks": sol.ranks, "characters": sol.characters.chars,
                   "nu": sol.nu, "b": sol.b, "c": sol.c, "m": sol.twist,
                   "pass": True})
-    cases.append(_moments_record(sweep_norm_moments(
-        system, algebra, module, chi, a, depth=depth)))
+    cases.append(dict(sweep_norm_moments(system, algebra, module, chi, a,
+                                         depth=depth), record="moments"))
     return cases
 
 
@@ -426,8 +419,6 @@ KINDS = {
     "binom": Kind({"n", "r", "s", "n_max"}, "weighted terms", _binom),
     "norm": Kind({"p", "s", "factor_degrees", "ranks", "characters", "a",
                   "depth"}, "tuples", _norm),
-    # a suite has its own report, and each of its jobs its own estimate
-    "suite": Kind({"name"}, "", None),
 }
 
 
@@ -499,8 +490,6 @@ def run(job: dict, opts: Options | None = None) -> dict:
     extra = set(job) - row.keys - {"kind"}
     if extra:
         raise SchemaError(f"unknown field(s) {sorted(extra)} for {kind}")
-    if row.prepare is None:
-        return suite(job.get("name", "acceptance"), opts)
     cost, cases = row.prepare(job, opts)
     if cost == 0:
         raise SchemaError(f"this {kind} job checks nothing")
@@ -541,24 +530,26 @@ def suite(name: str, opts: Options | None = None) -> dict:
 # ------------------------------------------------------------------- main
 
 
-def _emit(report, opts, out=None):
-    out = out or sys.stdout
+def _encode(report, opts) -> str:
+    """The whole report as the text main prints: one indented document,
+    or with --ndjson one line per case and one per job summary."""
     encode = {"sort_keys": True, "default": functools.partial(
         _report_value, emit_floats=opts.emit_floats)}
     if not opts.ndjson:
-        print(json.dumps(report, indent=1, **encode), file=out)
-        return
+        return json.dumps(report, indent=1, **encode) + "\n"
     compact = dict(encode, separators=(",", ":"))
+    lines = []
     if "jobs" in report:
-        print(json.dumps({"suite": report["suite"]}, **compact), file=out)
+        lines.append(json.dumps({"suite": report["suite"]}, **compact))
         rows = [dict(j["report"], name=j["name"]) for j in report["jobs"]]
     else:
         rows = [report]
     for row in rows:
-        head = {k: v for k, v in row.items() if k not in ("cases",)}
-        for case in row.get("cases", []):
-            print(json.dumps(case, **compact), file=out)
-        print(json.dumps(head, **compact), file=out)
+        head = {k: v for k, v in row.items() if k != "cases"}
+        lines.extend(json.dumps(case, **compact)
+                     for case in row.get("cases", []))
+        lines.append(json.dumps(head, **compact))
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -573,8 +564,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-grid", type=int, default=DEFAULT_MAX_GRID,
                         help="largest cost estimate a job may have, "
                         "counted before it builds anything: " + "; ".join(
-                            f"{kind} {row.unit}" for kind, row in KINDS.items()
-                            if row.prepare))
+                            f"{kind} {row.unit}"
+                            for kind, row in KINDS.items()))
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probes")
     parser.add_argument("--emit-floats", action="store_true",
@@ -604,13 +595,16 @@ def main(argv=None) -> int:
                 raise SchemaError(f"job file is not valid JSON: {exc}") \
                     from exc
             report = run(job, opts)
+        # encoded before anything is printed, so a report that cannot be
+        # encoded exits 4 with stdout empty
+        text = _encode(report, opts)
     except (SchemaError, SizeBoundError, InternalCheckError) as exc:
         print(json.dumps({"error": str(exc),
                           "kind": type(exc).__name__,
                           "exit_code": exc.exit_code}, sort_keys=True),
               file=sys.stderr)
         return exc.exit_code
-    _emit(report, opts)
+    sys.stdout.write(text)
     return 0 if report["pass"] else 1
 
 

@@ -260,16 +260,7 @@ class CycloValue:
             raise ValueError("value is not a rational integer")
         return self.coeffs[0]
 
-    # --- representation changes
-
-    def at_order(self, M2: int) -> "CycloValue":
-        """Re-express at a multiple of the current order (no shrinking)."""
-        if M2 % self.order:
-            raise InternalCheckError(
-                f"order {M2} is not a multiple of {self.order}")
-        if M2 == self.order:
-            return self
-        return CycloValue(M2, _lift_coeffs(self, M2))
+    # --- automorphisms
 
     def galois(self, a: int) -> "CycloValue":
         """Apply the automorphism zeta -> zeta^a; a must be coprime to order."""

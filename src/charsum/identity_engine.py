@@ -15,14 +15,13 @@ cross ratio of Gauss-sum products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from charsum.characters import CharSystem, MultCharacter
 from charsum.divisor_calc import Divisor, divisor_of_char_power
 from charsum.errors import InternalCheckError, SchemaError
 from charsum.norm_algebra import (EtaleAlgebra, NormCharacter, VirtualModule,
-                                  _identity_exponent)
+                                  _identity_exponent, check_exponents)
 
 
 @dataclass(frozen=True)
@@ -37,13 +36,7 @@ class GammaMonomial:
 
 
 def check_terms(system: CharSystem, mono: GammaMonomial) -> None:
-    p = system.tower.p
-    for chi, n in mono.terms:
-        if n == 0:
-            raise SchemaError("monomial exponents must be nonzero")
-        if math.gcd(n, p) != 1:
-            raise SchemaError(
-                f"exponent {n} is not coprime to the characteristic {p}")
+    check_exponents(system, [n for _, n in mono.terms])
 
 
 def predicted_divisor(system: CharSystem, mono: GammaMonomial) -> Divisor:

@@ -32,32 +32,19 @@ from .cyclotomic import CycloValue
 from .errors import SchemaError, SizeBoundError
 from .norm_algebra import (DEFAULT_TERM_BOUND, EtaleAlgebra, MonomialDatum,
                            NormCharacter, VirtualModule, _i_sum, _sweep,
-                           as_monomial_datum, check_norm_data,
+                           check_exponents, check_norm_data,
                            solve_norm_transform, verify_norm_moments)
 
 
 def check_monomial_datum(system: CharSystem, datum: MonomialDatum):
-    t = system.tower
     if len(datum.characters) != len(datum.exponents):
         raise SchemaError("exponent and character lists differ in length")
-    for n in datum.exponents:
-        if n == 0:
-            raise SchemaError("zero exponent in monomial datum")
-        if math.gcd(n, t.p) != 1:
-            raise SchemaError(f"exponent {n} shares a factor with p={t.p}")
+    check_exponents(system, datum.exponents)
     for chi in datum.characters:
         if chi.degree != datum.degree:
             raise SchemaError("character degree differs from the datum degree")
-    if not (0 < datum.a < t.order(datum.degree)):
+    if not (0 < datum.a < system.tower.order(datum.degree)):
         raise SchemaError("coefficient must be a nonzero field element")
-
-
-def lift_datum(system: CharSystem, datum: MonomialDatum, e: int) -> MonomialDatum:
-    """Base change by the degree-e extension: chi o Nm, same a, same exponents."""
-    d = datum.degree
-    lifted = tuple(system.lift_character(chi, d * e) for chi in datum.characters)
-    a = system.tower.embed(d, d * e, datum.a)
-    return MonomialDatum(d * e, datum.exponents, lifted, a)
 
 
 def _split(system, datum):
@@ -291,14 +278,15 @@ def verify_twisted_moments(system, datum, solution, lams, *,
 def sweep_twisted_moments(system, datum, *, depth=2, method="closed"):
     """Run the check of verify_twisted_moments over every nontrivial tuple
     at each extension degree e <= depth; the report counts nonvanishing
-    tuples.  The closed method evaluates only the tuples where an I-sum
-    can be nonzero, those whose twisted characters factor through the
-    monomial; at the rest both sides are 0 by construction.  The direct
-    method evaluates every tuple."""
+    tuples.  This is sweep_norm_moments on the split algebra: each
+    base-changed datum is solved by solve_norm_transform, whose target
+    (W, eta, b, c) is the one solve_monomial_transform reports.  The
+    closed method evaluates only the tuples where an I-sum can be
+    nonzero, those whose twisted characters factor through the monomial;
+    at the rest both sides are 0 by construction.  The direct method
+    evaluates every tuple."""
     check_monomial_datum(system, datum)
-    return _sweep(system, *_split(system, datum), datum.a, depth, method,
-                  lambda *data: solve_monomial_transform(
-                      system, as_monomial_datum(*data)))
+    return _sweep(system, *_split(system, datum), datum.a, depth, method)
 
 
 def verify_transform_pointwise(system, datum, solution=None, *, target=None,
@@ -367,38 +355,41 @@ def _ratio_sum(system, chi, a, xhat, yhat) -> CycloValue:
     return cy.from_root_counts(order, counts)
 
 
-def verify_ratio_transform(system, a, xhat, yhat, chi) -> bool:
-    """Check sum over (x,y) in (F_q^*)^2 of psi(a x/y + x xhat + y yhat) chi(x/y)
-    against q psi(-a yhat/xhat) chi(-yhat/xhat) - g(chi) chi^{-1}(a)."""
+def _ratio_check(system, chi, a, xhat, yhat) -> bool:
+    """The n-fold ratio transform with coefficient a, n = len(xhat):
+    _ratio_sum against q^n psi(a w) chi(w) - (1 + q + .. + q^{n-1})
+    g(chi) chi^{-1}(a), where w = (-1)^n prod yhat_m / xhat_m.
+    Substituting x_1 -> x_1/a takes coefficient a to coefficient 1, so
+    both public ratio checks are this one identity."""
     d = chi.degree
     t = system.tower
-    if 0 in (a, xhat, yhat):
-        raise SchemaError("a, xhat, yhat must be nonzero")
-    lhs = _ratio_sum(system, chi, a, (xhat,), (yhat,))
-    w = t.neg(d, t.mul(d, yhat, t.inv(d, xhat)))
-    rhs = (t.order(d) * system.psi_value(d, t.mul(d, a, w))
-           * system.char_value(chi, w)
-           - system.gauss_sum(chi)
-           * system.char_value(system.char_inv(chi), a))
-    return lhs == rhs
-
-
-def verify_ratio_transform_nfold(system, n, chi, xhat, yhat) -> bool:
-    """n-fold version: the same shape with x/y replaced by prod x_m / prod y_m
-    and the Gauss term weighted by 1 + q + .. + q^{n-1}."""
-    d = chi.degree
-    t = system.tower
-    xhat, yhat = tuple(xhat), tuple(yhat)
-    if len(xhat) != n or len(yhat) != n or 0 in xhat or 0 in yhat:
-        raise SchemaError(f"need {n} nonzero components on each side")
-    q = t.order(d)
-    lhs = _ratio_sum(system, chi, t.from_int(1), xhat, yhat)
+    q, n = t.order(d), len(xhat)
+    lhs = _ratio_sum(system, chi, a, xhat, yhat)
     w = t.from_int(1)
     for xh, yh in zip(xhat, yhat):
         w = t.mul(d, w, t.mul(d, yh, t.inv(d, xh)))
     if n % 2:
         w = t.neg(d, w)
     geom = sum(q ** i for i in range(n))
-    rhs = (q ** n * system.psi_value(d, w) * system.char_value(chi, w)
-           - geom * system.gauss_sum(chi))
+    rhs = (q ** n * system.psi_value(d, t.mul(d, a, w))
+           * system.char_value(chi, w)
+           - geom * system.gauss_sum(chi)
+           * system.char_value(system.char_inv(chi), a))
     return lhs == rhs
+
+
+def verify_ratio_transform(system, a, xhat, yhat, chi) -> bool:
+    """Check sum over (x,y) in (F_q^*)^2 of psi(a x/y + x xhat + y yhat) chi(x/y)
+    against q psi(-a yhat/xhat) chi(-yhat/xhat) - g(chi) chi^{-1}(a)."""
+    if 0 in (a, xhat, yhat):
+        raise SchemaError("a, xhat, yhat must be nonzero")
+    return _ratio_check(system, chi, a, (xhat,), (yhat,))
+
+
+def verify_ratio_transform_nfold(system, n, chi, xhat, yhat) -> bool:
+    """n-fold version: the same shape with x/y replaced by prod x_m / prod y_m
+    and the Gauss term weighted by 1 + q + .. + q^{n-1}."""
+    xhat, yhat = tuple(xhat), tuple(yhat)
+    if len(xhat) != n or len(yhat) != n or 0 in xhat or 0 in yhat:
+        raise SchemaError(f"need {n} nonzero components on each side")
+    return _ratio_check(system, chi, system.tower.from_int(1), xhat, yhat)

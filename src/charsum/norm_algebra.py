@@ -36,7 +36,7 @@ DEFAULT_TERM_BOUND = 1 << 26
 
 __all__ = [
     "EtaleAlgebra", "VirtualModule", "NormCharacter", "NormSolution",
-    "MonomialDatum", "check_norm_data", "check_rank_coprimality", "rk",
+    "MonomialDatum", "check_exponents", "check_norm_data", "rk",
     "d_of", "p_of", "module_divisor",
     "is_nondegenerate", "iter_nondegenerate", "gauss_sum_algebra",
     "verify_norm_identity", "i_norm_direct", "i_norm_closed",
@@ -109,8 +109,8 @@ class MonomialDatum:
 
     The datum stands for the function psi(a prod x_i^{n_i}) prod chi_i(x_i)
     on the torus (F_{q^degree}^*)^k, the split case of the norm layer.
-    Exponents must be nonzero; arithmetic constraints involving p are
-    checked against a concrete CharSystem by
+    Exponents must be nonzero and coprime to p (check_exponents); the
+    datum is checked against a concrete CharSystem by
     monomial_fourier.check_monomial_datum.
     """
 
@@ -130,15 +130,32 @@ class MonomialDatum:
         return len(self.exponents)
 
 
+def check_exponents(system: CharSystem, exponents) -> None:
+    """The one exponent rule of monomial data, Gamma-monomial terms and
+    module ranks: each exponent is nonzero and coprime to p, as the scale
+    prod n^n and the n-division points ask.  gcd(0, p) = p, so one gcd
+    test covers both."""
+    p = system.tower.p
+    for n in exponents:
+        if math.gcd(n, p) != 1:
+            raise SchemaError(
+                f"exponent {n} is zero or shares a factor with p={p}")
+
+
 def check_norm_data(system: CharSystem, algebra: EtaleAlgebra,
                     module: VirtualModule | None = None,
                     chi: NormCharacter | None = None,
                     a: int | None = None) -> None:
+    """Check the data against the system's tower: one rank per factor,
+    each nonzero rank under check_exponents (zero ranks are allowed), one
+    character per factor at the factor's degree, a a base-field unit."""
     if algebra.tower is not system.tower:
         raise SchemaError("algebra was built over a different tower")
-    if module is not None and len(module.ranks) != algebra.r:
-        raise SchemaError(
-            f"{len(module.ranks)} ranks for {algebra.r} algebra factors")
+    if module is not None:
+        if len(module.ranks) != algebra.r:
+            raise SchemaError(
+                f"{len(module.ranks)} ranks for {algebra.r} algebra factors")
+        check_exponents(system, [n for n in module.ranks if n])
     if chi is not None:
         if len(chi.chars) != algebra.r:
             raise SchemaError(
@@ -163,20 +180,11 @@ def d_of(module: VirtualModule) -> int:
     return math.gcd(*(abs(n) for n in module.ranks))
 
 
-def check_rank_coprimality(system: CharSystem, module: VirtualModule):
-    p = system.tower.p
-    for n in module.ranks:
-        if n and math.gcd(n, p) != 1:
-            raise SchemaError(
-                f"rank {n} is not coprime to the characteristic {p}")
-
-
 def p_of(system: CharSystem, algebra: EtaleAlgebra,
          module: VirtualModule) -> int:
     """The scale prod n_i^{n_i d_i} as a base-field unit; zero ranks
     contribute factor 1, negative exponents mean inversion."""
     check_norm_data(system, algebra, module)
-    check_rank_coprimality(system, module)
     t = system.tower
     e = algebra.base_degree
     out = t.embed(1, e, t.from_int(1))
@@ -193,7 +201,6 @@ def module_divisor(system: CharSystem, algebra: EtaleAlgebra,
     """Weighted divisor sum_i d_i * (divisor of the n_i-th power points of
     chi_i); zero-rank factors contribute nothing."""
     check_norm_data(system, algebra, module, chi)
-    check_rank_coprimality(system, module)
     total = Divisor()
     for ch, n, d in zip(chi.chars, module.ranks, algebra.rel_degrees()):
         if n == 0:
@@ -335,7 +342,6 @@ def i_norm_direct(system: CharSystem, algebra: EtaleAlgebra,
     """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x), summed
     by brute force over every point as an oracle for the closed form."""
     check_norm_data(system, algebra, module, lam, a)
-    check_rank_coprimality(system, module)
     return _i_direct(system, algebra, module, lam, a)
 
 
@@ -388,7 +394,6 @@ def i_norm_closed(system: CharSystem, algebra: EtaleAlgebra,
     found by solving n_i idx(mu) = idx(lam_i)/s_i mod q-1 with gcd and CRT,
     not by scanning the base character group."""
     check_norm_data(system, algebra, module, lam, a)
-    check_rank_coprimality(system, module)
     return _i_closed(system, algebra, module, lam, a)
 
 
@@ -547,7 +552,6 @@ def verify_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
     for a non-degenerate lam; q is the base field size.  The solution is
     a NormSolution, or any object whose transformed() gives (W, eta, b, c)."""
     check_norm_data(system, algebra, module, chi, a)
-    check_rank_coprimality(system, module)
     check_norm_data(system, algebra, chi=lam)
     if not is_nondegenerate(system, lam):
         raise SchemaError("twisting characters must all be nontrivial")
@@ -659,10 +663,11 @@ def _support(system, algebra, module, chi, target):
             for idx in sorted(found)]
 
 
-def _sweep(system, algebra, module, chi, a, depth, method, solve):
+def _sweep(system, algebra, module, chi, a, depth, method):
     """The moment sweep on validated data: at each extension degree
-    e <= depth, solve the base-changed data with solve(algebra, module,
-    chi, a) and check the identity at every non-degenerate twist.
+    e <= depth, solve the base-changed data with solve_norm_transform and
+    check the identity at every non-degenerate twist.  The monomial sweep
+    runs here on its split algebra, so both sweeps share this one solver.
 
     checked counts every twist, _nondegenerate_count per degree.  The
     direct method evaluates each one.  The closed method evaluates only
@@ -672,13 +677,14 @@ def _sweep(system, algebra, module, chi, a, depth, method, solve):
     the right support, and the twists it moves to are still evaluated.
     """
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
-              "failures": [], "truncated_at_depth": depth}
+              "failures": []}
     for e in range(1, depth + 1):
         alg_e = base_change(system, algebra, e)
         mod_e = extend_module(system, algebra, module, e)
         chi_e = extend_character(system, algebra, chi, e)
         a_e = extend_scalar(system, algebra, a, e)
-        target = solve(alg_e, mod_e, chi_e, a_e).transformed()
+        target = solve_norm_transform(system, alg_e, mod_e, chi_e,
+                                      a_e).transformed()
         report["checked"] += _nondegenerate_count(system.tower, alg_e.degrees)
         if method == "closed":
             lams = _support(system, alg_e, mod_e, chi_e, target)
@@ -705,11 +711,10 @@ def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
     report counts nonvanishing ones.  The closed method evaluates only
     the twists where a closed I-sum can be nonzero, those whose twisted
     character factors through det; at the others both sides are 0 by
-    construction.  The direct method evaluates every twist."""
+    construction.  The direct method evaluates every twist.  The report
+    has the keys depth, checked, nonvanishing, failures and pass."""
     check_norm_data(system, algebra, module, chi, a)
-    check_rank_coprimality(system, module)
-    return _sweep(system, algebra, module, chi, a, depth, method,
-                  lambda *data: solve_norm_transform(system, *data))
+    return _sweep(system, algebra, module, chi, a, depth, method)
 
 
 # ------------------------------------------------------------ split case

@@ -40,14 +40,6 @@ class QPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, n):
-        return cls((n,))
-
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
-
     def __add__(self, other):
         other = _qp(other)
         n = max(len(self.coeffs), len(other.coeffs))

@@ -9,12 +9,15 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import charsum
-from charsum.cli import FULL_JOBS, KINDS, Options, main, run, suite
+from charsum.characters import CharSystem
+from charsum.cli import FULL_JOBS, KINDS, Options, _parse_char, main, run, \
+    suite
 from charsum.errors import SchemaError, SizeBoundError
 from charsum.field_tower import FieldTower
 
@@ -432,6 +435,17 @@ def test_character_spec_forms(tmp_path, capsys):
     assert r1["cases"][0]["b"] == r2["cases"][0]["b"]
 
 
+def test_integer_character_specs_are_indices(tmp_path, capsys):
+    system = CharSystem(FieldTower(7, 1))
+    assert _parse_char(system, 1, 1).index == 1
+    assert _parse_char(system, 1, 0).index == 0
+    assert _parse_char(system, 1, "1").index == 0
+    for spec in (True, False):
+        code, err = run_error(tmp_path, capsys,
+                              dict(MONOM_JOB, characters=[spec, "e3"]))
+        assert code == 2 and err["kind"] == "SchemaError"
+
+
 # ------------------------------------------------------------- determinism
 
 
@@ -500,6 +514,19 @@ def test_suite_acceptance_passes():
 
 
 # ------------------------------------------------------------ output modes
+
+
+@pytest.mark.parametrize("flags", [(), ("--ndjson",)])
+def test_unencodable_report_exits_4(tmp_path, capsys, monkeypatch, flags):
+    # the whole report is encoded before anything is printed
+    monkeypatch.setitem(KINDS, "binom", KINDS["binom"]._replace(
+        prepare=lambda payload, opts: (
+            1, lambda: [{"x": Fraction(1, 2), "pass": True}])))
+    job = {"kind": "binom", "n": 1, "r": 1, "s": 1}
+    code = main(["--job", write_job(tmp_path, job), *flags])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert json.loads(captured.err)["kind"] == "InternalCheckError"
 
 
 def test_ndjson_stream(tmp_path, capsys):

@@ -18,6 +18,7 @@ from charsum.cyclotomic import (
     CycloValue,
     _barrett_reduce,
     _kronecker_mul,
+    _lift_coeffs,
     _poly_divmod,
     _poly_mul,
     _trim,
@@ -338,7 +339,7 @@ def test_conjugate_is_ring_hom(a, b):
 @settings(max_examples=80, deadline=None)
 @given(small_values, st.sampled_from([2, 3, 4, 6]))
 def test_hash_stable_under_reexpression(v, k):
-    w = v.at_order(v.order * k)
+    w = CycloValue(v.order * k, _lift_coeffs(v, v.order * k))
     assert v == w
     assert hash(v) == hash(w)
 
@@ -376,7 +377,7 @@ S = CharSystem(build_tower(3, 1, degrees=(1, 2)))
 T = S.tower
 for i, breach in enumerate((
         lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
-        lambda: cy.root(6).at_order(9),
+        lambda: cy.from_root_counts(6, [1]),
         lambda: S.char_mul(S.character(1, 1), S.character(2, 1)),
         lambda: S.lift_character(S.character(2, 1), 3),
         lambda: T.log(1, 0), lambda: T.inv(2, 0), lambda: T.pow_elem(1, 0, 0),

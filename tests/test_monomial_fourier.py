@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import charsum.cyclotomic as cy
 import charsum.monomial_fourier as mf
+import charsum.norm_algebra as na
 from charsum.characters import CharSystem
 from charsum.errors import SchemaError, SizeBoundError
 from charsum.field_tower import build_tower
@@ -23,7 +24,6 @@ from charsum.monomial_fourier import (
     fourier_transform,
     i_sum_closed,
     i_sum_direct,
-    lift_datum,
     solve_monomial_transform,
     sweep_twisted_moments,
     verify_ratio_transform,
@@ -373,8 +373,9 @@ def test_solver_minimal_degree_character():
     # same datum lifted to F_49: chi is still reported at degree 1
     sys = system(7, degrees=(1, 2))
     e3 = sys.char_of_order(1, 3)
-    dat = MonomialDatum(1, (3, -1), (sys.trivial(1), e3), 1)
-    lifted = lift_datum(sys, dat, 2)
+    lifted = MonomialDatum(2, (3, -1), (sys.trivial(2),
+                                        sys.lift_character(e3, 2)),
+                           sys.tower.embed(1, 2, 1))
     sol = solve_monomial_transform(sys, lifted)
     assert sol.chi.degree == 1
     assert sol.twist == 0
@@ -473,9 +474,9 @@ def _tamper_b(sys, sol, degree):
 
 def _tamper_eta(sys, sol, degree):
     # shifting eta_1 by a non-cube kills the right root of every tuple
-    eta = (sys.char_mul(sol.characters[0], sys.character(degree, 1)),) \
-        + sol.characters[1:]
-    return dataclasses.replace(sol, characters=eta)
+    etas = sol.characters.chars
+    eta = (sys.char_mul(etas[0], sys.character(degree, 1)),) + etas[1:]
+    return dataclasses.replace(sol, characters=na.NormCharacter(eta))
 
 
 @pytest.mark.parametrize("tamper", [_tamper_c, _tamper_b, _tamper_eta])
@@ -484,10 +485,11 @@ def test_sweep_fails_on_tampered_solution(monkeypatch, tamper):
     dat = MonomialDatum(1, (3, -1), (S7.trivial(1), e3), 1)
     honest = sweep_twisted_moments(S7, dat, depth=2)
     assert honest["pass"] and honest["nonvanishing"] > 0
-    solve = mf.solve_monomial_transform
+    solve = na.solve_norm_transform
     monkeypatch.setattr(
-        mf, "solve_monomial_transform",
-        lambda sys, d: tamper(sys, solve(sys, d), d.degree))
+        na, "solve_norm_transform",
+        lambda sys, alg, *data: tamper(sys, solve(sys, alg, *data),
+                                       alg.base_degree))
     rep = sweep_twisted_moments(S7, dat, depth=2)
     assert not rep["pass"]
     assert rep["checked"] == honest["checked"]
@@ -499,7 +501,9 @@ def test_sweep_fails_on_tampered_solution(monkeypatch, tamper):
         failed = {(f["degree"], tuple(f["lams"])) for f in rep["failures"]}
         nonvanishing = set()
         for e in (1, 2):
-            dat_e = lift_datum(S7, dat, e)
+            dat_e = MonomialDatum(e, dat.exponents, tuple(
+                S7.lift_character(chi, e) for chi in dat.characters),
+                S7.tower.embed(1, e, dat.a))
             for idx in product(range(1, 7 ** e - 1), repeat=2):
                 lams = tuple(S7.character(e, i) for i in idx)
                 left = tuple(S7.char_mul(chi, S7.char_inv(lam))
@@ -600,6 +604,31 @@ def test_ratio_transform_sampled_seven():
         a, xh, yh = (rng.randrange(1, 7) for _ in range(3))
         chi = S7.character(1, rng.randrange(6))
         assert verify_ratio_transform(S7, a, xh, yh, chi)
+
+
+def test_ratio_transform_exhaustive_f9_twisted():
+    # every chi, a, xhat and yhat over F_9 with additive twist c = 5
+    s9 = CharSystem(build_tower(3, 2), c=5)
+    for a, xh, yh in product(range(1, 9), repeat=3):
+        for i in range(8):
+            assert verify_ratio_transform(s9, a, xh, yh, s9.character(1, i))
+
+
+def test_ratio_check_nfold_with_coefficient():
+    # the shared body at n = 2 with a != 1, over F_9 with twist c = 5
+    s9 = CharSystem(build_tower(3, 2), c=5)
+    rng = random.Random(9)
+    moved = 0
+    for _ in range(40):
+        a = rng.randrange(2, 9)
+        xh = tuple(rng.randrange(1, 9) for _ in range(2))
+        yh = tuple(rng.randrange(1, 9) for _ in range(2))
+        chi = s9.character(1, rng.randrange(1, 8))
+        assert mf._ratio_check(s9, chi, a, xh, yh)
+        moved += mf._ratio_sum(s9, chi, a, xh, yh) \
+            != mf._ratio_sum(s9, chi, 1, xh, yh)
+    # the coefficient changes the sum, so the a-terms are exercised
+    assert moved > 0
 
 
 def test_ratio_transform_rejects_zero_parameters():

@@ -16,8 +16,10 @@ from charsum.cyclotomic import CycloValue
 from charsum.divisor_calc import Divisor
 from charsum.errors import InternalCheckError, SchemaError, SizeBoundError
 from charsum.field_tower import build_tower
+from charsum.identity_engine import GammaMonomial, check_terms
 from charsum.monomial_fourier import (
     MonomialDatum,
+    check_monomial_datum,
     i_sum_closed,
     solve_monomial_transform,
     verify_twisted_moments,
@@ -111,6 +113,39 @@ def test_rank_coprimality():
         p_of(S3, K33, VirtualModule((3, 1)))
     # zero ranks are exempt
     assert p_of(S3, K33, VirtualModule((0, 1))) == 1
+
+
+def _module_check(exponents):
+    check_norm_data(S3, K33, module=VirtualModule(exponents))
+
+
+def _datum_check(exponents):
+    check_monomial_datum(S3, MonomialDatum(1, exponents, (TRIV3, E2), 1))
+
+
+def _terms_check(exponents):
+    check_terms(S3, GammaMonomial(zip((TRIV3, E2), exponents)))
+
+
+@pytest.mark.parametrize("check,exponents,ok", [
+    (_module_check, (0, 1), True),
+    (_module_check, (1, -2), True),
+    (_module_check, (3, 1), False),
+    (_module_check, (1, -6), False),
+    (_datum_check, (1, -2), True),
+    (_datum_check, (0, 1), False),
+    (_datum_check, (1, 3), False),
+    (_terms_check, (1, -2), True),
+    (_terms_check, (1, 0), False),
+    (_terms_check, (-3, 1), False),
+])
+def test_one_exponent_rule(check, exponents, ok):
+    # nonzero and coprime to p = 3; only a module may carry a zero rank
+    if ok:
+        check(exponents)
+    else:
+        with pytest.raises(SchemaError):
+            check(exponents)
 
 
 # -------------------------------------------------------------- basic ops
@@ -397,7 +432,6 @@ def test_sweep_gaussian():
     assert rep["checked"] == 56
     assert rep["nonvanishing"] == 8
     assert rep["failures"] == []
-    assert rep["truncated_at_depth"] == 2
 
 
 def test_sweep_rank_zero_and_zero_modules():
@@ -477,17 +511,18 @@ def test_sweep_fails_on_tampered_solution(monkeypatch, field):
         assert rep["failures"]
 
 
-def _every_twist_sweep(system, algebra, module, chi, a, depth, solve):
+def _every_twist_sweep(system, algebra, module, chi, a, depth):
     """The closed sweep report built by evaluating every non-degenerate
     twist, in iter_nondegenerate order."""
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
-              "failures": [], "truncated_at_depth": depth}
+              "failures": []}
     for e in range(1, depth + 1):
         alg = base_change(system, algebra, e)
         mod = extend_module(system, algebra, module, e)
         chi_e = extend_character(system, algebra, chi, e)
         a_e = extend_scalar(system, algebra, a, e)
-        target = solve(alg, mod, chi_e, a_e).transformed()
+        target = na.solve_norm_transform(system, alg, mod, chi_e,
+                                         a_e).transformed()
         for lam in iter_nondegenerate(system, alg):
             lhs, rhs = na._moment_sides(system, alg, mod, chi_e, a_e, target,
                                         lam, "closed")
@@ -504,21 +539,21 @@ def _every_twist_sweep(system, algebra, module, chi, a, depth, solve):
 
 def _norm_case(system, degrees, ranks, chars):
     algebra = EtaleAlgebra(system.tower, degrees)
-    return (system, algebra, VirtualModule(ranks), NormCharacter(chars),
-            lambda *data: solve_norm_transform(system, *data))
+    return system, algebra, VirtualModule(ranks), NormCharacter(chars)
 
 
 def _monomial_case(system, exponents, chars):
     algebra = EtaleAlgebra(system.tower, (1,) * len(exponents))
-    return (system, algebra, VirtualModule(exponents), NormCharacter(chars),
-            lambda *data: solve_monomial_transform(
-                system, as_monomial_datum(*data)))
+    return system, algebra, VirtualModule(exponents), NormCharacter(chars)
 
 
-def _tampered(system, solve, field):
-    """solve with one field of its transformed target changed."""
-    def tampered(alg, mod, chi, a):
-        module_w, eta, b, c = solve(alg, mod, chi, a).transformed()
+def _tampered(field):
+    """solve_norm_transform with one field of its transformed target
+    changed."""
+    solve = na.solve_norm_transform
+
+    def tampered(system, alg, mod, chi, a):
+        module_w, eta, b, c = solve(system, alg, mod, chi, a).transformed()
         t = system.tower
         e = alg.base_degree
         if field == "c":
@@ -561,20 +596,19 @@ SWEEP_CASES = {
     *(("norm-21-f3", f) for f in ("c", "b", "eta", "W")),
     *(("monom-3-1-f7", f) for f in ("c", "b", "eta", "W")),
 ])
-def test_support_sweep_matches_every_twist(name, tamper):
-    system, algebra, module, chi, solve = SWEEP_CASES[name]()
+def test_support_sweep_matches_every_twist(monkeypatch, name, tamper):
+    system, algebra, module, chi = SWEEP_CASES[name]()
     if tamper is not None:
-        solve = _tampered(system, solve, tamper)
-    rep = na._sweep(system, algebra, module, chi, 1, 2, "closed", solve)
-    assert rep == _every_twist_sweep(system, algebra, module, chi, 1, 2,
-                                     solve)
+        monkeypatch.setattr(na, "solve_norm_transform", _tampered(tamper))
+    rep = na._sweep(system, algebra, module, chi, 1, 2, "closed")
+    assert rep == _every_twist_sweep(system, algebra, module, chi, 1, 2)
     assert rep["checked"] == na.sweep_tuples(system.tower, algebra.degrees, 2)
     assert rep["pass"] if tamper is None else rep["failures"]
 
 
 @pytest.mark.parametrize("name", ["norm-2-f3", "monom-3-1-f7"])
 def test_direct_sweep_evaluates_every_twist(monkeypatch, name):
-    system, algebra, module, chi, solve = SWEEP_CASES[name]()
+    system, algebra, module, chi = SWEEP_CASES[name]()
     calls = {}
     inner = na._moment_sides
 
@@ -585,12 +619,10 @@ def test_direct_sweep_evaluates_every_twist(monkeypatch, name):
 
     monkeypatch.setattr(na, "_moment_sides", counting)
     depth = 2 if name == "norm-2-f3" else 1
-    direct = na._sweep(system, algebra, module, chi, 1, depth, "direct",
-                       solve)
+    direct = na._sweep(system, algebra, module, chi, 1, depth, "direct")
     assert sum(calls.values()) == direct["checked"]
     calls.clear()
-    closed = na._sweep(system, algebra, module, chi, 1, depth, "closed",
-                       solve)
+    closed = na._sweep(system, algebra, module, chi, 1, depth, "closed")
     assert closed == direct
     q = system.tower.q
     assert all(n <= 2 * (q ** e - 1) for e, n in calls.items())
