@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import cyclotomic as cy
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
-from .divisor_calc import Divisor, injectivity_probe, probe_size
+from .divisor_calc import injectivity_probe, probe_size
 from .errors import InternalCheckError, SchemaError, SizeBoundError
 from .field_tower import FieldTower
 from .identity_engine import GammaMonomial, check_terms, find_violation, \
@@ -36,8 +36,8 @@ from .norm_algebra import EtaleAlgebra, NormCharacter, VirtualModule, \
     check_norm_data, module_divisor, \
     solve_norm_transform, sweep_norm_moments, sweep_tuples, \
     verify_norm_identity
-from .stalk_traces import QPolynomial, check_triple, gm_trace_function, \
-    stalk_trace_at_zero, verify_binomial_identities
+from .stalk_traces import check_triple, gm_trace_function, \
+    has_trace_function, stalk_trace_at_zero, verify_binomial_identities
 
 DEFAULT_DEPTH = 2
 DEFAULT_MAX_GRID = 1 << 16
@@ -71,10 +71,6 @@ def _report_value(obj, emit_floats=False):
                 "advisory_float": [approx.real, approx.imag]}
     if isinstance(obj, MultCharacter):
         return {"degree": obj.degree, "index": obj.index}
-    if isinstance(obj, Divisor):
-        return obj.records()
-    if isinstance(obj, QPolynomial):
-        return list(obj.coeffs)
     if isinstance(obj, GridFunction):
         return {"degree": obj.degree, "k": obj.k, "values": obj.values}
     raise InternalCheckError(f"unserializable report value {obj!r}")
@@ -320,10 +316,15 @@ def _stalk(payload, opts):
     emit_grid = payload.get("emit_grid", False)
     if not isinstance(emit_grid, bool):
         raise SchemaError("field 'emit_grid' must be true or false")
-    # gm_trace_function covers k <= 2 and shapes of one absolute exponent
-    grid = k <= 2 or len({abs(n) for n in shape.exponents}) == 1
-    # per a: q^k grid points, and 3^k sums of q - 1 terms in the recursion
-    cost = len(a_values) * ((q ** k if grid else 0) + 3 ** k * (q - 1))
+    grid = has_trace_function(shape.exponents)
+    if emit_grid and not grid:
+        raise SchemaError(f"exponents {list(shape.exponents)} have no trace "
+                          "function, so no grid to emit")
+    # per a: 3^k sums of q - 1 terms in the origin recursion; a grid adds
+    # q^k points and, for each proper zero set Z and each of at most q - 1
+    # coefficients, a sub-stalk of 3^|Z| (q - 1) terms
+    cost = len(a_values) * (3 ** k * (q - 1) + (
+        q ** k + (q - 1) ** 2 * (4 ** k - 3 ** k) if grid else 0))
     return cost, lambda: _stalk_cases(system, shape, a_values, grid,
                                       emit_grid)
 

@@ -47,9 +47,6 @@ class Divisor:
     def points(self):
         return tuple(sorted(self._pts.items()))
 
-    def support(self):
-        return tuple(sorted(self._pts))
-
     def is_zero(self) -> bool:
         return not self._pts
 
@@ -196,12 +193,8 @@ class SymbolSum:
                 return self._like(terms)
             s, n, c, g = target
             del terms[(s, n)]
-            step = self.N // g
-            n2 = n // g
-            s2 = s // g
-            for i in range(g):
-                key = ((s2 + i * step) % self.N, n2)
-                terms[key] = terms.get(key, 0) + c
+            for key, m in self.expand_symbol(s // g, n // g, g)._terms.items():
+                terms[key] = terms.get(key, 0) + c * m
                 if not terms[key]:
                     del terms[key]
 

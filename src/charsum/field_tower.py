@@ -381,20 +381,25 @@ class FieldTower:
         self.level(d)
         return self.exp(e, self.log(d, a) % lve.n)
 
+    def _orbit_sum(self, d, a, power, steps):
+        """a + a^power + a^(power^2) + ..., steps terms, in F_{q^d}; the
+        orbit of x -> x^power must close after steps applications."""
+        acc = 0
+        cur = a
+        for _ in range(steps):
+            acc = self.add(d, acc, cur)
+            cur = self.pow_elem(d, cur, power)
+        if cur != a:
+            raise InternalCheckError("Frobenius orbit did not close")
+        return acc
+
     def trace_to(self, d, e, a):
         _check_subfield(d, e)
         if a == 0:
             return 0
         lvd = self.level(d)
         lve = self.level(e)
-        qe = self.order(e)
-        acc = 0
-        cur = a
-        for _ in range(d // e):
-            acc = self.add(d, acc, cur)
-            cur = self.pow_elem(d, cur, qe)
-        if cur != a:
-            raise InternalCheckError("Frobenius orbit did not close")
+        acc = self._orbit_sum(d, a, self.order(e), d // e)
         if acc == 0:
             return 0
         stride = lvd.n // lve.n
@@ -407,14 +412,7 @@ class FieldTower:
         """Trace down to F_p; the result is an integer in [0, p)."""
         if a == 0:
             return 0
-        lv = self.level(d)
-        acc = 0
-        cur = a
-        for _ in range(lv.m):
-            acc = self.add(d, acc, cur)
-            cur = self.pow_elem(d, cur, self.p)
-        if cur != a:
-            raise InternalCheckError("Frobenius orbit did not close")
+        acc = self._orbit_sum(d, a, self.p, self.s * d)
         if acc >= self.p:
             raise InternalCheckError("absolute trace not in the prime field")
         return acc

@@ -433,10 +433,10 @@ class NormSolution:
 
 
 def _single_point(div: Divisor):
-    recs = div.records()
-    if len(recs) != 1 or recs[0]["mult"] != 1:
+    pts = div.points()
+    if len(pts) != 1 or pts[0][1] != 1:
         return None
-    return Fraction(recs[0]["num"], recs[0]["den"])
+    return pts[0][0]
 
 
 def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
@@ -574,28 +574,27 @@ def base_change(system: CharSystem, algebra: EtaleAlgebra,
     if e < 1:
         raise SchemaError(f"extension degree {e} must be positive")
     eb = algebra.base_degree
-    return EtaleAlgebra(algebra.tower,
-                        _changed_degrees(algebra.degrees, eb, e), eb * e)
+    return EtaleAlgebra(algebra.tower, tuple(
+        deg for deg, _ in _copies(algebra.degrees, eb, e, algebra.degrees)),
+        eb * e)
 
 
-def _changed_degrees(degrees, base_degree, e):
-    """Factor degrees after base change by e: a factor of degree D splits
-    into gcd(D/base_degree, e) copies of degree lcm(D, base_degree e)."""
+def _copies(degrees, base_degree, e, values):
+    """Base change by e splits a factor of degree D into
+    gcd(D/base_degree, e) copies of degree lcm(D, base_degree e); each
+    factor's value goes to each of its copies, as (copy degree, value)."""
     out = []
-    for deg in degrees:
-        out.extend([math.lcm(deg, base_degree * e)]
+    for deg, value in zip(degrees, values):
+        out.extend([(math.lcm(deg, base_degree * e), value)]
                    * math.gcd(deg // base_degree, e))
-    return tuple(out)
+    return out
 
 
 def extend_module(system: CharSystem, algebra: EtaleAlgebra,
                   module: VirtualModule, e: int) -> VirtualModule:
     check_norm_data(system, algebra, module)
-    eb = algebra.base_degree
-    out = []
-    for n, deg in zip(module.ranks, algebra.degrees):
-        out.extend([n] * math.gcd(deg // eb, e))
-    return VirtualModule(tuple(out))
+    return VirtualModule(tuple(n for _, n in _copies(
+        algebra.degrees, algebra.base_degree, e, module.ranks)))
 
 
 def extend_character(system: CharSystem, algebra: EtaleAlgebra,
@@ -603,12 +602,10 @@ def extend_character(system: CharSystem, algebra: EtaleAlgebra,
     """Norm-lift each factor character to the extended factor; every copy
     of a split factor carries the same lift."""
     check_norm_data(system, algebra, chi=chi)
-    eb = algebra.base_degree
-    out = []
-    for ch, deg in zip(chi.chars, algebra.degrees):
-        lifted = system.lift_character(ch, math.lcm(deg, eb * e))
-        out.extend([lifted] * math.gcd(deg // eb, e))
-    return NormCharacter(tuple(out))
+    return NormCharacter(tuple(system.lift_character(ch, deg)
+                               for deg, ch in _copies(
+                                   algebra.degrees, algebra.base_degree, e,
+                                   chi.chars)))
 
 
 def extend_scalar(system: CharSystem, algebra: EtaleAlgebra,
@@ -622,8 +619,9 @@ def sweep_tuples(tower, degrees, depth) -> int:
     """Twists a moment sweep to depth checks on the algebra over F_q with
     these factor degrees: at each e <= depth, the non-degenerate characters
     of the base-changed algebra.  Reads field sizes only; builds no level."""
-    return sum(_nondegenerate_count(tower, _changed_degrees(degrees, 1, e))
-               for e in range(1, depth + 1))
+    return sum(_nondegenerate_count(
+        tower, [deg for deg, _ in _copies(degrees, 1, e, degrees)])
+        for e in range(1, depth + 1))
 
 
 def _nondegenerate_count(tower, degrees):

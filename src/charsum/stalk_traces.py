@@ -24,8 +24,8 @@ from .monomial_fourier import (GridFunction, MonomialDatum,
 
 __all__ = [
     "QPolynomial", "MonomialDatum", "a_poly", "b_poly", "geometric_sum",
-    "stalk_trace_at_zero", "gm_trace_function", "check_triple",
-    "verify_binomial_identities",
+    "stalk_trace_at_zero", "has_trace_function", "gm_trace_function",
+    "check_triple", "verify_binomial_identities",
 ]
 
 
@@ -229,6 +229,12 @@ def stalk_trace_at_zero(system, datum: MonomialDatum):
     return val
 
 
+def has_trace_function(exponents) -> bool:
+    """Whether gm_trace_function covers the shape: k <= 2, or any k whose
+    exponents share one absolute value."""
+    return len(exponents) <= 2 or len({abs(n) for n in exponents}) == 1
+
+
 def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
     """Full trace function on F_{q^d}^k.
 
@@ -238,11 +244,11 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
     rest.  On the torus that sub-datum is empty and its stalk is
     psi(coefficient), so the value is psi(a prod x_i^{n_i}) prod chi_i(x_i).
 
-    Supported: k <= 2, or any k whose exponents share one absolute value.
+    Supported on the shapes of has_trace_function.
     """
     check_monomial_datum(system, datum)
     exps = datum.exponents
-    if datum.k > 2 and len({abs(n) for n in exps}) > 1:
+    if not has_trace_function(exps):
         raise SchemaError(
             "mixed exponent shapes with more than two coordinates are "
             "outside the supported trace-function class")

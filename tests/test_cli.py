@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import charsum
+import charsum.stalk_traces as st
 from charsum.characters import CharSystem
 from charsum.cli import FULL_JOBS, KINDS, Options, _parse_char, main, run, \
     suite
@@ -188,7 +189,11 @@ def test_exit_codes_for_malformed_jobs(tmp_path, capsys):
                                {"degree": 1, "n": -1}]},
                     {"kind": "stalk", "p": 5, "exponents": [1, -1],
                      "characters": ["e2", "e2"], "a": 1, "emit_grid": "no"},
-                    {"kind": "suite", "name": "acceptance", "bogus": 1}):
+                    # k = 3 with two absolute exponents has no grid to emit
+                    {"kind": "stalk", "p": 5, "exponents": [2, 1, -1],
+                     "characters": ["trivial"] * 3, "a": 1,
+                     "emit_grid": True},
+                    {**MONOM_JOB, "bogus": 1}):
         assert main(["--job", write_job(tmp_path, payload)]) == 2, payload
         capsys.readouterr()
     assert main([]) == 2
@@ -266,7 +271,7 @@ def test_gauss_preflight_is_exact(tmp_path, capsys, monkeypatch, job, terms):
 
 
 PREFLIGHT_JOBS = [next(job for _, job in FULL_JOBS if job["kind"] == kind)
-                  for kind in KINDS if kind != "suite"] + [
+                  for kind in KINDS] + [
     # a search-only identity job, one binomial triple, a stalk shape that
     # has no grid
     {"kind": "identity", "p": 5, "depth": 0, "search_depth": 2,
@@ -310,6 +315,29 @@ def test_preflight_stops_large_job_at_once(tmp_path, capsys, job, message):
     code, err = run_error(tmp_path, capsys, job)
     assert time.perf_counter() - t0 < 1
     assert code == 3 and message in err["error"]
+
+
+@pytest.mark.parametrize("p,exponents", [
+    (7, [3, -1]), (5, [4, -2]), (7, [4, -2]),
+    (5, [1, 1, -1, -1]), (7, [1, 1, -1, -1]),
+])
+def test_stalk_estimate_bounds_recursion_terms(monkeypatch, p, exponents):
+    # every psi power sum of the origin recursion, in the job's own stalk
+    # and in the sub-stalks of its grid, sums q - 1 terms; the estimate
+    # less its grid points bounds them
+    job = {"kind": "stalk", "p": p, "exponents": exponents,
+           "characters": ["trivial"] * len(exponents), "a": 1}
+    cost, cases = KINDS["stalk"].prepare(job, Options())
+    terms = []
+    psi_power_sum = st._psi_power_sum
+
+    def counted(system, degree, *args):
+        terms.append(system.tower.group_order(degree))
+        return psi_power_sum(system, degree, *args)
+
+    monkeypatch.setattr(st, "_psi_power_sum", counted)
+    assert all(case["pass"] for case in cases())
+    assert 0 < sum(terms) <= cost - p ** len(exponents)
 
 
 def test_binom_estimate_counts_weighted_terms():

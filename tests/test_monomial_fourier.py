@@ -638,6 +638,17 @@ def test_ratio_transform_rejects_zero_parameters():
         verify_ratio_transform(S5, 1, 0, 1, S5.trivial(1))
 
 
+@pytest.mark.parametrize("call", [
+    lambda chi: verify_ratio_transform(S5, 7, 1, 1, chi),
+    lambda chi: verify_ratio_transform(S5, -1, 1, 1, chi),
+    lambda chi: verify_ratio_transform_nfold(S5, 2, chi, (1, 6), (1, 1)),
+], ids=["a-above-field", "a-negative", "nfold-xhat-above-field"])
+def test_ratio_transform_rejects_non_field_codes(call):
+    # a, xhat and yhat are codes of F_5^*: 0 < x < 5
+    with pytest.raises(SchemaError):
+        call(S5.char_of_order(1, 2))
+
+
 def test_ratio_transform_nfold():
     e2 = S5.char_of_order(1, 2)
     assert verify_ratio_transform_nfold(S5, 2, e2, (1, 2), (1, 1))
