@@ -41,9 +41,6 @@ class Divisor:
                         del pts[key]
         self._pts = pts
 
-    def multiplicity(self, point) -> int:
-        return self._pts.get(frac_mod1(Fraction(point)), 0)
-
     def points(self):
         return tuple(sorted(self._pts.items()))
 

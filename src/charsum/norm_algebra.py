@@ -227,8 +227,12 @@ def gauss_sum_algebra(system: CharSystem, algebra: EtaleAlgebra,
                       method: str = "factor") -> CycloValue:
     """Gauss sum over k^* against psi of the trace to the base field.
 
-    The factor method multiplies the per-factor Gauss sums; the direct
-    method brute-forces the defining sum and exists as an oracle.
+    The factor method multiplies the per-factor Gauss sums.  The direct
+    method brute-forces the defining sum as an oracle for that law: every
+    unit tuple is enumerated and its factors' traces are added in the base
+    field.  With L = lcm of the |F_{q^{D_i}}^*|, prod chi_i(x_i) is a power
+    of zeta_L and psi of the trace one of zeta_p, so each point adds one to
+    an exponent histogram at M = L p, which from_root_counts reduces once.
     """
     check_norm_data(system, algebra, chi=chi)
     if method == "factor":
@@ -237,23 +241,27 @@ def gauss_sum_algebra(system: CharSystem, algebra: EtaleAlgebra,
         raise SchemaError(f"unknown method {method!r}")
     t = system.tower
     e = algebra.base_degree
-    units = math.prod(t.group_order(d) for d in algebra.degrees)
+    sizes = [t.group_order(d) for d in algebra.degrees]
+    units = math.prod(sizes)
     if units > DEFAULT_TERM_BOUND:
         raise SizeBoundError(
             f"{units} terms exceed the bound {DEFAULT_TERM_BOUND}")
-    pools = []
-    for ch, d in zip(chi.chars, algebra.degrees):
-        pools.append([(t.trace_to(d, e, x), system.char_value(ch, x))
-                      for x in range(1, t.order(d))])
-    total = cy.from_int(0)
+    p = t.p
+    span = math.lcm(*sizes)
+    order = span * p
+    psi = system.psi_exponents(e)
+    # per factor and x = g^j: (Tr_{D->e}(x), log_zeta_L chi(x))
+    pools = [[(t.trace_to(d, e, x), ch.index * (span // size) * j)
+              for j, x in enumerate(t.exp_table(d))]
+             for d, size, ch in zip(algebra.degrees, sizes, chi.chars)]
+    counts = [0] * order
     for combo in product(*pools):
-        tr = 0
-        val = cy.from_int(1)
-        for tr_i, v_i in combo:
+        tr = charge = 0
+        for tr_i, c in combo:
             tr = t.add(e, tr, tr_i)
-            val = val * v_i
-        total = total + system.psi_value(e, tr) * val
-    return total
+            charge += c
+        counts[((charge % span) * p + psi[tr] * span) % order] += 1
+    return cy.from_root_counts(order, counts)
 
 
 def verify_norm_identity(system: CharSystem, algebra: EtaleAlgebra,
@@ -571,8 +579,6 @@ def base_change(system: CharSystem, algebra: EtaleAlgebra,
     """Extend scalars by degree e: a factor of relative degree d splits
     into gcd(d, e) copies of the compositum."""
     check_norm_data(system, algebra)
-    if e < 1:
-        raise SchemaError(f"extension degree {e} must be positive")
     eb = algebra.base_degree
     return EtaleAlgebra(algebra.tower, tuple(
         deg for deg, _ in _copies(algebra.degrees, eb, e, algebra.degrees)),
@@ -582,7 +588,10 @@ def base_change(system: CharSystem, algebra: EtaleAlgebra,
 def _copies(degrees, base_degree, e, values):
     """Base change by e splits a factor of degree D into
     gcd(D/base_degree, e) copies of degree lcm(D, base_degree e); each
-    factor's value goes to each of its copies, as (copy degree, value)."""
+    factor's value goes to each of its copies, as (copy degree, value).
+    The one check of e for every base-change function."""
+    if e < 1:
+        raise SchemaError(f"extension degree {e} must be positive")
     out = []
     for deg, value in zip(degrees, values):
         out.extend([(math.lcm(deg, base_degree * e), value)]
@@ -610,9 +619,12 @@ def extend_character(system: CharSystem, algebra: EtaleAlgebra,
 
 def extend_scalar(system: CharSystem, algebra: EtaleAlgebra,
                   a: int, e: int) -> int:
+    """Embed a base-field scalar into the extended base, the base field
+    read as a one-factor algebra."""
     check_norm_data(system, algebra, a=a)
     eb = algebra.base_degree
-    return system.tower.embed(eb, eb * e, a)
+    [(deg, _)] = _copies((eb,), eb, e, (a,))
+    return system.tower.embed(eb, deg, a)
 
 
 def sweep_tuples(tower, degrees, depth) -> int:

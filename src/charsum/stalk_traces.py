@@ -244,6 +244,10 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
     rest.  On the torus that sub-datum is empty and its stalk is
     psi(coefficient), so the value is psi(a prod x_i^{n_i}) prod chi_i(x_i).
 
+    A point's value depends only on its zero set, its folded coefficient
+    and its charge sum idx(chi_i) log(x_i) mod q^d - 1, and is memoised by
+    that triple; the stalks are memoised by (zero set, coefficient).
+
     Supported on the shapes of has_trace_function.
     """
     check_monomial_datum(system, datum)
@@ -254,7 +258,9 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
             "outside the supported trace-function class")
     t = system.tower
     d = datum.degree
+    grp = t.group_order(d)
     stalk_cache = {}
+    point_cache = {}
 
     def value(codes):
         zero_set = tuple(i for i, c in enumerate(codes) if c == 0)
@@ -264,15 +270,19 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
             if c:
                 coeff = t.mul(d, coeff, t.pow_elem(d, c, n))
                 charge += chi.index * t.log(d, c)
-        key = (zero_set, coeff)
-        stalk = stalk_cache.get(key)
-        if stalk is None:
-            sub = MonomialDatum(d, tuple(exps[i] for i in zero_set),
-                                tuple(datum.characters[i] for i in zero_set),
-                                coeff)
-            stalk = stalk_trace_at_zero(system, sub)
-            stalk_cache[key] = stalk
-        return cy.root(t.group_order(d), charge) * stalk
+        charge %= grp
+        val = point_cache.get((zero_set, coeff, charge))
+        if val is None:
+            stalk = stalk_cache.get((zero_set, coeff))
+            if stalk is None:
+                sub = MonomialDatum(
+                    d, tuple(exps[i] for i in zero_set),
+                    tuple(datum.characters[i] for i in zero_set), coeff)
+                stalk = stalk_trace_at_zero(system, sub)
+                stalk_cache[zero_set, coeff] = stalk
+            val = cy.root(grp, charge) * stalk
+            point_cache[zero_set, coeff, charge] = val
+        return val
 
     return GridFunction.build(t, d, datum.k, value)
 

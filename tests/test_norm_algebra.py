@@ -184,13 +184,53 @@ def test_gauss_sum_algebra_fixtures():
     assert gauss_sum_algebra(S3, K9, nd).abs_squared() == 9
 
 
+def _gauss_sum_per_term(system, algebra, chi):
+    """The direct algebra Gauss sum as a ring sum: one term
+    psi(sum of traces) prod chi_i(x_i) per unit tuple."""
+    t = system.tower
+    e = algebra.base_degree
+    pools = [[(t.trace_to(d, e, x), system.char_value(ch, x))
+              for x in range(1, t.order(d))]
+             for ch, d in zip(chi.chars, algebra.degrees)]
+    total = cy.from_int(0)
+    for combo in product(*pools):
+        tr = 0
+        val = cy.from_int(1)
+        for tr_i, v_i in combo:
+            tr = t.add(e, tr, tr_i)
+            val = val * v_i
+        total = total + system.psi_value(e, tr) * val
+    return total
+
+
+# the oracle's algebra: F_9 x F_3 changed to base degree 2, (2, 2, 2) over
+# F_9, under the additive twist c = 2
+S3C2 = CharSystem(build_tower(3, degrees=(1, 2)), c=2)
+K999 = base_change(S3C2, EtaleAlgebra(S3C2.tower, (2, 1)), 2)
+
+
 def test_gauss_sum_factor_matches_direct():
-    e2_9 = S3.char_of_order(2, 2)
-    cases = [(K9, (e2_9,), 9), (K33, (E2, E2), 9), (K39, (E2, e2_9), 27)]
-    for alg, chars, sq in cases:
-        nc = NormCharacter(chars)
-        f = gauss_sum_algebra(S3, alg, nc)
-        assert f == gauss_sum_algebra(S3, alg, nc, method="direct")
+    # same_form: the direct sum is stored at the reference's order with its
+    # coefficients.  With only real character values the ring sum reduces
+    # each term to order p, while the histogram counts -1 as zeta_M^{M/2}
+    # and may keep the same number at order 2p, as on K39 below.
+    cases = [(S3, K9, (4,), 9, True),
+             (S3, K33, (1, 1), 9, True),
+             (S3, K39, (1, 4), 27, False),
+             (S3C2, K999, (1, 2, 3), 729, True),
+             (S3C2, K999, (4, 0, 5), 81, True),
+             (S3C2, K999, (0, 6, 0), 9, True),
+             (S3C2, K999, (7, 7, 2), 729, True)]
+    for system, alg, indices, sq, same_form in cases:
+        nc = NormCharacter(tuple(system.character(d, i)
+                                 for d, i in zip(alg.degrees, indices)))
+        direct = gauss_sum_algebra(system, alg, nc, method="direct")
+        ref = _gauss_sum_per_term(system, alg, nc)
+        assert direct == ref, indices
+        if same_form:
+            assert (direct.order, direct.coeffs) == (ref.order, ref.coeffs)
+        f = gauss_sum_algebra(system, alg, nc)
+        assert f == direct
         assert f.abs_squared() == sq
 
 
@@ -677,6 +717,19 @@ def test_base_change_shapes():
     ext = extend_character(S3, K9, NormCharacter((S3.character(2, 1),)), 2)
     assert [(c.degree, c.index) for c in ext.chars] == [(2, 1), (2, 1)]
     assert extend_scalar(S3, K33, 2, 2) == T3.embed(1, 2, 2)
+
+
+@pytest.mark.parametrize("e", [0, -3])
+def test_base_change_rejects_nonpositive_degree(e):
+    chi = NormCharacter((S3.character(2, 1),))
+    calls = [lambda: base_change(S3, K9, e),
+             lambda: extend_module(S3, K9, VirtualModule((1,)), e),
+             lambda: extend_character(S3, K9, chi, e),
+             lambda: extend_scalar(S3, K9, 1, e)]
+    for call in calls:
+        with pytest.raises(SchemaError,
+                           match=f"extension degree {e} must be positive"):
+            call()
 
 
 def test_extension_stability():
