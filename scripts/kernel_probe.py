@@ -4,9 +4,10 @@ Usage: python3 scripts/kernel_probe.py --repeat 20 --seed 1
 Prints one row per order M and coefficient width with the median
 microseconds per call, over five batches of --repeat calls, of
 `_poly_mul` on two reduced vectors, `reduce_mod_cyclotomic` of their
-product and `CycloValue.galois` by a unit.  The orders are M = 336 and
-2184 (phi 96 and 576); "small" coefficients lie in [-13, 13] and "wide"
-ones in (-10^31, 10^31).
+product, `reduce_mod_cyclotomic` of a length-M root-count vector and
+`CycloValue.galois` by a unit.  The orders are M = 336 and 2184 (phi 96
+and 576); "small" coefficients lie in [-13, 13] and "wide" ones in
+(-10^31, 10^31), and the counts in [0, 13] and [0, 10^31).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
 
     rng = random.Random(args.seed)
     print(f"{'order':<6} {'coeffs':<6} {'poly_mul_us':>12} {'reduce_us':>12} "
-          f"{'galois_us':>12}")
+          f"{'roots_us':>12} {'galois_us':>12}")
     for M in (336, 2184):
         n = euler_phi(M)
         unit = rng.choice([u for u in range(2, M) if math.gcd(u, M) == 1])
@@ -49,12 +50,14 @@ def main(argv=None) -> int:
             a, b = (tuple(rng.randrange(-bound + 1, bound) for _ in range(n))
                     for _ in range(2))
             prod = _poly_mul(a, b)
+            counts = [rng.randrange(bound) for _ in range(M)]
             v = CycloValue(M, a)
             ops = (lambda: _poly_mul(a, b),
                    lambda: reduce_mod_cyclotomic(prod, M),
+                   lambda: reduce_mod_cyclotomic(counts, M),
                    lambda: v.galois(unit))
             for op in ops:
-                op()  # fills the Barrett-inverse and shift-table caches
+                op()  # builds the order's reduction plan
             row = " ".join(f"{_per_call_us(op, args.repeat):12.1f}"
                            for op in ops)
             print(f"M{M:<5} {label:<6} {row}")

@@ -155,9 +155,13 @@ class CharSystem:
                            for chi in chars))
         val = self._product_cache.get(key)
         if val is None:
-            val = from_int(1)
-            for d, i in key:
-                val = val * self.gauss_sum(MultCharacter(d, i))
+            # a balanced tree keeps the narrow factors' products narrow;
+            # left to right, each step packs at the accumulator's width
+            vals = [self.gauss_sum(MultCharacter(d, i)) for d, i in key]
+            while len(vals) > 1:
+                vals = [vals[j] * vals[j + 1] if j + 1 < len(vals)
+                        else vals[j] for j in range(0, len(vals), 2)]
+            val = vals[0] if vals else from_int(1)
             self._product_cache[key] = val
         return val
 

@@ -4,15 +4,19 @@ A value is a coefficient vector over the power basis 1, x, ..., x^{phi(M)-1}
 of Q(zeta_M), reduced mod the M-th cyclotomic polynomial.  Every operation is
 exact; no floating point appears anywhere in this module.
 
-Polynomial products use signed Kronecker substitution above a small cutoff:
-each operand's coefficients are written as two's-complement slots of one
-fixed width, read as one unsigned integer T and corrected to the signed
-packing T - 2 (T & H), where H has the top bit of every slot set.  The two
-are multiplied once, and the product P is read back as the two's-complement
-slots of (P + H) ^ H.  Slots of up to 8 bytes are written and read by one
-`struct` call each, so no Python code runs per coefficient.  Reduction mod
-Phi_M uses a cached Barrett inverse, so Gauss-sum accumulation stays fast
-even at orders in the thousands.
+Polynomials are packed into one integer, each coefficient in a
+two's-complement slot of one fixed width (`_pack`, `_unpack`).  Slots of up
+to 8 bytes are written and read by one `struct` call each, so no Python code
+runs per coefficient.
+
+Products above a small cutoff are one integer product of the packed operands
+(signed Kronecker substitution).  Reduction mod Phi_M folds mod x^M - 1 and
+then divides twice on one packed integer: by the sparse multiple
+Phi_r(x^{M/r}) of Phi_M, r = rad(M)/P for the largest prime P of M, and by
+Phi_M, whose quotient is then only phi(M)/(P - 1) slots long.  Each division
+is polynomial Barrett with the sparse inverse series of the reversed divisor,
+done as shifts and adds of the packed integer, and ends with an exact range
+check on the remainder.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 from charsum._intutil import euler_phi, factorize, moebius
 from charsum.errors import InternalCheckError
@@ -44,47 +48,66 @@ def _trim(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(p[:n])
 
 
+def _slot_codec(bits: int) -> tuple[int, str | None]:
+    # the narrowest slot width in bytes with at least `bits` bits, and its
+    # struct format; slots of 1, 2, 4 or 8 bytes go through struct in one
+    # call each way, wider ones take one to_bytes or from_bytes per slot
+    nbytes = (bits + 7) // 8
+    if nbytes > 8:
+        return nbytes, None
+    nbytes = 1 << (nbytes - 1).bit_length()
+    return nbytes, "<%d" + "bhiq"[nbytes.bit_length() - 1]
+
+
+def _top_bits(nbytes: int, count: int) -> int:
+    # H: the top bit of each of `count` slots set
+    return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
+                          * count, "little")
+
+
+def _pack(p: Sequence[int], nbytes: int, fmt: str | None, H: int) -> int:
+    # sum p_k 2^{wk}, w = 8 * nbytes: the slots read as one unsigned integer
+    # T, and T - 2 (T & H), since each negative slot was read 2^w too high.
+    # H must cover len(p) slots, and every |p_k| < 2^{w-1}
+    if fmt is None:
+        t = int.from_bytes(b"".join(
+            c.to_bytes(nbytes, "little", signed=True) for c in p), "little")
+    else:
+        t = int.from_bytes(struct.pack(fmt % len(p), *p), "little")
+    return t - 2 * (t & H)
+
+
+def _unpack(v: int, nbytes: int, fmt: str | None, count: int,
+            H: int) -> tuple[int, ...]:
+    # the inverse of _pack for count slots, H covering at least those:
+    # v + H has the digits c_k + 2^{w-1}, in [0, 2^w) without carries when
+    # every |c_k| < 2^{w-1}.  The xor takes 2^{w-1} back off every slot;
+    # wide slots are read unsigned and lose it by one subtraction each
+    if fmt is None:
+        raw = (v + H).to_bytes(H.bit_length() // 8, "little")
+        return tuple(map(operator.sub, map(
+            int.from_bytes, struct.Struct("%ds" % nbytes * count)
+            .unpack_from(raw), repeat("little")),
+            repeat(1 << (8 * nbytes - 1))))
+    raw = ((v + H) ^ H).to_bytes(H.bit_length() // 8, "little")
+    return struct.unpack_from(fmt % count, raw)
+
+
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # signed Kronecker substitution in two's-complement slots of
-    # w = 8 * nbytes bits.  H has the top bit of every slot set.  An
-    # operand's slots read as one unsigned integer T; T - 2 (T & H) is
-    # sum c_k 2^{wk}, since each negative slot was read 2^w too high.  One
-    # product gives P = sum c_k 2^{wk}; (P + H) ^ H has the c_k as its
-    # two's-complement slots, because P + H has the digits c_k + 2^{w-1},
-    # in [0, 2^w) without carries, and the xor takes 2^{w-1} back off.
-    # The slots must hold |c_k| < 2^{w-1} and each operand's own
-    # coefficients.  For nonzero operands, as _poly_mul passes,
-    # min(m, n) * ma * mb covers both; the ma, mb terms keep direct calls
-    # with an all-zero operand safe.  Slots of 1, 2, 4 or 8 bytes go
-    # through struct in one call each way; wider ones, reached only by
-    # coefficients near 10^31, take one to_bytes or from_bytes per slot.
+    # signed Kronecker substitution: one integer product of the packed
+    # operands is the packed product.  The slots must hold |c_k| < 2^{w-1}
+    # and each operand's own coefficients.  For nonzero operands, as
+    # _poly_mul passes, min(m, n) * ma * mb covers both; the ma, mb terms
+    # keep direct calls with an all-zero operand safe
     m, n = len(a), len(b)
     out_len = m + n - 1
-    ma = max(map(abs, a))
-    mb = max(map(abs, b))
-    nbytes = (max(min(m, n) * ma * mb, ma, mb).bit_length() + 8) // 8
-    wide = nbytes > 8
-    if not wide:
-        nbytes = 1 << (nbytes - 1).bit_length()
-        fmt = "<%d" + "bhiq"[nbytes.bit_length() - 1]
-    H = int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little")
-                       * out_len, "little")
-
-    def pack(p: tuple[int, ...]) -> int:
-        if wide:
-            t = int.from_bytes(b"".join(
-                c.to_bytes(nbytes, "little", signed=True) for c in p),
-                "little")
-        else:
-            t = int.from_bytes(struct.pack(fmt % len(p), *p), "little")
-        return t - 2 * (t & H)
-
-    raw = ((pack(a) * pack(b) + H) ^ H).to_bytes(nbytes * out_len, "little")
-    if wide:
-        return tuple(int.from_bytes(raw[k * nbytes:(k + 1) * nbytes],
-                                    "little", signed=True)
-                     for k in range(out_len))
-    return struct.unpack(fmt % out_len, raw)
+    ma = max(max(a), -min(a))
+    mb = max(max(b), -min(b))
+    nbytes, fmt = _slot_codec(max(min(m, n) * ma * mb, ma, mb).bit_length()
+                              + 1)
+    H = _top_bits(nbytes, out_len)
+    return _unpack(_pack(a, nbytes, fmt, H) * _pack(b, nbytes, fmt, H),
+                   nbytes, fmt, out_len, H)
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -168,62 +191,133 @@ def _series_inverse(f: Sequence[int], prec: int) -> tuple[int, ...]:
     return tuple(g[:prec])
 
 
-@lru_cache(maxsize=None)
-def _barrett_inv(M: int) -> tuple[int, ...]:
-    n = euler_phi(M)
-    return _series_inverse(tuple(reversed(cyclotomic_poly(M))), n + 1)
+class _Stage(NamedTuple):
+    """Division by one monic divisor D of degree `degree`: its nonzero
+    terms (exponent, coefficient), those of 1/rev(D) up to the longest
+    quotient the stage meets, and 1 + ||inv||_1 ||D||_1, a bound on how much
+    the stage can grow the largest coefficient."""
 
+    degree: int
+    divisor: tuple[tuple[int, int], ...]
+    inverse: tuple[tuple[int, int], ...]
+    growth: int
 
-def _barrett_reduce(f: Sequence[int], M: int) -> tuple[int, ...]:
-    # remainder of f mod Phi_M for deg f <= 2*phi(M) - 1
-    n = euler_phi(M)
-    f = _trim(f)
-    d = len(f) - 1
-    if d < n:
-        return f + (0,) * (n - len(f))
-    if d > 2 * n - 1:
-        raise InternalCheckError(f"degree {d} too large for one Barrett step")
-    qlen = d - n + 1
-    frev = tuple(reversed(f))
-    qrev = _poly_mul(frev[:qlen], _barrett_inv(M)[:qlen])[:qlen]
-    qrev = tuple(qrev) + (0,) * (qlen - len(qrev))
-    prod = _poly_mul(tuple(reversed(qrev)), cyclotomic_poly(M))
-    prod += (0,) * (d + 1 - len(prod))
-    if f[n:] != prod[n:]:
-        raise InternalCheckError(f"Barrett quotient mod Phi_{M} is wrong")
-    return tuple(map(operator.sub, f[:n], prod))
+    @classmethod
+    def of(cls, divisor: Sequence[int], inverse: Sequence[int],
+           k: int) -> "_Stage":
+        # D(x^k) from D, and its inverse series from that of D, as y = x^k
+        div = tuple((u * k, c) for u, c in enumerate(divisor) if c)
+        inv = tuple((i * k, c) for i, c in enumerate(inverse) if c)
+        return cls((len(divisor) - 1) * k, div, inv, 1 + sum(
+            abs(c) for _, c in inv) * sum(abs(c) for _, c in div))
 
 
 @lru_cache(maxsize=None)
-def _chunk_shift_tables(M: int, count: int) -> tuple[tuple[int, ...], ...]:
-    # T_j = x^{j*phi(M)} mod Phi_M
+def _reduction_plan(M: int) -> tuple[_Stage, ...]:
+    # Phi_M divides D = Phi_r(x^{M/r}), r = rad(M)/P for the largest prime P
+    # of M, and deg D = phi(M) P/(P-1).  After the fold mod x^M - 1, stage 1
+    # divides by D, so its quotient has at most M - deg D slots, and stage 2
+    # by Phi_M, with at most phi(M)/(P-1).  For a prime power, r = 1 and
+    # the fold is stage 1.  Phi_r and its inverse series are built in y, so
+    # the setup is O(r) there and O(phi(M)/(P-1)) for Phi_M
+    if M == 1:
+        return ()
+    fac = factorize(M)
+    P = fac[-1][0]
+    r = 1
+    for p, _ in fac[:-1]:
+        r *= p
     n = euler_phi(M)
-    tabs = [(1,) + (0,) * (n - 1)]
-    while len(tabs) < count:
-        tabs.append(_barrett_reduce((0,) * n + _trim(tabs[-1]), M))
-    return tuple(tabs)
+    stages = []
+    if r > 1:
+        k = M // r
+        base = cyclotomic_poly(r)
+        stages.append(_Stage.of(base, _series_inverse(
+            tuple(reversed(base)), r - euler_phi(r)), k))
+    phi = cyclotomic_poly(M)
+    stages.append(_Stage.of(phi, _series_inverse(
+        tuple(reversed(phi)), n // (P - 1)), 1))
+    return tuple(stages)
+
+
+def _add_multiple(acc: int, c: int, t: int) -> int:
+    # acc + c t, without the copy a product by +-1 makes
+    if c == 1:
+        return acc + t
+    if c == -1:
+        return acc - t
+    return acc + c * t
+
+
+def _divide(F: int, length: int, stage: _Stage, w: int) -> int:
+    # F packs a polynomial f of `length` slots of w bits; returns the packed
+    # remainder of f mod D.  Barrett: q_j = sum_i inv_i f_{m+j+i} for
+    # j < length - m, where a shift of the packed high part by i slots,
+    # rounded, drops the slots below i exactly.  Then R = F - Q D(2^w)
+    m = stage.degree
+    qlen = length - m
+    if qlen <= 0:
+        return F
+    s = w * m
+    high = (F + (1 << (s - 1))) >> s
+    Q = 0
+    for i, c in stage.inverse:
+        if i >= qlen:
+            break
+        Q = _add_multiple(Q, c, (high + (1 << (w * i - 1))) >> (w * i)
+                          if i else high)
+    # Q D(2^w) in blocks of divisor terms less than qlen slots apart, so
+    # each term is added into an integer of at most 2 qlen slots
+    R = F
+    base = 0
+    acc = 0
+    for u, c in stage.divisor:
+        if u - base >= qlen:
+            R -= acc << (w * base)
+            base = u
+            acc = 0
+        acc = _add_multiple(acc, c, Q << (w * (u - base)))
+    R -= acc << (w * base)
+    # R and the true remainder r(2^w) agree mod D(2^w) > (6/7) 2^{wm}, and
+    # |r(2^w)| < 2^{wm}/7 since every slot bound is below 2^{w-3}; so
+    # |R| < 2^{wm-1} holds exactly when R is r(2^w), whatever Q was
+    if R.bit_length() >= s:
+        raise InternalCheckError(
+            f"quotient by a divisor of degree {m} left a high remainder")
+    return R
 
 
 def reduce_mod_cyclotomic(coeffs: Sequence[int], M: int) -> tuple[int, ...]:
     """Reduce an integer polynomial of any degree mod Phi_M.
 
-    Returns exactly phi(M) coefficients.  Long inputs are folded with cached
-    tables of x^{j*phi(M)} mod Phi_M so only short products ever occur.
+    Returns exactly phi(M) coefficients.  The input is folded mod x^M - 1,
+    then divided by the stages of _reduction_plan(M) on one packed integer.
     """
     n = euler_phi(M)
     c = _trim(coeffs)
-    if len(c) <= 2 * n:
-        return _barrett_reduce(c, M)
-    nchunks = (len(c) + n - 1) // n
-    tabs = _chunk_shift_tables(M, nchunks)
-    acc = list(c[:n]) + [0] * (n - 1)
-    for j in range(1, nchunks):
-        chunk = _trim(c[j * n:(j + 1) * n])
-        if chunk == (0,):
-            continue
-        for i, v in enumerate(_poly_mul(chunk, tabs[j])):
-            acc[i] += v
-    return _barrett_reduce(acc, M)
+    if len(c) > M:
+        acc = list(c[:M])
+        for j in range(M, len(c), M):
+            chunk = c[j:j + M]
+            acc[:len(chunk)] = map(operator.add, acc, chunk)
+        c = _trim(acc)
+    length = len(c)
+    if length <= n:
+        return c + (0,) * (n - length)
+    stages = _reduction_plan(M)
+    # every slot of the input, the remainders and D stays within bound
+    bound = max(max(c), -min(c))
+    for st in stages:
+        bound *= st.growth
+    nbytes, fmt = _slot_codec(bound.bit_length() + 3)
+    w = 8 * nbytes
+    H = _top_bits(nbytes, length)
+    F = _pack(c, nbytes, fmt, H)
+    for st in stages:
+        F = _divide(F, length, st, w)
+        length = min(length, st.degree)
+    # H covers the input's slots, so also the remainder's n
+    return _unpack(F, nbytes, fmt, n, H)
 
 
 # ------------------------------------------------------------------- values
@@ -431,14 +525,20 @@ def from_root_counts(M: int, counts: Sequence[int]) -> CycloValue:
         raise InternalCheckError(f"root order {M} is not positive")
     if len(counts) != M:
         raise InternalCheckError(f"{len(counts)} root counts at order {M}")
-    # the live entries set the gcd, and every g-th entry up to the last
-    # live one is the vector at the shrunk order
-    live = list(compress(range(M), counts))
+    # every live exponent is a multiple of s exactly when every s-th entry
+    # holds all the nonzero counts; the g-th entries are the vector at the
+    # shrunk order
+    live = M - counts.count(0)
     if not live:
         return CycloValue(1, (0,))
-    g = math.gcd(M, *live)
-    return _make(M // g,
-                 reduce_mod_cyclotomic(counts[:live[-1] + 1:g], M // g))
+    g = 1
+    for p, e in factorize(M):
+        for _ in range(e):
+            sub = counts[::g * p]
+            if len(sub) - sub.count(0) < live:
+                break
+            g *= p
+    return _make(M // g, reduce_mod_cyclotomic(counts[::g], M // g))
 
 
 # ------------------------------------------------------------------ ratios

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ from charsum._intutil import euler_phi
 from charsum.cyclotomic import (
     _SCHOOLBOOK_MAX,
     CycloValue,
-    _barrett_reduce,
     _kronecker_mul,
     _lift_coeffs,
     _poly_divmod,
@@ -163,11 +163,29 @@ def test_kronecker_all_negative():
     assert _kronecker_mul(a, b) == _naive_mul(a, b)
 
 
+def _workload_examples(test):
+    # the benchmark's orders, at the lengths where the stages switch on:
+    # a constant, phi(M) (no division), a product's 2 phi(M) - 1, M (the
+    # longest unfolded input) and past M (folded), with coefficients from 1
+    # up to 10^31, the falsifier's width at M = 2184.  The top coefficient
+    # is the bound, so no example is shorter than its length
+    for M in (156, 336, 728, 1092, 2184):
+        n = euler_phi(M)
+        for length in (1, n, 2 * n - 1, M, M + n // 2 + 3):
+            for bound in (1, 10**31):
+                rng = random.Random(M * length + bound)
+                coeffs = [rng.randint(-bound, bound)
+                          for _ in range(length - 1)] + [bound]
+                test = example(M, coeffs)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([6, 8, 12, 15, 35, 105]),
     st.lists(st.integers(-50, 50), min_size=1, max_size=400),
 )
+@_workload_examples
 def test_reduce_matches_long_division(M, coeffs):
     got = reduce_mod_cyclotomic(tuple(coeffs), M)
     _, rem = _poly_divmod(tuple(coeffs), cyclotomic_poly(M))
@@ -176,12 +194,13 @@ def test_reduce_matches_long_division(M, coeffs):
 
 
 def test_barrett_at_max_degree():
-    # degree exactly 2*phi(M) - 1 is the largest the single-step path takes
+    # degree exactly 2*phi(M) - 1, the length of a product of two reduced
+    # values
     M = 12
     n = euler_phi(M)
     f = tuple(range(1, 2 * n + 1))
     _, rem = _poly_divmod(f, cyclotomic_poly(M))
-    assert _barrett_reduce(f, M) == rem + (0,) * (n - len(rem))
+    assert reduce_mod_cyclotomic(f, M) == rem + (0,) * (n - len(rem))
 
 
 # -------------------------------------------------------------- ring facts
@@ -375,9 +394,25 @@ from charsum.field_tower import build_tower
 assert False, "asserts must be stripped"
 S = CharSystem(build_tower(3, 1, degrees=(1, 2)))
 T = S.tower
+plan = cy._reduction_plan
+
+
+def corrupt_inverse():
+    # one inverse-series term of the last stage off by one in the plan
+    stages = plan(2184)
+    (i, c), *rest = stages[-1].inverse
+    bad = stages[:-1] + (stages[-1]._replace(inverse=((i, c + 1), *rest)),)
+    cy._reduction_plan = lambda M: bad
+    try:
+        v = cy.CycloValue(2184, (1,) * 576)
+        v * v
+    finally:
+        cy._reduction_plan = plan
+
+
 for i, breach in enumerate((
         lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
-        lambda: cy.from_root_counts(6, [1]),
+        lambda: cy.from_root_counts(6, [1]), corrupt_inverse,
         lambda: S.char_mul(S.character(1, 1), S.character(2, 1)),
         lambda: S.lift_character(S.character(2, 1), 3),
         lambda: T.log(1, 0), lambda: T.inv(2, 0), lambda: T.pow_elem(1, 0, 0),
@@ -395,7 +430,8 @@ for i, breach in enumerate((
 def test_invariants_fire_under_optimize():
     # python -O strips assert statements; the kernel's, the character
     # group's, the field tower's and the integer helpers' checks must not be
-    # asserts, or a breach would pass silently
+    # asserts, or a breach would pass silently.  The reduction's range check
+    # must catch a wrong quotient from a corrupted plan
     src = str(Path(charsum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", _BREACHES], env=env,
