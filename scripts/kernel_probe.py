@@ -4,10 +4,14 @@ Usage: python3 scripts/kernel_probe.py --repeat 20 --seed 1
 Prints one row per order M and coefficient width with the median
 microseconds per call, over five batches of --repeat calls, of
 `_poly_mul` on two reduced vectors, `reduce_mod_cyclotomic` of their
-product, `reduce_mod_cyclotomic` of a length-M root-count vector and
+product, `reduce_mod_cyclotomic` of a length-M root-count vector,
+`from_root_counts` of a Gauss-sum-shaped count vector and
 `CycloValue.galois` by a unit.  The orders are M = 336 and 2184 (phi 96
-and 576); "small" coefficients lie in [-13, 13] and "wide" ones in
-(-10^31, 10^31), and the counts in [0, 13] and [0, 10^31).
+and 576), that is M = n p for n = 48 and 168 and p = 7 and 13; "small"
+coefficients lie in [-13, 13] and "wide" ones in (-10^31, 10^31), and the
+counts in [0, 13] and [0, 10^31).  The Gauss-sum-shaped vector has the n
+live exponents a p + t_a n of a character of full order, one per a < n
+with t_a drawn from [0, p), and counts drawn from [1, 13] and [1, 10^31).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import statistics
 from time import perf_counter
 
 from charsum._intutil import euler_phi
-from charsum.cyclotomic import CycloValue, _poly_mul, reduce_mod_cyclotomic
+from charsum.cyclotomic import (CycloValue, _poly_mul, from_root_counts,
+                                reduce_mod_cyclotomic)
 
 
 def _per_call_us(fn, repeat, batches=5):
@@ -42,8 +47,8 @@ def main(argv=None) -> int:
 
     rng = random.Random(args.seed)
     print(f"{'order':<6} {'coeffs':<6} {'poly_mul_us':>12} {'reduce_us':>12} "
-          f"{'roots_us':>12} {'galois_us':>12}")
-    for M in (336, 2184):
+          f"{'roots_us':>12} {'gauss_us':>12} {'galois_us':>12}")
+    for M, p in ((336, 7), (2184, 13)):
         n = euler_phi(M)
         unit = rng.choice([u for u in range(2, M) if math.gcd(u, M) == 1])
         for label, bound in (("small", 14), ("wide", 10 ** 31)):
@@ -51,10 +56,15 @@ def main(argv=None) -> int:
                     for _ in range(2))
             prod = _poly_mul(a, b)
             counts = [rng.randrange(bound) for _ in range(M)]
+            gauss = [0] * M
+            for e in range(M // p):
+                gauss[(e * p + rng.randrange(p) * (M // p)) % M] = \
+                    rng.randrange(1, bound)
             v = CycloValue(M, a)
             ops = (lambda: _poly_mul(a, b),
                    lambda: reduce_mod_cyclotomic(prod, M),
                    lambda: reduce_mod_cyclotomic(counts, M),
+                   lambda: from_root_counts(M, gauss),
                    lambda: v.galois(unit))
             for op in ops:
                 op()  # builds the order's reduction plan

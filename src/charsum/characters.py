@@ -29,28 +29,42 @@ class MultCharacter:
     index: int
 
 
+class _GroupOrders(dict):
+    """|F_{q^d}^*| by degree d, asked of the tower once per degree."""
+
+    def __init__(self, tower: FieldTower):
+        super().__init__()
+        self.tower = tower
+
+    def __missing__(self, d: int) -> int:
+        n = self[d] = self.tower.group_order(d)
+        return n
+
+
 class CharSystem:
     def __init__(self, tower: FieldTower, c: int = 1):
         if not (0 < c < tower.q):
             raise SchemaError(f"additive twist {c} is not a nonzero base field element")
         self.tower = tower
         self.c = c
+        self._group_order = _GroupOrders(tower)
         self._psi_exponents: dict[int, list[int]] = {}
         self._gauss_cache: dict[tuple[int, int], CycloValue] = {}
         self._product_cache: dict[tuple[tuple[int, int], ...], CycloValue] = {}
-        # GammaMonomial -> whether its predicted divisor vanishes
-        self._zero_divisor_cache: dict = {}
+        # (GammaMonomial, degree) -> norm_algebra.IdentityRecord: what its
+        # identity needs that does not depend on the twisting character
+        self._identity_records: dict = {}
 
     # ---- the character group at each degree
 
     def character(self, degree: int, index: int) -> MultCharacter:
-        return MultCharacter(degree, index % self.tower.group_order(degree))
+        return MultCharacter(degree, index % self._group_order[degree])
 
     def trivial(self, degree: int) -> MultCharacter:
         return MultCharacter(degree, 0)
 
     def char_of_order(self, degree: int, n: int, power: int = 1) -> MultCharacter:
-        nd = self.tower.group_order(degree)
+        nd = self._group_order[degree]
         if n < 1 or nd % n:
             raise SchemaError(f"no character of order {n} at degree {degree}")
         return self.character(degree, (nd // n) * power)
@@ -71,7 +85,7 @@ class CharSystem:
         return a.index == 0
 
     def char_order(self, a: MultCharacter) -> int:
-        n = self.tower.group_order(a.degree)
+        n = self._group_order[a.degree]
         return n // math.gcd(a.index, n)
 
     def lift_character(self, chi: MultCharacter, d: int) -> MultCharacter:
@@ -79,15 +93,15 @@ class CharSystem:
         e = chi.degree
         if d % e:
             raise InternalCheckError(f"degree {d} is not a multiple of {e}")
-        scale = self.tower.group_order(d) // self.tower.group_order(e)
+        scale = self._group_order[d] // self._group_order[e]
         return self.character(d, chi.index * scale)
 
     def char_point(self, chi: MultCharacter) -> Fraction:
-        return Fraction(chi.index, self.tower.group_order(chi.degree))
+        return Fraction(chi.index, self._group_order[chi.degree])
 
     def char_from_point(self, degree: int, point: Fraction) -> MultCharacter:
         pt = point - math.floor(point)
-        num = pt * self.tower.group_order(degree)
+        num = pt * self._group_order[degree]
         if num.denominator != 1:
             raise SchemaError(f"{point} is not a character point at degree {degree}")
         return self.character(degree, int(num))
@@ -97,7 +111,7 @@ class CharSystem:
     def char_value(self, chi: MultCharacter, x: int) -> CycloValue:
         if x == 0:
             return from_int(0)
-        n = self.tower.group_order(chi.degree)
+        n = self._group_order[chi.degree]
         return root(n, chi.index * self.tower.log(chi.degree, x))
 
     def psi_exponents(self, d: int) -> list[int]:
@@ -125,7 +139,7 @@ class CharSystem:
             return val
         d = chi.degree
         t = self.tower
-        n = t.group_order(d)
+        n = self._group_order[d]
         p = t.p
         M = n * p
         psi = self.psi_exponents(d)
@@ -150,14 +164,16 @@ class CharSystem:
     def product_of_gauss(self, chars) -> CycloValue:
         """prod g(chi) over characters of any degrees, cached by the
         multiset of their (degree, index) pairs."""
-        t = self.tower
-        key = tuple(sorted((chi.degree, chi.index % t.group_order(chi.degree))
+        n = self._group_order
+        key = tuple(sorted((chi.degree, chi.index % n[chi.degree])
                            for chi in chars))
         val = self._product_cache.get(key)
         if val is None:
-            # a balanced tree keeps the narrow factors' products narrow;
-            # left to right, each step packs at the accumulator's width
-            vals = [self.gauss_sum(MultCharacter(d, i)) for d, i in key]
+            # a balanced tree over the factors in ascending ring order
+            # keeps the narrow factors' products narrow; left to right,
+            # each step packs at the accumulator's width
+            vals = sorted((self.gauss_sum(MultCharacter(d, i))
+                           for d, i in key), key=lambda v: v.order)
             while len(vals) > 1:
                 vals = [vals[j] * vals[j + 1] if j + 1 < len(vals)
                         else vals[j] for j in range(0, len(vals), 2)]
@@ -178,7 +194,7 @@ class CharSystem:
         """g(lam^n) prod g(eps^i) == lam(n^n) prod g(lam eps^i), eps of order n."""
         d = lam.degree
         t = self.tower
-        nd = t.group_order(d)
+        nd = self._group_order[d]
         if n < 1 or nd % n:
             raise SchemaError(f"order {n} does not divide {nd}")
         step = nd // n

@@ -16,7 +16,9 @@ Phi_r(x^{M/r}) of Phi_M, r = rad(M)/P for the largest prime P of M, and by
 Phi_M, whose quotient is then only phi(M)/(P - 1) slots long.  Each division
 is polynomial Barrett with the sparse inverse series of the reversed divisor,
 done as shifts and adds of the packed integer, and ends with an exact range
-check on the remainder.
+check on the remainder.  A root-count vector with few live exponents skips
+the first division: each x^e is folded straight to the remainder mod the
+sparse multiple from a table of powers (`_power_rows`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
 from charsum._intutil import euler_phi, factorize, moebius
@@ -93,28 +95,32 @@ def _unpack(v: int, nbytes: int, fmt: str | None, count: int,
     return struct.unpack_from(fmt % count, raw)
 
 
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _kronecker_mul(a: tuple[int, ...],
+                   b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     # signed Kronecker substitution: one integer product of the packed
     # operands is the packed product.  The slots must hold |c_k| < 2^{w-1}
-    # and each operand's own coefficients.  For nonzero operands, as
-    # _poly_mul passes, min(m, n) * ma * mb covers both; the ma, mb terms
-    # keep direct calls with an all-zero operand safe
+    # and each operand's own coefficients.  Every c_k is a sum of at most
+    # min(m, n) terms a_i b_j, so B = min(m, n) * ma * mb bounds it; the
+    # ma, mb terms keep direct calls with an all-zero operand safe.
+    # Returns the product and B
     m, n = len(a), len(b)
     out_len = m + n - 1
     ma = max(max(a), -min(a))
     mb = max(max(b), -min(b))
-    nbytes, fmt = _slot_codec(max(min(m, n) * ma * mb, ma, mb).bit_length()
-                              + 1)
+    bound = min(m, n) * ma * mb
+    nbytes, fmt = _slot_codec(max(bound, ma, mb).bit_length() + 1)
     H = _top_bits(nbytes, out_len)
     return _unpack(_pack(a, nbytes, fmt, H) * _pack(b, nbytes, fmt, H),
-                   nbytes, fmt, out_len, H)
+                   nbytes, fmt, out_len, H), bound
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+def _poly_mul_bounded(a: Sequence[int], b: Sequence[int]):
+    # a b, and _kronecker_mul's bound on its coefficients; None from the
+    # schoolbook path, whose short products the reduction measures itself
     a = _trim(a)
     b = _trim(b)
     if a == (0,) or b == (0,):
-        return (0,)
+        return (0,), None
     if min(len(a), len(b)) <= _SCHOOLBOOK_MAX:
         if len(a) > len(b):
             a, b = b, a
@@ -123,8 +129,12 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return tuple(out)
+        return tuple(out), None
     return _kronecker_mul(a, b)
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    return _poly_mul_bounded(a, b)[0]
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int]):
@@ -212,21 +222,26 @@ class _Stage(NamedTuple):
             abs(c) for _, c in inv) * sum(abs(c) for _, c in div))
 
 
+def _cofactor(M: int) -> int:
+    # r = rad(M)/P for the largest prime P of M
+    r = 1
+    for p, _ in factorize(M)[:-1]:
+        r *= p
+    return r
+
+
 @lru_cache(maxsize=None)
 def _reduction_plan(M: int) -> tuple[_Stage, ...]:
-    # Phi_M divides D = Phi_r(x^{M/r}), r = rad(M)/P for the largest prime P
-    # of M, and deg D = phi(M) P/(P-1).  After the fold mod x^M - 1, stage 1
+    # Phi_M divides D = Phi_r(x^{M/r}), r = _cofactor(M), and
+    # deg D = phi(M) P/(P-1).  After the fold mod x^M - 1, stage 1
     # divides by D, so its quotient has at most M - deg D slots, and stage 2
     # by Phi_M, with at most phi(M)/(P-1).  For a prime power, r = 1 and
     # the fold is stage 1.  Phi_r and its inverse series are built in y, so
     # the setup is O(r) there and O(phi(M)/(P-1)) for Phi_M
     if M == 1:
         return ()
-    fac = factorize(M)
-    P = fac[-1][0]
-    r = 1
-    for p, _ in fac[:-1]:
-        r *= p
+    P = factorize(M)[-1][0]
+    r = _cofactor(M)
     n = euler_phi(M)
     stages = []
     if r > 1:
@@ -238,6 +253,29 @@ def _reduction_plan(M: int) -> tuple[_Stage, ...]:
     stages.append(_Stage.of(phi, _series_inverse(
         tuple(reversed(phi)), n // (P - 1)), 1))
     return tuple(stages)
+
+
+@lru_cache(maxsize=None)
+def _power_rows(M: int) -> tuple[int, int, tuple, int]:
+    # (k, phi(r) k, rows, terms) for r = _cofactor(M), k = M/r and y = x^k:
+    # row a holds the nonzero terms (j k, c) of y^a mod Phi_r(y), for
+    # a < r, and terms counts them over all rows.
+    # Phi_r(y) = D of _reduction_plan, so x^{ak+b} = x^b y^a is congruent
+    # mod D to x^b row_a(x^k), of degree below deg D = phi(r) k
+    r = _cofactor(M)
+    k = M // r
+    base = cyclotomic_poly(r)
+    deg = len(base) - 1
+    row = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(r):
+        rows.append(tuple((j * k, c) for j, c in enumerate(row) if c))
+        # y row = x row shifted, its top term folded back by the monic base
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [c - top * u for c, u in zip(row, base)]
+    return k, deg * k, tuple(rows), sum(map(len, rows))
 
 
 def _add_multiple(acc: int, c: int, t: int) -> int:
@@ -287,15 +325,23 @@ def _divide(F: int, length: int, stage: _Stage, w: int) -> int:
     return R
 
 
-def reduce_mod_cyclotomic(coeffs: Sequence[int], M: int) -> tuple[int, ...]:
+def reduce_mod_cyclotomic(coeffs: Sequence[int], M: int, *,
+                          _bound: int | None = None) -> tuple[int, ...]:
     """Reduce an integer polynomial of any degree mod Phi_M.
 
     Returns exactly phi(M) coefficients.  The input is folded mod x^M - 1,
     then divided by the stages of _reduction_plan(M) on one packed integer.
+    Within this module, a caller that has proven a bound on every
+    |coeffs[k]| passes it as _bound; otherwise the coefficients are
+    measured.
     """
+    bound = _bound
     n = euler_phi(M)
     c = _trim(coeffs)
     if len(c) > M:
+        # each folded slot sums at most ceil(len / M) input slots
+        if bound is not None:
+            bound *= -(-len(c) // M)
         acc = list(c[:M])
         for j in range(M, len(c), M):
             chunk = c[j:j + M]
@@ -305,10 +351,15 @@ def reduce_mod_cyclotomic(coeffs: Sequence[int], M: int) -> tuple[int, ...]:
     if length <= n:
         return c + (0,) * (n - length)
     stages = _reduction_plan(M)
-    # every slot of the input, the remainders and D stays within bound
-    bound = max(max(c), -min(c))
+    # every slot of the input, the remainders and D stays within bound;
+    # a stage that finds the input shorter than its divisor does nothing
+    if bound is None:
+        bound = max(max(c), -min(c))
+    left = length
     for st in stages:
-        bound *= st.growth
+        if left > st.degree:
+            bound *= st.growth
+            left = st.degree
     nbytes, fmt = _slot_codec(bound.bit_length() + 3)
     w = 8 * nbytes
     H = _top_bits(nbytes, length)
@@ -421,7 +472,8 @@ class CycloValue:
         L = math.lcm(self.order, other.order)
         a = _lift_coeffs(self, L)
         b = _lift_coeffs(other, L)
-        return _make(L, reduce_mod_cyclotomic(_poly_mul(a, b), L))
+        prod, bound = _poly_mul_bounded(a, b)
+        return _make(L, reduce_mod_cyclotomic(prod, L, _bound=bound))
 
     __rmul__ = __mul__
 
@@ -538,7 +590,30 @@ def from_root_counts(M: int, counts: Sequence[int]) -> CycloValue:
             if len(sub) - sub.count(0) < live:
                 break
             g *= p
-    return _make(M // g, reduce_mod_cyclotomic(counts[::g], M // g))
+    M //= g
+    counts = counts[::g]
+    # the fold makes about live * terms / r additions, one per row term of
+    # each live exponent; the dense route packs all M slots and divides by
+    # D.  Timed at M = 336 to 2184, the fold is the cheaper while that
+    # count stays under M / 4.  A prime power (r = 1) has no D to skip
+    _, _, rows, terms = _power_rows(M)
+    if len(rows) > 1 and 4 * live * terms < M * len(rows):
+        counts = _fold_live(counts, M)
+    return _make(M, reduce_mod_cyclotomic(counts, M))
+
+
+def _fold_live(counts: Sequence[int], M: int) -> list[int]:
+    # counts as a polynomial mod D = Phi_r(x^k) of _power_rows, term by
+    # term over the live exponents: deg D slots, which leave only the
+    # Phi_M stage of the reduction
+    k, length, rows, _ = _power_rows(M)
+    out = [0] * length
+    for e in compress(range(M), counts):
+        a, b = divmod(e, k)
+        c = counts[e]
+        for j, u in rows[a]:
+            out[b + j] += c * u
+    return out
 
 
 # ------------------------------------------------------------------ ratios

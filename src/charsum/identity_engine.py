@@ -6,8 +6,12 @@ of the character points on Q/Z.  When that divisor vanishes, the twisted
 product prod_i g(lam^{n_i} chi_i) equals lam(prod n_i^{n_i}) * prod_i g(chi_i)
 times an integer power of the field size, for every lam over every extension;
 verify_monomial_identity recovers that exponent exactly by running the norm
-identity of norm_algebra on the split algebra F_Q^k.  When the divisor does
-not vanish, find_violation scans extensions for a character witnessing that
+identity of norm_algebra on the split algebra F_Q^k.  What that identity
+needs of a monomial at one degree and not of lam (the zero-divisor flag,
+the lifted terms, p(V) as a discrete log, g(chi') and the trivial weight)
+is one IdentityRecord per (monomial, degree), kept on the CharSystem; each
+lam then only twists indices and multiplies.  When the divisor does not
+vanish, find_violation scans extensions for a character witnessing that
 no collapse of this shape can hold: it counts nontrivial twisted characters
 to find the witness and certifies the one it returns with an exact |.|^2
 cross ratio of Gauss-sum products.
@@ -20,8 +24,10 @@ from dataclasses import dataclass
 from charsum.characters import CharSystem, MultCharacter
 from charsum.divisor_calc import Divisor, divisor_of_char_power
 from charsum.errors import InternalCheckError, SchemaError
-from charsum.norm_algebra import (EtaleAlgebra, NormCharacter, VirtualModule,
-                                  _identity_exponent, check_exponents)
+from charsum.norm_algebra import (EtaleAlgebra, IdentityRecord,
+                                  NormCharacter, VirtualModule,
+                                  _identity_exponent, _prepare,
+                                  _twisted_indices, check_exponents)
 
 
 @dataclass(frozen=True)
@@ -48,16 +54,6 @@ def predicted_divisor(system: CharSystem, mono: GammaMonomial) -> Divisor:
     return total
 
 
-def _has_zero_divisor(system: CharSystem, mono: GammaMonomial) -> bool:
-    """predicted_divisor(system, mono).is_zero(), computed once per monomial:
-    the divisor depends on the monomial only, never on lam."""
-    zero = system._zero_divisor_cache.get(mono)
-    if zero is None:
-        zero = predicted_divisor(system, mono).is_zero()
-        system._zero_divisor_cache[mono] = zero
-    return zero
-
-
 def _lifted_terms(system: CharSystem, mono: GammaMonomial, d: int):
     out = []
     for chi, n in mono.terms:
@@ -68,6 +64,37 @@ def _lifted_terms(system: CharSystem, mono: GammaMonomial, d: int):
     return out
 
 
+def _record(system: CharSystem, mono: GammaMonomial,
+            d: int) -> IdentityRecord:
+    """The identity record of mono at degree d, built once per system.
+
+    It is the record of the split algebra F_{q^d}^k over base degree d,
+    with ranks n_i and the norm-lifts chi_i' of the terms, validated
+    once.  Its zero flag is that of predicted_divisor: the divisor of the
+    monomial depends on neither d nor lam, so a record at a lower degree
+    lends its flag.  The empty monomial has no algebra; its record has no
+    factors.
+    """
+    records = system._identity_records
+    rec = records.get((mono, d))
+    if rec is None:
+        lower = [r for r in map(records.get, ((mono, e) for e in range(1, d)))
+                 if r is not None]
+        zero = lower[0].zero if lower else \
+            predicted_divisor(system, mono).is_zero()
+        lifted = _lifted_terms(system, mono, d)
+        if lifted:
+            rec = _prepare(
+                system, EtaleAlgebra(system.tower, (d,) * len(lifted), d),
+                VirtualModule(n for _, n in lifted),
+                NormCharacter(chi for chi, _ in lifted), zero)
+        else:
+            rec = IdentityRecord(zero, d, system.tower.order(d), (), None,
+                                 None, None)
+        records[mono, d] = rec
+    return rec
+
+
 def verify_monomial_identity(system: CharSystem, mono: GammaMonomial,
                              lam: MultCharacter) -> int:
     """Exponent m with prod g(lam^n chi') = Q^m lam(prod n^n) prod g(chi').
@@ -75,38 +102,34 @@ def verify_monomial_identity(system: CharSystem, mono: GammaMonomial,
     Q is the order of lam's field, chi' the norm-lift of chi to that field.
     Requires the predicted divisor to vanish.  When every twisted character
     lam^n chi' is nontrivial, checks 2m = #{i : chi_i trivial} as well.
-    This is the norm identity of the split algebra F_Q^k with ranks n_i.
+    This is the norm identity of the split algebra F_Q^k with ranks n_i:
+    its record (_record) holds the lifted terms, p(V) as a discrete log
+    and g(chi'), so each lam pays only for its twisted product, lam(p(V))
+    g(chi') and the checks.
     """
-    if not _has_zero_divisor(system, mono):
+    rec = _record(system, mono, lam.degree)
+    if not rec.zero:
         raise SchemaError(
             "monomial has a nonzero divisor; no identity is predicted")
-    d = lam.degree
-    lifted = _lifted_terms(system, mono, d)
-    if not lifted:
+    if not rec.factors:
         return 0
-    algebra = EtaleAlgebra(system.tower, (d,) * len(lifted), d)
-    return _identity_exponent(
-        system, algebra, VirtualModule(n for _, n in lifted),
-        NormCharacter(chi for chi, _ in lifted), lam)
+    return _identity_exponent(system, rec, lam)
 
 
-def _twisted_terms(system: CharSystem, lifted, lam: MultCharacter):
-    return [(system.char_mul(system.char_pow(lam, n), chi), n)
-            for chi, n in lifted]
-
-
-def _balance(system: CharSystem, lifted, lam: MultCharacter) -> int:
+def _balance(system: CharSystem, rec: IdentityRecord,
+             lam: MultCharacter) -> int:
     """Nontrivial twisted characters lam^n chi' with n > 0, less those
     with n < 0; |g(chi)|^2 = Q^[chi nontrivial] makes Q^balance the |.|^2
     ratio of the positive to the negative part."""
-    return sum(1 if n > 0 else -1
-               for chi, n in _twisted_terms(system, lifted, lam)
-               if not system.is_trivial(chi))
+    return sum(1 if f[1] > 0 else -1
+               for f, t in zip(rec.factors, _twisted_indices(rec, lam)) if t)
 
 
-def _abs2_sides(system: CharSystem, lifted, lam: MultCharacter):
+def _abs2_sides(system: CharSystem, rec: IdentityRecord,
+                lam: MultCharacter):
     """Exact |.|^2 of the positive and of the negative twisted part."""
-    twisted = _twisted_terms(system, lifted, lam)
+    twisted = [(MultCharacter(f[0], t), f[1])
+               for f, t in zip(rec.factors, _twisted_indices(rec, lam))]
     return [system.product_of_gauss(
         chi for chi, n in twisted if (n > 0) == positive).abs_squared()
         for positive in (True, False)]
@@ -127,25 +150,28 @@ def find_violation(system: CharSystem, mono: GammaMonomial, max_degree: int):
 
     Degrees ascend, characters by index ascending; fully deterministic.
     """
-    zero = _has_zero_divisor(system, mono)
+    zero = None
     for d in range(1, max_degree + 1):
         if any(d % chi.degree for chi, _ in mono.terms):
             continue
-        lifted = _lifted_terms(system, mono, d)
+        rec = _record(system, mono, d)
+        zero = rec.zero
         one = system.trivial(d)
-        base = _balance(system, lifted, one)
+        base = _balance(system, rec, one)
         for idx in range(1, system.tower.group_order(d)):
             lam = system.character(d, idx)
-            if _balance(system, lifted, lam) == base:
+            if _balance(system, rec, lam) == base:
                 continue
             if zero:
                 raise InternalCheckError(
                     "witness found for a zero-divisor monomial")
-            a, b = _abs2_sides(system, lifted, lam)
-            a1, b1 = _abs2_sides(system, lifted, one)
+            a, b = _abs2_sides(system, rec, lam)
+            a1, b1 = _abs2_sides(system, rec, one)
             if a * b1 == a1 * b:
                 raise InternalCheckError(
                     "the exact |.|^2 cross ratio holds at the counted "
                     "witness")
             return d, lam
+    if zero is None:  # no degree in range carries every term
+        zero = predicted_divisor(system, mono).is_zero()
     return None if zero else "inconclusive"

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import cyclotomic as cy
 from ._intutil import solve_congruences
@@ -185,6 +186,11 @@ def p_of(system: CharSystem, algebra: EtaleAlgebra,
     """The scale prod n_i^{n_i d_i} as a base-field unit; zero ranks
     contribute factor 1, negative exponents mean inversion."""
     check_norm_data(system, algebra, module)
+    return _scale(system, algebra, module)
+
+
+def _scale(system, algebra, module):
+    """p_of on validated data."""
     t = system.tower
     e = algebra.base_degree
     out = t.embed(1, e, t.from_int(1))
@@ -201,6 +207,11 @@ def module_divisor(system: CharSystem, algebra: EtaleAlgebra,
     """Weighted divisor sum_i d_i * (divisor of the n_i-th power points of
     chi_i); zero-rank factors contribute nothing."""
     check_norm_data(system, algebra, module, chi)
+    return _weighted_divisor(system, algebra, chi, module)
+
+
+def _weighted_divisor(system, algebra, chi, module):
+    """module_divisor on validated data."""
     total = Divisor()
     for ch, n, d in zip(chi.chars, module.ranks, algebra.rel_degrees()):
         if n == 0:
@@ -273,36 +284,86 @@ def verify_norm_identity(system: CharSystem, algebra: EtaleAlgebra,
     vanish.  When every twisted factor character is nontrivial, checks
     2m = sum of d_i over the factors with chi_i trivial.
     """
-    check_norm_data(system, algebra, module, chi)
-    e = algebra.base_degree
-    if lam.degree != e:
+    rec = _prepare(system, algebra, module, chi)
+    if lam.degree != rec.base:
         raise SchemaError(
-            f"twisting character of degree {lam.degree} on base degree {e}")
-    if not module_divisor(system, algebra, chi, module).is_zero():
+            f"twisting character of degree {lam.degree} on base degree "
+            f"{rec.base}")
+    if not rec.zero:
         raise SchemaError(
             "module carries a nonzero divisor; no identity is predicted")
-    return _identity_exponent(system, algebra, module, chi, lam)
+    return _identity_exponent(system, rec, lam)
 
 
-def _identity_exponent(system, algebra, module, chi, lam):
-    """verify_norm_identity on validated data with a vanishing divisor; the
-    monomial identities of identity_engine run here on split algebras."""
+class IdentityRecord(NamedTuple):
+    """The part of the norm identity of (algebra, module, chi) that does not
+    depend on the twisting character lam, built by _prepare.
+
+    Each factor is (D_i, n_i, n_i s_i, index of chi_i, |F_{q^{D_i}}^*|),
+    with s_i = |F_{q^{D_i}}^*| / |F_{q^e}^*|, so that (lam o det_V) chi has
+    index (lam.index n_i s_i + index of chi_i) mod |F_{q^{D_i}}^*| on
+    factor i.  The last three fields are None unless the divisor vanishes.
+    """
+
+    zero: bool  # the module divisor vanishes
+    base: int  # e, the degree of lam
+    size: int  # q^e
+    factors: tuple
+    p_log: int | None  # discrete log of p(V) in F_{q^e}^*
+    g_chi: CycloValue | None  # g(chi) = prod g(chi_i)
+    trivial_weight: int | None  # sum of d_i over the trivial chi_i
+
+
+def _prepare(system, algebra, module, chi, zero=None):
+    """Validate (algebra, module, chi) once and build its IdentityRecord.
+
+    zero is whether the module divisor vanishes, when the caller has it;
+    otherwise it is computed here.  p(V), its log and g(chi) are only
+    computed when it vanishes, as only then is an identity predicted.
+    """
+    check_norm_data(system, algebra, module, chi)
+    if zero is None:
+        zero = _weighted_divisor(system, algebra, chi, module).is_zero()
+    t = system.tower
     e = algebra.base_degree
-    twisted = [system.char_mul(
-        system.lift_character(system.char_pow(lam, n), deg), ch)
-        for ch, n, deg in zip(chi.chars, module.ranks, algebra.degrees)]
+    factors = tuple((deg, n, n * (t.group_order(deg) // t.group_order(e)),
+                     ch.index, t.group_order(deg))
+                    for ch, n, deg in zip(chi.chars, module.ranks,
+                                          algebra.degrees))
+    p_log = g_chi = trivial_weight = None
+    if zero:
+        p_log = t.log(e, _scale(system, algebra, module))
+        g_chi = system.product_of_gauss(chi.chars)
+        trivial_weight = sum(d * system.is_trivial(ch) for ch, d in
+                             zip(chi.chars, algebra.rel_degrees()))
+    return IdentityRecord(zero, e, t.order(e), factors, p_log, g_chi,
+                          trivial_weight)
+
+
+def _twisted_indices(rec: IdentityRecord, lam: MultCharacter) -> list[int]:
+    """Index of (lam o det_V) chi on each factor, by integer arithmetic."""
+    k = lam.index
+    return [(k * step + c) % n for _, _, step, c, n in rec.factors]
+
+
+def _identity_exponent(system, rec, lam):
+    """verify_norm_identity for lam on the record of data with a vanishing
+    divisor; the monomial identities of identity_engine run here on the
+    records of split algebras.  Per lam this takes the twisted indices,
+    one Gauss-sum product (cached by the system), lam(p(V)) from the
+    recorded log, one ring product with the recorded g(chi), the
+    q-power ratio of the full coefficient vectors and the parity clause."""
+    twisted = [MultCharacter(f[0], t)
+               for f, t in zip(rec.factors, _twisted_indices(rec, lam))]
     lhs = system.product_of_gauss(twisted)
-    rhs = system.char_value(lam, p_of(system, algebra, module)) \
-        * system.product_of_gauss(chi.chars)
-    m = q_power_ratio(lhs, rhs, system.tower.order(e))
+    rhs = cy.root(rec.size - 1, lam.index * rec.p_log) * rec.g_chi
+    m = q_power_ratio(lhs, rhs, rec.size)
     if m is None:
         raise InternalCheckError(
             "zero-divisor data produced a non-power Gauss-sum ratio")
-    trivial_weight = sum(d * system.is_trivial(ch) for ch, d in
-                         zip(chi.chars, algebra.rel_degrees()))
-    if not any(map(system.is_trivial, twisted)) and 2 * m != trivial_weight:
+    if all(ch.index for ch in twisted) and 2 * m != rec.trivial_weight:
         raise InternalCheckError(
-            f"parity clause fails: 2*{m} != {trivial_weight}")
+            f"parity clause fails: 2*{m} != {rec.trivial_weight}")
     return m
 
 
@@ -473,7 +534,7 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
         raise SchemaError("rank gcd 2 needs odd q")
 
     inv_chi = NormCharacter(tuple(system.char_inv(ch) for ch in chi.chars))
-    rhs = module_divisor(system, algebra, inv_chi, module)
+    rhs = _weighted_divisor(system, algebra, inv_chi, module)
     origin = Divisor({Fraction(0): 1})
     rest = rhs - origin if case == 1 else origin - rhs
     r = _single_point(rest)
@@ -488,7 +549,7 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
             f"mediating point {r} is not realized over the base field F_{q}")
     nu = system.char_from_point(e, frac_mod1(-r))
 
-    pv = p_of(system, algebra, module)
+    pv = _scale(system, algebra, module)
     if case == 1:
         b = t.neg(e, t.inv(e, t.mul(e, a, pv)))
     else:

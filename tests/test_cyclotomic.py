@@ -13,10 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import charsum
+from charsum import cyclotomic
 from charsum._intutil import euler_phi
+from charsum.characters import CharSystem, MultCharacter
 from charsum.cyclotomic import (
     _SCHOOLBOOK_MAX,
     CycloValue,
+    _fold_live,
     _kronecker_mul,
     _lift_coeffs,
     _poly_divmod,
@@ -30,6 +33,7 @@ from charsum.cyclotomic import (
     root,
 )
 from charsum.errors import InternalCheckError
+from charsum.field_tower import build_tower
 
 
 def _counts(M, terms):
@@ -154,13 +158,17 @@ def _width_examples(test):
 def test_kronecker_matches_schoolbook(a, b):
     a = tuple(a)
     b = tuple(b)
-    assert _kronecker_mul(a, b) == _naive_mul(a, b)
+    prod, bound = _kronecker_mul(a, b)
+    assert prod == _naive_mul(a, b)
+    assert max(map(abs, prod)) <= bound
 
 
 def test_kronecker_all_negative():
     a = (-5,) * 40
     b = (-7,) * 45
-    assert _kronecker_mul(a, b) == _naive_mul(a, b)
+    prod, bound = _kronecker_mul(a, b)
+    assert prod == _naive_mul(a, b)
+    assert bound == 40 * 5 * 7 == max(prod)
 
 
 def _workload_examples(test):
@@ -201,6 +209,36 @@ def test_barrett_at_max_degree():
     f = tuple(range(1, 2 * n + 1))
     _, rem = _poly_divmod(f, cyclotomic_poly(M))
     assert reduce_mod_cyclotomic(f, M) == rem + (0,) * (n - len(rem))
+
+
+@pytest.mark.parametrize("M", [336, 1092, 2184])
+def test_product_bound_handoff(M):
+    # __mul__ hands _kronecker_mul's bound min(m, n) ma mb to the
+    # reduction.  Constant operands of +-10^31 reach it exactly; operands
+    # of length M and more give products past M, whose folds multiply it.
+    # The remainder must be the one reduced with the bound measured from
+    # the coefficients
+    n = euler_phi(M)
+    w = 10**31
+    for la, lb in ((n, n), (M, M), (M, 2 * M + 1)):
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            prod, bound = _kronecker_mul((sa * w,) * la, (sb * w,) * lb)
+            assert max(map(abs, prod)) == bound == min(la, lb) * w * w
+            assert reduce_mod_cyclotomic(prod, M, _bound=bound) \
+                == reduce_mod_cyclotomic(prod, M)
+    v = CycloValue(M, (w,) * n)
+    prod, _ = _kronecker_mul(v.coeffs, (-v).coeffs)
+    assert (v * -v).coeffs == reduce_mod_cyclotomic(prod, M)
+
+
+def test_folded_bound_scales_with_fold_count():
+    # at M = 4 the one stage grows slots by 3, so 2^59 packs into 8-byte
+    # slots.  Sixteen folds of +-2^59 make +-2^63, which they only hold
+    # because the fold count multiplies the bound
+    M = 4
+    c = (1 << 59, 0, -1 << 59, 0) * 16
+    assert reduce_mod_cyclotomic(c, M, _bound=1 << 59) == (1 << 64, 0) \
+        == reduce_mod_cyclotomic(c, M)
 
 
 # -------------------------------------------------------------- ring facts
@@ -280,6 +318,41 @@ def test_root_counts_match_sum_of_roots(M, data):
     assert v.order in (1, M // math.gcd(M, *live))
     with pytest.raises(InternalCheckError):
         from_root_counts(M, counts + [0])
+
+
+@pytest.mark.parametrize("M", [156, 336, 1092, 2184, 343])
+def test_sparse_root_fold_matches_dense(M):
+    # 343 is a prime power, which from_root_counts never folds
+    rng = random.Random(M)
+    for live in (1, 2, 5, M // 13, M // 5):
+        for bound in (13, 10**31):
+            counts = [0] * M
+            for e in rng.sample(range(M), live):
+                counts[e] = rng.choice([-1, 1]) * rng.randint(1, bound)
+            dense = reduce_mod_cyclotomic(counts, M)
+            assert reduce_mod_cyclotomic(_fold_live(counts, M), M) == dense
+            assert from_root_counts(M, counts) == CycloValue(M, dense)
+
+
+def test_sparse_root_fold_on_gauss_sums(monkeypatch):
+    # every degree-2 Gauss sum over F_169, from its count vector at
+    # M = 168 * 13; the 48 of full order keep M and go through the fold
+    folded = []
+    fold = cyclotomic._fold_live
+    monkeypatch.setattr(cyclotomic, "_fold_live",
+                        lambda counts, M: folded.append(M) or fold(counts, M))
+    tower = build_tower(13, 1, degrees=(1, 2))
+    system = CharSystem(tower)
+    n, p = 168, 13
+    M = n * p
+    psi = system.psi_exponents(2)
+    for idx in range(n):
+        counts = [0] * M
+        for j, x in enumerate(tower.exp_table(2)):
+            counts[(j * idx % n * p + psi[x] * n) % M] += 1
+        dense = CycloValue(M, reduce_mod_cyclotomic(counts, M))
+        assert system.gauss_sum(MultCharacter(2, idx)) == dense
+    assert folded.count(M) == 48
 
 
 def test_abs_squared_undefined():

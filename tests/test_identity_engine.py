@@ -9,7 +9,7 @@ import pytest
 
 import charsum.identity_engine as ie
 from charsum.characters import CharSystem
-from charsum.cyclotomic import CycloValue
+from charsum.cyclotomic import CycloValue, q_power_ratio
 from charsum.divisor_calc import Divisor
 from charsum.errors import InternalCheckError, SchemaError
 from charsum.field_tower import build_tower
@@ -20,6 +20,7 @@ from charsum.identity_engine import (
     verify_monomial_identity,
 )
 from charsum.monomial_fourier import MonomialDatum, solve_monomial_transform
+from charsum.norm_algebra import EtaleAlgebra, VirtualModule, p_of
 
 F = Fraction
 
@@ -108,6 +109,24 @@ def test_verify_builds_divisor_once_per_monomial(monkeypatch):
     # the memo lives on the CharSystem: a fresh system builds it again
     verify_monomial_identity(system(7), hd2, sys.character(1, 1))
     assert calls == [hd2, hd3, hd2]
+
+
+def test_verify_builds_divisor_once_across_degrees(monkeypatch):
+    # the degree-2 record takes its zero flag from the degree-1 record
+    calls = []
+
+    def counting(system, mono):
+        calls.append(mono)
+        return predicted_divisor(system, mono)
+
+    monkeypatch.setattr(ie, "predicted_divisor", counting)
+    sys = system(7, degrees=(1, 2))
+    m = hd_monomial(sys, 3)
+    for d in (1, 2):
+        for idx in range(sys.tower.group_order(d)):
+            verify_monomial_identity(sys, m, sys.character(d, idx))
+    assert find_violation(sys, m, 2) is None
+    assert calls == [m]
 
 
 def test_verify_hd_families_all_lambdas():
@@ -302,3 +321,79 @@ def test_find_violation_certifies_counted_witness(monkeypatch):
         find_violation(sys, mono, 1)
     with pytest.raises(InternalCheckError, match="zero-divisor"):
         find_violation(sys, hd_monomial(sys, 2), 1)
+
+
+def falsify_library(c):
+    """The benchmark falsifier's zero-divisor monomials, on systems with
+    additive twist c: Hasse-Davenport over F_13 (n = 4, 12) and F_7
+    (n = 2, 3, 6), the divisor relations of the (2), (3, -1) and (4, -2)
+    transforms, and an inverse pair over F_5."""
+    s5, s7, s13 = (CharSystem(build_tower(p, 1, degrees=(1, 2)), c)
+                   for p in (5, 7, 13))
+    one5, one7 = s5.trivial(1), s7.trivial(1)
+    return ([(s13, hd_monomial(s13, n)) for n in (4, 12)]
+            + [(s7, hd_monomial(s7, n)) for n in (2, 3, 6)]
+            + [(s5, GammaMonomial([(one5, 2), (one5, -1),
+                                   (s5.character(1, 2), -1)])),
+               (s7, GammaMonomial([(one7, 3), (s7.character(1, 4), -1),
+                                   (one7, -1), (s7.character(1, 2), -1)])),
+               (s5, GammaMonomial([(one5, 4), (s5.character(1, 2), -2),
+                                   (one5, -1), (s5.character(1, 2), -1)])),
+               (s5, GammaMonomial([(s5.character(1, 1), 1),
+                                   (s5.character(1, 3), -1)]))])
+
+
+def per_call_exponent(sys, mono, lam):
+    """verify_monomial_identity as one body per call, with no record: lift
+    the terms, build and validate the split algebra, evaluate p(V) in the
+    field and lam(p(V)) through char_value, and twist through the
+    character group's own laws."""
+    if not predicted_divisor(sys, mono).is_zero():
+        raise SchemaError("nonzero divisor")
+    d = lam.degree
+    lifted = [(sys.lift_character(chi, d), n) for chi, n in mono.terms]
+    algebra = EtaleAlgebra(sys.tower, (d,) * len(lifted), d)
+    module = VirtualModule(n for _, n in lifted)
+    chars = [chi for chi, _ in lifted]
+    twisted = [sys.char_mul(sys.lift_character(sys.char_pow(lam, n), d), ch)
+               for ch, n in lifted]
+    lhs = sys.product_of_gauss(twisted)
+    rhs = sys.char_value(lam, p_of(sys, algebra, module)) \
+        * sys.product_of_gauss(chars)
+    m = q_power_ratio(lhs, rhs, sys.tower.order(d))
+    if m is None:
+        raise InternalCheckError("non-power ratio")
+    weight = sum(map(sys.is_trivial, chars))
+    if not any(map(sys.is_trivial, twisted)) and 2 * m != weight:
+        raise InternalCheckError("parity")
+    return m
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_record_matches_per_call_body(c):
+    # the reference runs on its own systems, so no cached product is shared
+    for (sys, mono), (ref, ref_mono) in zip(falsify_library(c),
+                                            falsify_library(c)):
+        for d in (1, 2):
+            for idx in range(sys.tower.group_order(d)):
+                got = verify_monomial_identity(sys, mono,
+                                               sys.character(d, idx))
+                assert got == per_call_exponent(
+                    ref, ref_mono, ref.character(d, idx)), (mono, d, idx)
+        assert {(mono, 1), (mono, 2)} <= set(sys._identity_records)
+
+
+def test_tampered_record_raises():
+    # lam(p(V)) is read from the record's discrete log; one off multiplies
+    # the right side by lam(g) and leaves no q-power ratio
+    for sys, mono in falsify_library(1):
+        for d in (1, 2):
+            lam = sys.character(d, 1)
+            verify_monomial_identity(sys, mono, lam)
+            rec = sys._identity_records[mono, d]
+            sys._identity_records[mono, d] = rec._replace(
+                p_log=rec.p_log + 1)
+            with pytest.raises(InternalCheckError, match="non-power"):
+                verify_monomial_identity(sys, mono, lam)
+            sys._identity_records[mono, d] = rec
+            verify_monomial_identity(sys, mono, lam)

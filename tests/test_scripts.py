@@ -24,7 +24,8 @@ def test_kernel_probe_runs_optimized():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["order", "coeffs", "poly_mul_us",
-                                "reduce_us", "roots_us", "galois_us"]
+                                "reduce_us", "roots_us", "gauss_us",
+                                "galois_us"]
     rows = [line.split() for line in lines[1:]]
     assert [row[:2] for row in rows] == [
         ["M336", "small"], ["M336", "wide"],

@@ -37,5 +37,7 @@ def test_tracer_installs_and_sees_every_layer():
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["code"] == 0
     for name in ("norm_algebra.sweep", "monomial_fourier.sweep",
-                 "characters.gauss_sum", "cyclotomic.reduce"):
+                 "identity_engine.verify", "characters.gauss_sum",
+                 "characters.product_of_gauss", "cyclotomic.reduce",
+                 "cyclotomic.q_power_ratio", "cyclotomic.from_root_counts"):
         assert out["calls"].get(name, 0) > 0, name
