@@ -10,6 +10,15 @@ Gauss sums are accumulated as exact root-count vectors at order
 M = (q^d - 1) * p using zeta_{q^d-1} = zeta_M^p and zeta_p = zeta_M^{q^d-1},
 then reduced; the gcd shrink in from_root_counts keeps lifted-character sums
 in small rings.
+
+Jacobi sums J(a, b) = sum over x != 0, 1 of a(x) b(1 - x) need no additive
+character: through the tower's Zech table they are root counts at order
+q^d - 1 alone.  The law g(a) g(b) = J(a, b) g(ab) folds a product of
+Gauss sums of one degree into its Jacobi form C g(T) (gauss_form), with T
+the product character and C in Z[zeta_{q^d-1}], phi(q^d - 1) wide against
+phi((q^d - 1) p) for the Gauss sums.  The identity check compares Jacobi
+forms and cancels a common g(T); product_of_gauss stays the direct
+product, which certifies each recorded form once (norm_algebra._prepare).
 """
 
 from __future__ import annotations
@@ -51,8 +60,12 @@ class CharSystem:
         self._psi_exponents: dict[int, list[int]] = {}
         self._gauss_cache: dict[tuple[int, int], CycloValue] = {}
         self._product_cache: dict[tuple[tuple[int, int], ...], CycloValue] = {}
-        # (GammaMonomial, degree) -> norm_algebra.IdentityRecord: what its
-        # identity needs that does not depend on the twisting character
+        self._jacobi_cache: dict[tuple[int, int, int], CycloValue] = {}
+        self._form_cache: dict[tuple[int, tuple[int, ...]],
+                               tuple[CycloValue, int]] = {}
+        # (GammaMonomial, degree) or (algebra, module, chi) ->
+        # norm_algebra.IdentityRecord: what its identity needs that does
+        # not depend on the twisting character
         self._identity_records: dict = {}
 
     # ---- the character group at each degree
@@ -180,6 +193,58 @@ class CharSystem:
             val = vals[0] if vals else from_int(1)
             self._product_cache[key] = val
         return val
+
+    # ---- Jacobi sums and the Jacobi form of a product of Gauss sums
+
+    def jacobi_sum(self, d: int, a: int, b: int) -> CycloValue:
+        """J(a, b) = sum over x != 0, 1 of chi_a(x) chi_b(1 - x) for the
+        degree-d characters of indices a and b.  With x = g^j, 1 - x is
+        g^{z[j]} for the tower's Zech table z, so each point adds one to
+        the count of zeta_{q^d-1}^{a j + b z[j]}.  J does not depend on the
+        additive twist, and J(a, b) = J(b, a) (x -> 1 - x), so it is cached
+        by the unordered pair."""
+        n = self._group_order[d]
+        a %= n
+        b %= n
+        key = (d, a, b) if a <= b else (d, b, a)
+        val = self._jacobi_cache.get(key)
+        if val is None:
+            z = self.tower.zech_table(d)
+            counts = [0] * n
+            for j in range(1, n):
+                counts[(a * j + b * z[j]) % n] += 1
+            val = self._jacobi_cache[key] = from_root_counts(n, counts)
+        return val
+
+    def gauss_form(self, d: int, indices) -> tuple[CycloValue, int]:
+        """(C, T) with prod g(chi_i) = C g(chi_T) over the degree-d
+        characters of a nonempty multiset of indices: T is the index of the
+        product character and C lies in Z[zeta_{q^d-1}].
+
+        The sorted multiset is folded left to right.  With acc the product
+        so far and b the next index, C is multiplied by J(acc, b) when
+        acc b is nontrivial, by -acc(-1) q^d when only acc b is trivial
+        (g(a) g(a^{-1}) = a(-1) q^d and g(1) = -1), and by -1 when both are
+        trivial (g(1)^2 = -g(1)).  Cached by the multiset."""
+        n = self._group_order[d]
+        key = (d, tuple(sorted(i % n for i in indices)))
+        form = self._form_cache.get(key)
+        if form is None:
+            acc, *rest = key[1]
+            c = from_int(1)
+            t = self.tower
+            half = t.log(d, t.minus_one())  # acc(-1) = zeta^{acc * half}
+            for b in rest:
+                ab = (acc + b) % n
+                if ab:
+                    c = c * self.jacobi_sum(d, acc, b)
+                elif acc:
+                    c = c * (-t.order(d) * root(n, acc * half).as_int())
+                else:
+                    c = -c
+                acc = ab
+            form = self._form_cache[key] = (c, acc)
+        return form
 
     # ---- lifting and multiplication laws for Gauss sums
 

@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from typing import NamedTuple, Sequence
 
 from charsum._intutil import euler_phi, factorize, moebius
@@ -635,7 +635,10 @@ def q_power_ratio(v: CycloValue, w: CycloValue, q: int) -> int | None:
     """The integer m with v == q^m * w, or None if no such m exists.
 
     Works in power-basis coordinates at a common order: v = q^m * w holds
-    exactly when the coefficient vectors are proportional by q^m.
+    exactly when the coefficient vectors are proportional by q^m.  The
+    first nonzero pair gives the ratio num/den in lowest terms; the whole
+    check den a == num b is one comparison of the two vectors packed at a
+    slot width that holds every den a_k - num b_k.
     """
     if q < 2:
         raise InternalCheckError(f"ratio base {q} is below 2")
@@ -646,13 +649,13 @@ def q_power_ratio(v: CycloValue, w: CycloValue, q: int) -> int | None:
     L = math.lcm(v.order, w.order)
     a = _lift_coeffs(v, L)
     b = _lift_coeffs(w, L)
-    idx = next(i for i in range(len(a)) if a[i] or b[i])
-    if a[idx] == 0 or b[idx] == 0:
+    # both vectors are nonzero; proportional ones share their first slot
+    idx = next(compress(count(), a))
+    x, y = a[idx], b[idx]
+    if y == 0 or (x < 0) != (y < 0):
         return None
-    ratio = Fraction(a[idx], b[idx])
-    if ratio <= 0:
-        return None
-    num, den = ratio.numerator, ratio.denominator
+    g = math.gcd(x, y)
+    num, den = abs(x) // g, abs(y) // g
     if den == 1:
         m = _exact_log(num, q)
     elif num == 1:
@@ -662,6 +665,10 @@ def q_power_ratio(v: CycloValue, w: CycloValue, q: int) -> int | None:
         return None
     if m is None:
         return None
-    if all(ai * den == bi * num for ai, bi in zip(a, b)):
+    ma = max(max(a), -min(a))
+    mb = max(max(b), -min(b))
+    nbytes, fmt = _slot_codec((den * ma + num * mb).bit_length() + 1)
+    H = _top_bits(nbytes, len(a))
+    if den * _pack(a, nbytes, fmt, H) == num * _pack(b, nbytes, fmt, H):
         return m
     return None

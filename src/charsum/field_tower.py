@@ -11,8 +11,9 @@ actual field embedding.  Norms, traces and embeddings then reduce to index
 arithmetic on discrete logs.
 
 Every level carries its exp and log tables, so multiplication, inversion,
-powers and discrete logs are single table lookups.  Fields of more than
-2^22 elements (_SIZE_BOUND) are refused.
+powers and discrete logs are single table lookups; its Zech table
+log(1 - g^j), which Jacobi sums read, is built from them on first use.
+Fields of more than 2^22 elements (_SIZE_BOUND) are refused.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ def _check_subfield(d, e):
 
 class _Level:
     __slots__ = ("d", "m", "n", "modulus", "gen", "minpoly", "fact_n",
-                 "exp_table", "log_table", "abs_tr")
+                 "exp_table", "log_table", "abs_tr", "zech")
 
     def __init__(self):
         self.abs_tr = None
+        self.zech = None
 
 
 class FieldTower:
@@ -362,6 +364,27 @@ class FieldTower:
     def exp_table(self, d):
         """Codes g^0, g^1, ... in exponent order."""
         return self.level(d).exp_table
+
+    def zech_table(self, d):
+        """z[j] = log(1 - g^j) for 0 < j < q^d - 1; z[0] = 0 stands in for
+        log 0.  Built once per level from the exp and log tables:
+        1 - g^j = 1 + g^{j + log(-1)}, and adding 1 to a code changes its
+        lowest digit only.  z is an involution, as 1 - (1 - x) = x; the
+        table is checked to be one, so a wrong entry raises."""
+        lv = self.level(d)
+        if lv.zech is None:
+            n, p = lv.n, self.p
+            exp, log = lv.exp_table, lv.log_table
+            h = log[self.minus_one()]
+            z = [0] * n
+            for j in range(1, n):
+                c = exp[(j + h) % n]
+                z[j] = log[c + 1 if c % p != p - 1 else c + 1 - p]
+            if max(z) >= n or list(map(z.__getitem__, z)) != list(range(n)):
+                raise InternalCheckError(
+                    f"Zech table of degree {d} is not an involution")
+            lv.zech = z
+        return lv.zech
 
     # ---- maps between levels
 

@@ -8,9 +8,10 @@ times an integer power of the field size, for every lam over every extension;
 verify_monomial_identity recovers that exponent exactly by running the norm
 identity of norm_algebra on the split algebra F_Q^k.  What that identity
 needs of a monomial at one degree and not of lam (the zero-divisor flag,
-the lifted terms, p(V) as a discrete log, g(chi') and the trivial weight)
-is one IdentityRecord per (monomial, degree), kept on the CharSystem; each
-lam then only twists indices and multiplies.  When the divisor does not
+the lifted terms, p(V) as a discrete log, the Jacobi form C g(T) of g(chi')
+and the trivial weight) is one IdentityRecord per (monomial, degree), kept
+on the CharSystem; each lam then only twists indices, folds its twisted
+product into Jacobi form and compares the narrow C's, g(T) cancelling.  When the divisor does not
 vanish, find_violation scans extensions for a character witnessing that
 no collapse of this shape can hold: it counts nontrivial twisted characters
 to find the witness and certifies the one it returns with an exact |.|^2
@@ -104,8 +105,9 @@ def verify_monomial_identity(system: CharSystem, mono: GammaMonomial,
     lam^n chi' is nontrivial, checks 2m = #{i : chi_i trivial} as well.
     This is the norm identity of the split algebra F_Q^k with ranks n_i:
     its record (_record) holds the lifted terms, p(V) as a discrete log
-    and g(chi'), so each lam pays only for its twisted product, lam(p(V))
-    g(chi') and the checks.
+    and the Jacobi form of g(chi'), so each lam pays only for the Jacobi
+    form of its twisted product (cached by multiset), lam(p(V)) times the
+    recorded C, and the checks.
     """
     rec = _record(system, mono, lam.degree)
     if not rec.zero:

@@ -282,9 +282,14 @@ def verify_norm_identity(system: CharSystem, algebra: EtaleAlgebra,
 
     q is the base field size.  Requires the module divisor of chi to
     vanish.  When every twisted factor character is nontrivial, checks
-    2m = sum of d_i over the factors with chi_i trivial.
+    2m = sum of d_i over the factors with chi_i trivial.  The record of
+    (algebra, module, chi) is built and certified once per system.
     """
-    rec = _prepare(system, algebra, module, chi)
+    key = (algebra, module, chi)
+    rec = system._identity_records.get(key)
+    if rec is None:
+        rec = system._identity_records[key] = _prepare(
+            system, algebra, module, chi)
     if lam.degree != rec.base:
         raise SchemaError(
             f"twisting character of degree {lam.degree} on base degree "
@@ -302,7 +307,10 @@ class IdentityRecord(NamedTuple):
     Each factor is (D_i, n_i, n_i s_i, index of chi_i, |F_{q^{D_i}}^*|),
     with s_i = |F_{q^{D_i}}^*| / |F_{q^e}^*|, so that (lam o det_V) chi has
     index (lam.index n_i s_i + index of chi_i) mod |F_{q^{D_i}}^*| on
-    factor i.  The last three fields are None unless the divisor vanishes.
+    factor i.  forms holds, per factor degree D ascending, (D, the
+    positions of the factors of degree D, C, T) with C g(chi_T) the Jacobi
+    form (CharSystem.gauss_form) of the product of g(chi_i) over those
+    factors.  The last three fields are None unless the divisor vanishes.
     """
 
     zero: bool  # the module divisor vanishes
@@ -310,7 +318,7 @@ class IdentityRecord(NamedTuple):
     size: int  # q^e
     factors: tuple
     p_log: int | None  # discrete log of p(V) in F_{q^e}^*
-    g_chi: CycloValue | None  # g(chi) = prod g(chi_i)
+    forms: tuple | None  # g(chi) = prod over forms of C g(chi_T)
     trivial_weight: int | None  # sum of d_i over the trivial chi_i
 
 
@@ -318,8 +326,11 @@ def _prepare(system, algebra, module, chi, zero=None):
     """Validate (algebra, module, chi) once and build its IdentityRecord.
 
     zero is whether the module divisor vanishes, when the caller has it;
-    otherwise it is computed here.  p(V), its log and g(chi) are only
-    computed when it vanishes, as only then is an identity predicted.
+    otherwise it is computed here.  p(V), its log and the Jacobi forms of
+    g(chi) are only computed when it vanishes, as only then is an identity
+    predicted.  The forms are certified once, as an exact ring equality
+    with the direct product product_of_gauss(chi), so a wrong Gauss or
+    Jacobi sum raises InternalCheckError here.
     """
     check_norm_data(system, algebra, module, chi)
     if zero is None:
@@ -330,13 +341,23 @@ def _prepare(system, algebra, module, chi, zero=None):
                      ch.index, t.group_order(deg))
                     for ch, n, deg in zip(chi.chars, module.ranks,
                                           algebra.degrees))
-    p_log = g_chi = trivial_weight = None
+    p_log = forms = trivial_weight = None
     if zero:
         p_log = t.log(e, _scale(system, algebra, module))
-        g_chi = system.product_of_gauss(chi.chars)
+        forms = []
+        g_chi = cy.from_int(1)
+        for deg in sorted(set(algebra.degrees)):
+            pos = tuple(i for i, d in enumerate(algebra.degrees) if d == deg)
+            c, tt = system.gauss_form(deg, [chi.chars[i].index for i in pos])
+            forms.append((deg, pos, c, tt))
+            g_chi = g_chi * c * system.gauss_sum(MultCharacter(deg, tt))
+        if g_chi != system.product_of_gauss(chi.chars):
+            raise InternalCheckError(
+                "Jacobi form of g(chi) differs from the Gauss-sum product")
+        forms = tuple(forms)
         trivial_weight = sum(d * system.is_trivial(ch) for ch, d in
                              zip(chi.chars, algebra.rel_degrees()))
-    return IdentityRecord(zero, e, t.order(e), factors, p_log, g_chi,
+    return IdentityRecord(zero, e, t.order(e), factors, p_log, forms,
                           trivial_weight)
 
 
@@ -349,19 +370,34 @@ def _twisted_indices(rec: IdentityRecord, lam: MultCharacter) -> list[int]:
 def _identity_exponent(system, rec, lam):
     """verify_norm_identity for lam on the record of data with a vanishing
     divisor; the monomial identities of identity_engine run here on the
-    records of split algebras.  Per lam this takes the twisted indices,
-    one Gauss-sum product (cached by the system), lam(p(V)) from the
-    recorded log, one ring product with the recorded g(chi), the
-    q-power ratio of the full coefficient vectors and the parity clause."""
-    twisted = [MultCharacter(f[0], t)
-               for f, t in zip(rec.factors, _twisted_indices(rec, lam))]
-    lhs = system.product_of_gauss(twisted)
-    rhs = cy.root(rec.size - 1, lam.index * rec.p_log) * rec.g_chi
+    records of split algebras.
+
+    The identity is checked in Jacobi form.  Per factor degree D, the
+    twisted Gauss sums fold into C' g(T') (CharSystem.gauss_form, cached by
+    the multiset of indices) against the recorded C g(T) of g(chi).  Where
+    T' = T the common g(T) is nonzero and cancels exactly, so only the
+    narrow C', C in Z[zeta_{q^D-1}] are multiplied and compared; otherwise
+    both sides take their own Gauss sum.  This happens only on algebras of
+    mixed factor degrees: on one degree a vanishing divisor forces the
+    ranks to sum to 0, so lam's twists cancel in T'.  The right side also
+    takes lam(p(V)) from the recorded log.  Then the q-power ratio of the
+    full coefficient vectors and the parity clause.  The recorded forms
+    were certified against the direct Gauss-sum product by _prepare."""
+    twisted = _twisted_indices(rec, lam)
+    lhs = cy.from_int(1)
+    rhs = cy.root(rec.size - 1, lam.index * rec.p_log)
+    for deg, pos, c, tt in rec.forms:
+        c_lam, t_lam = system.gauss_form(deg, [twisted[i] for i in pos])
+        lhs = lhs * c_lam
+        rhs = rhs * c
+        if t_lam != tt:
+            lhs = lhs * system.gauss_sum(MultCharacter(deg, t_lam))
+            rhs = rhs * system.gauss_sum(MultCharacter(deg, tt))
     m = q_power_ratio(lhs, rhs, rec.size)
     if m is None:
         raise InternalCheckError(
             "zero-divisor data produced a non-power Gauss-sum ratio")
-    if all(ch.index for ch in twisted) and 2 * m != rec.trivial_weight:
+    if all(twisted) and 2 * m != rec.trivial_weight:
         raise InternalCheckError(
             f"parity clause fails: 2*{m} != {rec.trivial_weight}")
     return m

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -278,3 +279,71 @@ def test_bad_twist():
         system(5, c=0)
     with pytest.raises(SchemaError):
         system(5, c=5)
+
+
+# ------------------------------------------------ Jacobi sums and forms
+
+
+def test_jacobi_sum_is_gauss_quotient_and_twist_free():
+    # g(a) g(b) = J(a, b) g(ab) for ab nontrivial, under either twist;
+    # J lives at order q^d - 1 and is cached by the unordered pair
+    for p, s, d in [(5, 1, 2), (3, 2, 1), (2, 3, 1), (7, 1, 1)]:
+        systems = [system(p, s, degrees=(d,), c=c)
+                   for c in sorted({1, p - 1})]
+        n = systems[0].tower.group_order(d)
+        for a in range(n):
+            for b in range(n):
+                if (a + b) % n == 0:
+                    continue
+                js = [sy.jacobi_sum(d, a, b) for sy in systems]
+                assert all(j == js[0] for j in js)
+                assert n % js[0].order == 0
+                sy = systems[-1]
+                g = sy.gauss_sum
+                assert js[0] * g(MultCharacter(d, a + b)) == \
+                    g(MultCharacter(d, a)) * g(MultCharacter(d, b))
+                assert sy.jacobi_sum(d, b, a) is js[-1]
+                assert sy.jacobi_sum(d, a + n, b) is js[-1]
+        assert systems[0].jacobi_sum(d, 0, 1) == -1
+
+
+def _assert_form_is_product(sy, d, indices):
+    c, t = sy.gauss_form(d, indices)
+    n = sy.tower.group_order(d)
+    assert 0 <= t < n and t == sum(indices) % n
+    assert n % c.order == 0
+    want = sy.product_of_gauss([MultCharacter(d, i) for i in indices])
+    assert c * sy.gauss_sum(MultCharacter(d, t)) == want, (d, indices)
+
+
+@pytest.mark.parametrize("p,s,degrees", [(5, 1, (1, 2)), (7, 1, (1,)),
+                                         (2, 3, (1,)), (3, 2, (1,)),
+                                         (2, 1, (1, 2, 3))])
+def test_gauss_form_matches_product_small_fields(p, s, degrees):
+    # every multiset of at most 3 characters, trivial ones, inverse pairs
+    # and all-trivial ones included, under twists 1 and q - 1
+    q = p ** s
+    for c in sorted({1, q - 1}):
+        sy = system(p, s, degrees=degrees, c=c)
+        for d in degrees:
+            n = sy.tower.group_order(d)
+            for k in (1, 2, 3):
+                for ms in combinations_with_replacement(range(n), k):
+                    _assert_form_is_product(sy, d, ms)
+
+
+def test_gauss_form_matches_product_f169():
+    # seeded multisets of 2 to 13 characters over F_169, plus the shapes
+    # the fold branches on: all trivial, inverse pairs, trivial padding
+    sy = system(13, degrees=(1, 2))
+    rng = random.Random(19)
+    cases = [[0] * 5, [1, 167], [5, 163, 0, 0], [84, 84], [84, 84, 84],
+             [14 * i for i in range(12)] + [0]]
+    cases += [[rng.randrange(168) for _ in range(rng.randint(2, 13))]
+              for _ in range(40)]
+    cases += [[x for i in rng.sample(range(1, 168), 3) for x in (i, -i)]
+              for _ in range(10)]
+    for ms in cases:
+        _assert_form_is_product(sy, 2, ms)
+    # the form is cached by the multiset, in any order
+    assert sy.gauss_form(2, [3, 1, 2]) is sy.gauss_form(2, (2, 169, 3))

@@ -612,6 +612,34 @@ def test_forced_breach_exits_4_under_optimize(tmp_path):
     assert "InternalCheckError" in proc.stderr
 
 
+_WRONG_JACOBI_SUM = """
+import sys
+import charsum.characters as ch
+from charsum.cli import main
+assert False, "asserts must be stripped"
+jacobi_sum = ch.CharSystem.jacobi_sum
+ch.CharSystem.jacobi_sum = lambda system, d, a, b: jacobi_sum(system, d, a,
+                                                              b) + 1
+sys.exit(main(["--job", sys.argv[1]]))
+"""
+
+
+def test_forced_jacobi_breach_exits_4_under_optimize(tmp_path):
+    # the identity check multiplies Jacobi sums; a wrong one must fail the
+    # record's certification against the Gauss-sum product under -O too
+    job = {"kind": "identity", "p": 5, "depth": 1,
+           "terms": [{"degree": 1, "char": "trivial", "n": 2},
+                     {"degree": 1, "char": "trivial", "n": -1},
+                     {"degree": 1, "char": "e2", "n": -1}]}
+    src = str(Path(charsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_JACOBI_SUM,
+         write_job(tmp_path, job)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "InternalCheckError" in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "charsum.cli", "--job",

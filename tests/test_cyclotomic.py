@@ -382,6 +382,67 @@ def test_q_power_ratio_fixtures():
     assert q_power_ratio(-9 * w, w, 3) is None
 
 
+def _q_power_ratio_reference(v, w, q):
+    """q_power_ratio as it was before the packed comparison: a Fraction on
+    the first nonzero pair, then every coefficient pair in turn."""
+    from fractions import Fraction
+    if v.is_zero() and w.is_zero():
+        return 0
+    if v.is_zero() or w.is_zero():
+        return None
+    L = math.lcm(v.order, w.order)
+    a = _lift_coeffs(v, L)
+    b = _lift_coeffs(w, L)
+    idx = next(i for i in range(len(a)) if a[i] or b[i])
+    if a[idx] == 0 or b[idx] == 0:
+        return None
+    ratio = Fraction(a[idx], b[idx])
+    if ratio <= 0:
+        return None
+    num, den = ratio.numerator, ratio.denominator
+    if den == 1:
+        m = cyclotomic._exact_log(num, q)
+    elif num == 1:
+        k = cyclotomic._exact_log(den, q)
+        m = -k if k is not None else None
+    else:
+        return None
+    if m is None:
+        return None
+    if all(ai * den == bi * num for ai, bi in zip(a, b)):
+        return m
+    return None
+
+
+def test_q_power_ratio_matches_reference():
+    rng = random.Random(19)
+    cases = 0
+    for M, q in [(5, 3), (12, 2), (168, 13), (2184, 13), (336, 7)]:
+        n = euler_phi(M)
+        for bound in (14, 10 ** 31):
+            w = CycloValue(M, tuple(rng.randrange(-bound, bound)
+                                    for _ in range(n)))
+            if w.is_zero():
+                continue
+            for m in (-3, -1, 0, 1, 4):
+                base = w * q ** m if m >= 0 else w
+                other = w if m >= 0 else w * q ** -m
+                for factor in (1, -1, q + 1, 6):
+                    v = base * factor
+                    # proportional, off in the last coefficient only, and
+                    # zero where the other side's first coefficient is not
+                    last = CycloValue(M, v.coeffs[:-1] + (v.coeffs[-1] + 1,))
+                    first = CycloValue(M, (0,) + v.coeffs[1:])
+                    for x, y in [(v, other), (last, other), (first, other),
+                                 (other, first)]:
+                        got = q_power_ratio(x, y, q)
+                        assert got == _q_power_ratio_reference(x, y, q)
+                        cases += 1
+                assert q_power_ratio(v, other, q) is None or factor == 1
+                assert q_power_ratio(base, other, q) == m
+    assert cases == 5 * 2 * 5 * 4 * 4
+
+
 small_values = st.builds(
     lambda M, terms: from_root_counts(M, _counts(M, terms)),
     st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]),

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from charsum.errors import SchemaError, SizeBoundError
+from charsum.errors import InternalCheckError, SchemaError, SizeBoundError
 from charsum.field_tower import FieldTower, build_tower
 
 # --------------------------------------------------------- fixed moduli
@@ -231,3 +231,29 @@ def test_size_builds_nothing():
         t.group_order(0)
     assert t._levels == {}
     assert t.order(3) == t.level(3).n + 1
+
+
+# ------------------------------------------------------------ Zech tables
+
+
+@pytest.mark.parametrize("p,s,d", [(2, 1, 1), (2, 1, 3), (2, 3, 1), (3, 2, 1),
+                                   (3, 1, 2), (5, 1, 2), (13, 1, 2)])
+def test_zech_table_is_log_of_one_minus(p, s, d):
+    t = build_tower(p, s, degrees=(d,))
+    z = t.zech_table(d)
+    assert z[0] == 0 and len(z) == t.group_order(d)
+    for j in range(1, t.group_order(d)):
+        assert z[j] == t.log(d, t.sub(d, 1, t.exp(d, j)))
+    assert t.zech_table(d) is z
+
+
+def test_tampered_zech_entry_raises():
+    # one exp-table entry off makes exactly one Zech entry wrong, and the
+    # involution check on the finished table catches it
+    t = build_tower(13, 1, degrees=(2,))
+    lv = t.level(2)
+    lv.exp_table = list(lv.exp_table)
+    lv.exp_table[5] = lv.exp_table[6]
+    with pytest.raises(InternalCheckError, match="Zech table"):
+        t.zech_table(2)
+    assert lv.zech is None

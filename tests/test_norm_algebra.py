@@ -284,6 +284,59 @@ def test_verify_norm_identity_guards():
                              NormCharacter((E2, E2)), TRIV9)
 
 
+def _full_product_exponent(system, algebra, module, chi, lam):
+    """The norm identity with full Gauss-sum products on both sides."""
+    t = system.tower
+    e = algebra.base_degree
+    twisted = [system.char_mul(system.lift_character(
+        system.char_pow(lam, n), deg), ch)
+        for ch, n, deg in zip(chi.chars, module.ranks, algebra.degrees)]
+    rhs = system.char_value(lam, p_of(system, algebra, module)) \
+        * system.product_of_gauss(chi.chars)
+    return cy.q_power_ratio(system.product_of_gauss(twisted), rhs,
+                            t.order(e))
+
+
+def test_verify_norm_identity_mixed_degrees(monkeypatch):
+    # norm-rank0-f3's algebra F_9 x F_3 carries no zero-divisor module
+    # with nonzero ranks (its F_9 factor weighs every point twice), so a
+    # second F_3 factor is added.  The product characters of the two
+    # sides then differ on F_9 for every nontrivial lam, and the Gauss
+    # sums of that degree are multiplied in instead of cancelled
+    prepared = []
+    prepare = na._prepare
+    monkeypatch.setattr(na, "_prepare", lambda *args: prepared.append(
+        args[1:]) or prepare(*args))
+    for p in (3, 5):
+        sy = CharSystem(build_tower(p, degrees=(1, 2)))
+        alg = EtaleAlgebra(sy.tower, (2, 1, 1))
+        # 2 (x_1) = (-x_2) + (-x_3) at the points x_i of chi_i
+        for ranks, idx in [((1, -1, -1), (0, 0, 0)),
+                           ((1, -1, -1), (p + 1, p - 2, p - 2)),
+                           ((-1, 1, 1), (2 * (p + 1), p - 3, p - 3))]:
+            V = VirtualModule(ranks)
+            chi = NormCharacter(tuple(
+                sy.character(d, i) for d, i in zip(alg.degrees, idx)))
+            assert module_divisor(sy, alg, chi, V).is_zero()
+            for k in range(p - 1):
+                lam = sy.character(1, k)
+                m = verify_norm_identity(sy, alg, V, chi, lam)
+                assert m == _full_product_exponent(sy, alg, V, chi, lam)
+            rec = sy._identity_records[alg, V, chi]
+            assert [f[0] for f in rec.forms] == [1, 2]
+            # the F_{p^2} Gauss sums of both sides are taken; over F_3 the
+            # degree-1 product characters agree (lam^-2 = 1) and cancel
+            seen = []
+            gauss_sum = CharSystem.gauss_sum
+            with monkeypatch.context() as mp:
+                mp.setattr(CharSystem, "gauss_sum", lambda s, ch: seen.append(
+                    ch.degree) or gauss_sum(s, ch))
+                verify_norm_identity(sy, alg, V, chi, sy.character(1, 1))
+            assert seen == ([2, 2] if p == 3 else [1, 1, 2, 2])
+    # one record per (algebra, module, chi), not one per lam
+    assert len(prepared) == len(set(prepared)) == 6
+
+
 # ------------------------------------------------------------------ I-sums
 
 

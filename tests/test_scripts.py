@@ -25,7 +25,7 @@ def test_kernel_probe_runs_optimized():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["order", "coeffs", "poly_mul_us",
                                 "reduce_us", "roots_us", "gauss_us",
-                                "galois_us"]
+                                "galois_us", "jacobi_us"]
     rows = [line.split() for line in lines[1:]]
     assert [row[:2] for row in rows] == [
         ["M336", "small"], ["M336", "wide"],
