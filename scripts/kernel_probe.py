@@ -17,6 +17,14 @@ live exponents a p + t_a n of a character of full order, one per a < n
 with t_a drawn from [0, p), and counts drawn from [1, 13] and [1, 10^31).
 The Jacobi sum takes two random characters whose product is nontrivial,
 the same pair in both rows of an order.
+
+A second table, `layer us`, times three oracle paths the same way, each
+on warm tower tables: `transform_F13_cubic` is `fourier_transform` of
+the trace function of (3, -1), (1, e3) over F_13 (a 13 x 13 grid);
+`i_direct_F9x3` is the direct I-sum on F_9 x F_3 changed to base degree
+2, (2, 2, 2) over F_9 with ranks (1, 1, -2), for a seeded twist;
+`ratio_F7_2fold` is the 2-fold ratio sum over F_7 for a seeded
+character and seeded hats.
 """
 
 from __future__ import annotations
@@ -27,11 +35,15 @@ import random
 import statistics
 from time import perf_counter
 
+from charsum import norm_algebra as na
 from charsum._intutil import euler_phi
 from charsum.characters import CharSystem
 from charsum.cyclotomic import (CycloValue, _poly_mul, from_root_counts,
                                 reduce_mod_cyclotomic)
 from charsum.field_tower import build_tower
+from charsum.monomial_fourier import (MonomialDatum, _ratio_sum,
+                                      fourier_transform)
+from charsum.stalk_traces import gm_trace_function
 
 
 def _per_call_us(fn, repeat, batches=5):
@@ -91,7 +103,31 @@ def main(argv=None) -> int:
             row = " ".join(f"{_per_call_us(op, args.repeat):12.1f}"
                            for op in ops)
             print(f"M{M:<5} {label:<6} {row}")
+
+    print()
+    print(f"{'layer':<20} {'us':>12}")
+    for name, op in _layer_ops(random.Random(args.seed)):
+        op()  # builds the tower tables and the reduction plans
+        print(f"{name:<20} {_per_call_us(op, args.repeat):12.1f}")
     return 0
+
+
+def _layer_ops(rng):
+    s13 = CharSystem(build_tower(13, 1, degrees=(1,)))
+    cubic = gm_trace_function(s13, MonomialDatum(
+        1, (3, -1), (s13.trivial(1), s13.char_of_order(1, 3)), 1))
+    s3 = CharSystem(build_tower(3, 1, degrees=(1, 2)))
+    alg = na.EtaleAlgebra(s3.tower, (2, 1))
+    alg2 = na.base_change(s3, alg, 2)
+    mod2 = na.extend_module(s3, alg, na.VirtualModule((1, -2)), 2)
+    lam = na.NormCharacter(tuple(s3.character(2, rng.randrange(1, 8))
+                                 for _ in alg2.degrees))
+    s7 = CharSystem(build_tower(7, 1, degrees=(1,)))
+    chi = s7.character(1, rng.randrange(6))
+    xhat, yhat = ([rng.randrange(1, 7) for _ in range(2)] for _ in range(2))
+    return (("transform_F13_cubic", lambda: fourier_transform(s13, cubic)),
+            ("i_direct_F9x3", lambda: na._i_direct(s3, alg2, mod2, lam, 1)),
+            ("ratio_F7_2fold", lambda: _ratio_sum(s7, chi, 1, xhat, yhat)))
 
 
 if __name__ == "__main__":

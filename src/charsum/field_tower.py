@@ -13,6 +13,9 @@ arithmetic on discrete logs.
 Every level carries its exp and log tables, so multiplication, inversion,
 powers and discrete logs are single table lookups; its Zech table
 log(1 - g^j), which Jacobi sums read, is built from them on first use.
+The brute-force sums read the norm and trace maps between two levels as
+tables in the exponent j of g_d^j, built on first use through norm_to,
+trace_to and log, so every entry still comes from the field maps.
 Fields of more than 2^22 elements (_SIZE_BOUND) are refused.
 """
 
@@ -154,6 +157,9 @@ class FieldTower:
         self.q = p ** s
         self._levels: dict[int, _Level] = {}
         self._orders: dict[int, int] = {}
+        # (d, e) -> the norm-log and trace tables of F_{q^d} over F_{q^e}
+        self._norm_logs: dict[tuple[int, int], list[int]] = {}
+        self._traces: dict[tuple[int, int], list[int]] = {}
 
     # ---- level management
 
@@ -365,6 +371,11 @@ class FieldTower:
         """Codes g^0, g^1, ... in exponent order."""
         return self.level(d).exp_table
 
+    def log_table(self, d):
+        """log[x] for every nonzero code x < q^d; log[0] holds a marker
+        that is no exponent."""
+        return self.level(d).log_table
+
     def zech_table(self, d):
         """z[j] = log(1 - g^j) for 0 < j < q^d - 1; z[0] = 0 stands in for
         log 0.  Built once per level from the exp and log tables:
@@ -430,6 +441,25 @@ class FieldTower:
         if la % stride:
             raise InternalCheckError("trace left the subfield")
         return self.exp(e, la // stride)
+
+    def norm_log_table(self, d, e):
+        """t[j] = log Nm_{d->e}(g_d^j) for j < q^d - 1, memoised per
+        (d, e).  Built through norm_to and log, so it is what the field
+        maps give, not j mod q^e - 1 as compatible generators predict."""
+        tab = self._norm_logs.get((d, e))
+        if tab is None:
+            tab = self._norm_logs[d, e] = [
+                self.log(e, self.norm_to(d, e, x)) for x in self.exp_table(d)]
+        return tab
+
+    def trace_table(self, d, e):
+        """t[j] = Tr_{d->e}(g_d^j) for j < q^d - 1, memoised per (d, e) and
+        built through trace_to."""
+        tab = self._traces.get((d, e))
+        if tab is None:
+            tab = self._traces[d, e] = [
+                self.trace_to(d, e, x) for x in self.exp_table(d)]
+        return tab
 
     def absolute_trace(self, d, a):
         """Trace down to F_p; the result is an integer in [0, p)."""

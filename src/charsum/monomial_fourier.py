@@ -12,9 +12,10 @@ its transform solver (exponent sum 2 or 0: the transformed datum
 that validate the datum and run norm_algebra's engine on the split
 algebra.  This module adds what is particular to monomials: grid
 functions on F_{q^d}^k with cyclotomic-integer values, the exact Fourier
-transform in row-column form (one coordinate axis at a time, psi summed
-by trace index, one reduction per output point), pointwise transform
-checks and the ratio transforms.
+transform in row-column form (one coordinate axis at a time, each value
+one packed residue on which psi acts by a bit rotation, one reduction
+per distinct output), pointwise transform checks and the ratio
+transforms.
 Everything is integer arithmetic in cyclotomic fields; nothing is floated.
 """
 
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import cyclotomic as cy
-from ._intutil import euler_phi
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
-from .errors import SchemaError, SizeBoundError
+from .errors import InternalCheckError, SchemaError, SizeBoundError
 from .norm_algebra import (DEFAULT_TERM_BOUND, EtaleAlgebra, MonomialDatum,
                            NormCharacter, VirtualModule, _i_sum, _sweep,
                            check_exponents, check_norm_data,
@@ -102,20 +102,31 @@ class GridFunction:
         return self.values[self.index(codes)]
 
     def scaled(self, c) -> "GridFunction":
+        """c f, one product per distinct stored value."""
+        memo = {}
+
+        def times_c(v):
+            key = (v.order, v.coeffs)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = v * c
+            return out
         return GridFunction(self.tower, self.degree, self.k,
-                            (v * c for v in self.values))
+                            map(times_c, self.values))
 
     def rescale_args(self, factors) -> "GridFunction":
-        """g with g(x_1..x_k) = f(u_1 x_1, .., u_k x_k)."""
-        if len(factors) != self.k or any(u == 0 for u in factors):
-            raise SchemaError("need one nonzero scale factor per coordinate")
+        """g with g(x_1..x_k) = f(u_1 x_1, .., u_k x_k); each u_i must be a
+        nonzero code, 0 < u_i < q^degree."""
+        q = self._q
+        if len(factors) != self.k or not all(0 < u < q for u in factors):
+            raise SchemaError(
+                f"need one nonzero scale code below {q} per coordinate")
         t, d = self.tower, self.degree
-        vals = []
-        for idx in range(len(self.values)):
-            c = self.codes(idx)
-            vals.append(self.value(tuple(
-                t.mul(d, u, x) for u, x in zip(factors, c))))
-        return GridFunction(t, d, self.k, vals)
+        # u_i x for every code x, one row per coordinate
+        rows = [[t.mul(d, u, x) for x in range(q)] for u in factors]
+        return GridFunction(t, d, self.k, (
+            self.value([row[c] for row, c in zip(rows, self.codes(idx))])
+            for idx in range(len(self.values))))
 
     def __eq__(self, other):
         if not isinstance(other, GridFunction):
@@ -135,12 +146,21 @@ def fourier_transform(system: CharSystem, f: GridFunction) -> GridFunction:
 
     psi(<y, x>) = prod_i psi(y_i x_i), so the transform is k one-variable
     transforms, each along every line of the grid parallel to one axis:
-    k q^{k+1} vector additions in place of q^{2k} ring products.  Every
-    value is lifted once to L = lcm(p, value orders) and kept as an
-    integer vector modulo x^L - 1, where multiplying by
-    psi(yx) = zeta_L^{(L/p) Tr(c y x)} (c the additive twist) is a
-    rotation; each output point is reduced mod Phi_L once.  The bound
-    counts the q^{2k} terms of the full double sum.
+    k q^{k+1} integer additions in place of q^{2k} ring products.  The
+    bound counts the q^{2k} terms of the full double sum.
+
+    Every value is lifted to L = lcm(p, value orders) by x -> x^{L/order}
+    alone: its coefficients then stand for it exactly in Z[x]/(x^L - 1),
+    unreduced.  That ring maps to Z/N, N = 2^{wL} - 1, by x -> 2^w, and
+    each value is held as one residue mod N.  psi(yx) = zeta_L^{(L/p) e},
+    e = Tr(c y x) (c the additive twist), multiplies by 2^{w e L/p}, a
+    rotation of the wL bits, so each live value's p rotations are
+    precomputed and an output point is a sum of q residues and one % N.
+    Each output coefficient mod x^L - 1 is a sum of q^k input
+    coefficients, so B = q^k max|coeff| bounds it, and w has B's bits
+    plus 3.  Then the signed residue is that polynomial at 2^w exactly;
+    it is unpacked, every slot is checked against B, and it is reduced
+    mod Phi_L once per distinct output.
     """
     t, d, k = f.tower, f.degree, f.k
     q = t.order(d)
@@ -149,33 +169,67 @@ def fourier_transform(system: CharSystem, f: GridFunction) -> GridFunction:
                              f"bound {DEFAULT_TERM_BOUND}")
     p = t.p
     L = math.lcm(p, *(v.order for v in f.values))
-    step = L // p
+    bound = q ** k * max(max(map(abs, v.coeffs)) for v in f.values)
+    nbytes, fmt = cy._slot_codec(bound.bit_length() + 3)
+    w = 8 * nbytes
+    N = (1 << (w * L)) - 1
+    H = cy._top_bits(nbytes, L)
+    shift = w * (L // p)
     psi = system.psi_exponents(d)
     psi_exp = [[psi[t.mul(d, y, x)] for x in range(q)] for y in range(q)]
-    pad = [0] * (L - euler_phi(L))
-    grid = [None if v.is_zero() else list(cy._lift_coeffs(v, L)) + pad
-            for v in f.values]
+    lifted = {}
+
+    def residue(v):
+        # x -> x^{L/order}: coefficient i moves to slot i L/order
+        key = (v.order, v.coeffs)
+        r = lifted.get(key)
+        if r is None:
+            s = L // v.order
+            vec = [0] * L
+            vec[:len(v.coeffs) * s:s] = v.coeffs
+            r = lifted[key] = cy._pack(vec, nbytes, fmt, H) % N
+        return r
+
+    grid = list(map(residue, f.values))
+    rotations = {}
+
+    def rotate(r):
+        # r 2^{shift e} mod N for e < p
+        rots = rotations.get(r)
+        if rots is None:
+            rots = rotations[r] = [r] + [(r << shift * e) % N
+                                         for e in range(1, p)]
+        return rots
+
     stride = 1
     for _ in range(k):
         for base in range(q ** k):
             if base // stride % q:
                 continue
             line = range(base, base + q * stride, stride)
-            # rotations of each live value by zeta_p^0 .. zeta_p^{p-1}
-            live = [(x, [vec[L - e * step:] + vec[:L - e * step]
-                         for e in range(p)])
-                    for x, vec in enumerate(grid[i] for i in line)
-                    if vec is not None]
+            live = [(x, rotate(r)) for x, r in
+                    enumerate(grid[i] for i in line) if r]
             if not live:
                 continue
             for y, i in enumerate(line):
                 row = psi_exp[y]
-                grid[i] = [sum(col) for col in
-                           zip(*(rots[row[x]] for x, rots in live))]
+                grid[i] = sum(rots[row[x]] for x, rots in live) % N
         stride *= q
-    return GridFunction(t, d, k, (
-        cy.from_int(0) if vec is None
-        else cy._make(L, cy.reduce_mod_cyclotomic(vec, L)) for vec in grid))
+
+    half = N >> 1
+    decoded = {0: cy.from_int(0)}
+
+    def decode(r):
+        val = decoded.get(r)
+        if val is None:
+            vec = cy._unpack(r - N if r > half else r, nbytes, fmt, L, H)
+            if max(vec) > bound or -min(vec) > bound:
+                raise InternalCheckError(
+                    f"transform slot outside the bound {bound} at order {L}")
+            val = decoded[r] = cy._make(
+                L, cy.reduce_mod_cyclotomic(vec, L, _bound=bound))
+        return val
+    return GridFunction(t, d, k, map(decode, grid))
 
 
 # ---------------------------------------------------------------- I-sums
@@ -325,22 +379,27 @@ def verify_transform_pointwise(system, datum, solution=None, *, target=None,
 def _ratio_sum(system, chi, a, xhat, yhat) -> CycloValue:
     """Sum over unit tuples x, y of psi(a r + sum x_m xhat_m + sum y_m yhat_m)
     chi(r), r = prod x_m / prod y_m, as one exponent histogram at M = n p,
-    n = q^d - 1: psi(z) chi(r) = zeta_M^{n Tr(cz) + p idx log r}."""
+    n = q^d - 1: psi(z) chi(r) = zeta_M^{n Tr(cz) + p idx log r}.  Products
+    are read from the level's exp and log tables, bound once; sums are
+    added in the field."""
     d = chi.degree
     t = system.tower
     grp = t.group_order(d)
     p = t.p
     order = grp * p
     psi = system.psi_exponents(d)
-    log_a = t.log(d, a)
+    exp, log = t.exp_table(d), t.log_table(d)
+    add = t.add
+    log_a = log[a]
 
     def side(hats):
         # (log of prod x_m, sum x_m hat_m) -> number of unit tuples x
+        logs = [log[h] for h in hats]
         hist = Counter()
         for es in product(range(grp), repeat=len(hats)):
             lin = 0
-            for e, h in zip(es, hats):
-                lin = t.add(d, lin, t.mul(d, t.exp(d, e), h))
+            for e, lh in zip(es, logs):
+                lin = add(d, lin, exp[(e + lh) % grp])
             hist[sum(es) % grp, lin] += 1
         return hist
 
@@ -349,7 +408,7 @@ def _ratio_sum(system, chi, a, xhat, yhat) -> CycloValue:
     for (ex, lin_x), cnt_x in side(xhat).items():
         for (ey, lin_y), cnt_y in ys.items():
             lr = (ex - ey) % grp
-            arg = t.add(d, t.exp(d, lr + log_a), t.add(d, lin_x, lin_y))
+            arg = add(d, exp[(lr + log_a) % grp], add(d, lin_x, lin_y))
             e = (chi.index * lr % grp) * p + psi[arg] * grp
             counts[e % order] += cnt_x * cnt_y
     return cy.from_root_counts(order, counts)

@@ -240,10 +240,11 @@ def gauss_sum_algebra(system: CharSystem, algebra: EtaleAlgebra,
 
     The factor method multiplies the per-factor Gauss sums.  The direct
     method brute-forces the defining sum as an oracle for that law: every
-    unit tuple is enumerated and its factors' traces are added in the base
-    field.  With L = lcm of the |F_{q^{D_i}}^*|, prod chi_i(x_i) is a power
-    of zeta_L and psi of the trace one of zeta_p, so each point adds one to
-    an exponent histogram at M = L p, which from_root_counts reduces once.
+    unit tuple is enumerated and its factors' traces, read from the
+    tower's trace tables, are added in the base field.  With L = lcm of
+    the |F_{q^{D_i}}^*|, prod chi_i(x_i) is a power of zeta_L and psi of
+    the trace one of zeta_p, so each point adds one to an exponent
+    histogram at M = L p, which from_root_counts reduces once.
     """
     check_norm_data(system, algebra, chi=chi)
     if method == "factor":
@@ -261,17 +262,23 @@ def gauss_sum_algebra(system: CharSystem, algebra: EtaleAlgebra,
     span = math.lcm(*sizes)
     order = span * p
     psi = system.psi_exponents(e)
-    # per factor and x = g^j: (Tr_{D->e}(x), log_zeta_L chi(x))
-    pools = [[(t.trace_to(d, e, x), ch.index * (span // size) * j)
-              for j, x in enumerate(t.exp_table(d))]
+    add = t.add
+    # per factor and x = g^j: (Tr_{D->e}(x), log_zeta_L chi(x) mod L)
+    pools = [[(tr, ch.index * (span // size) * j % span)
+              for j, tr in enumerate(t.trace_table(d, e))]
              for d, size, ch in zip(algebra.degrees, sizes, chi.chars)]
+    *head, last = pools
     counts = [0] * order
-    for combo in product(*pools):
+    # each tuple's trace is its head's sum, added once per head in the
+    # field, plus its last factor's trace
+    for combo in product(*head):
         tr = charge = 0
         for tr_i, c in combo:
-            tr = t.add(e, tr, tr_i)
+            tr = add(e, tr, tr_i)
             charge += c
-        counts[((charge % span) * p + psi[tr] * span) % order] += 1
+        for tr_l, c in last:
+            counts[((charge + c) % span * p
+                    + psi[add(e, tr, tr_l)] * span) % order] += 1
     return cy.from_root_counts(order, counts)
 
 
@@ -408,11 +415,17 @@ def _identity_exponent(system, rec, lam):
 
 def _i_direct(system, algebra, module, lam, a):
     """I_{V,lam}(a) = sum over x in k^* of psi(a det_V(x)) lam(x), every
-    point enumerated by the discrete logs of its factors.
+    point counted.
 
     With L = lcm of the |F_{q^{D_i}}^*|, lam(x) is a power of zeta_L and
-    psi(a det_V(x)) one of zeta_p, so each point adds one to an exponent
-    histogram at M = L p, which from_root_counts reduces once.
+    psi(a det_V(x)) one of zeta_p.  A point x = (g_i^{j_i}) enters only
+    through m = log det_V(x) = sum n_i log Nm(g_i^{j_i}) mod q^e - 1, read
+    from the tower's norm-log tables, and its charge c = sum log_zeta_L
+    lam_i(x_i) mod L.  All factors but the last are folded into a
+    histogram of (m, c), their product in the group ring of
+    Z/(q^e - 1) x Z/L, so each entry counts its tuples.  Each entry then
+    meets each point of the last factor, and adds its count to an
+    exponent histogram at M = L p, which from_root_counts reduces once.
     """
     t = system.tower
     e = algebra.base_degree
@@ -425,19 +438,29 @@ def _i_direct(system, algebra, module, lam, a):
     span = math.lcm(*sizes)
     order = span * p
     psi = system.psi_exponents(e)
-    tr_a = [psi[t.mul(e, a, t.exp(e, j))] for j in range(grp)]
+    exp = t.exp_table(e)
+    log_a = t.log(e, a)
+    # psi(a g_e^m) as a power of zeta_M, for m < q^e - 1
+    tr_a = [psi[exp[(log_a + m) % grp]] * span for m in range(grp)]
     # per factor and x = g^j: (log of Nm(x)^n in the base, log_zeta_L lam(x))
-    pools = [[(n * t.log(e, t.norm_to(d, e, t.exp(d, j))),
-               ch.index * (span // size) * j) for j in range(size)]
+    pools = [[(n * nl % grp, ch.index * (span // size) * j % span)
+              for j, nl in enumerate(t.norm_log_table(d, e))]
              for d, size, n, ch in zip(algebra.degrees, sizes, module.ranks,
                                        lam.chars)]
+    *head, last = pools
+    hist = {(0, 0): 1}
+    for pool in head:
+        fold = {}
+        for (m, c), cnt in hist.items():
+            for m2, c2 in pool:
+                key = ((m + m2) % grp, (c + c2) % span)
+                fold[key] = fold.get(key, 0) + cnt
+        hist = fold
     counts = [0] * order
-    for combo in product(*pools):
-        mono = charge = 0
-        for m, c in combo:
-            mono += m
-            charge += c
-        counts[((charge % span) * p + tr_a[mono % grp] * span) % order] += 1
+    for (m, c), cnt in hist.items():
+        for m2, c2 in last:
+            counts[((c + c2) % span * p + tr_a[(m + m2) % grp]) % order] \
+                += cnt
     return cy.from_root_counts(order, counts)
 
 

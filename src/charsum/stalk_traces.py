@@ -246,7 +246,9 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
 
     A point's value depends only on its zero set, its folded coefficient
     and its charge sum idx(chi_i) log(x_i) mod q^d - 1, and is memoised by
-    that triple; the stalks are memoised by (zero set, coefficient).
+    that triple; the stalks are memoised by (zero set, coefficient).  The
+    coefficient and the charge are read from the level's exp and log
+    tables, bound once per call.
 
     Supported on the shapes of has_trace_function.
     """
@@ -259,17 +261,23 @@ def gm_trace_function(system, datum: MonomialDatum) -> GridFunction:
     t = system.tower
     d = datum.degree
     grp = t.group_order(d)
+    exp, log = t.exp_table(d), t.log_table(d)
+    log_a = log[datum.a]
+    weights = [(n, chi.index) for n, chi in zip(exps, datum.characters)]
     stalk_cache = {}
     point_cache = {}
 
     def value(codes):
         zero_set = tuple(i for i, c in enumerate(codes) if c == 0)
-        coeff = datum.a
+        # logs of the folded coefficient a prod x_i^{n_i} and of the charge
+        lc = log_a
         charge = 0
-        for c, n, chi in zip(codes, exps, datum.characters):
+        for c, (n, idx) in zip(codes, weights):
             if c:
-                coeff = t.mul(d, coeff, t.pow_elem(d, c, n))
-                charge += chi.index * t.log(d, c)
+                lx = log[c]
+                lc += n * lx
+                charge += idx * lx
+        coeff = exp[lc % grp]
         charge %= grp
         val = point_cache.get((zero_set, coeff, charge))
         if val is None:

@@ -257,3 +257,31 @@ def test_tampered_zech_entry_raises():
     with pytest.raises(InternalCheckError, match="Zech table"):
         t.zech_table(2)
     assert lv.zech is None
+
+
+# -------------------------------------------------- norm and trace tables
+
+
+@pytest.mark.parametrize("p,d,e", [(3, 2, 1), (7, 2, 1), (3, 2, 2),
+                                   (7, 1, 1)])
+def test_norm_and_trace_tables_match_maps(p, d, e):
+    # F_9/F_3 and F_49/F_7, and each field over itself
+    t = build_tower(p, 1, degrees=(e, d))
+    norms, traces = t.norm_log_table(d, e), t.trace_table(d, e)
+    assert len(norms) == len(traces) == t.group_order(d)
+    for j in range(t.group_order(d)):
+        x = t.exp(d, j)
+        assert norms[j] == t.log(e, t.norm_to(d, e, x))
+        assert traces[j] == t.trace_to(d, e, x)
+    assert t.norm_log_table(d, e) is norms
+    assert t.trace_table(d, e) is traces
+    log = t.log_table(d)
+    assert all(log[x] == t.log(d, x) for x in range(1, t.order(d)))
+
+
+def test_map_tables_refuse_a_non_subfield():
+    t = build_tower(3, 1, degrees=(2, 3))
+    with pytest.raises(InternalCheckError):
+        t.norm_log_table(3, 2)
+    with pytest.raises(InternalCheckError):
+        t.trace_table(2, 3)

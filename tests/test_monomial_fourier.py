@@ -15,7 +15,7 @@ import charsum.cyclotomic as cy
 import charsum.monomial_fourier as mf
 import charsum.norm_algebra as na
 from charsum.characters import CharSystem
-from charsum.errors import SchemaError, SizeBoundError
+from charsum.errors import InternalCheckError, SchemaError, SizeBoundError
 from charsum.field_tower import build_tower
 from charsum.monomial_fourier import (
     GridFunction,
@@ -72,6 +72,38 @@ def test_rescale_args_and_negation():
     assert h.value((1,)) == cy.from_int(4)
     with pytest.raises(SchemaError):
         f.rescale_args((0,))
+
+
+@pytest.mark.parametrize("u", [0, -1, 5, 32])
+def test_rescale_args_rejects_non_codes(u):
+    # over F_5 a scale code must satisfy 0 < u < 5: 32 and 5 would index
+    # past the tables, -1 would read them from their end
+    e2 = S5.char_of_order(1, 2)
+    dat = MonomialDatum(1, (4, -2), (S5.trivial(1), e2), 1)
+    f = GridFunction.build(S5.tower, 1, 2,
+                           lambda c: cy.from_int(c[0] + 5 * c[1]))
+    with pytest.raises(SchemaError):
+        f.rescale_args((1, u))
+    with pytest.raises(SchemaError):
+        verify_transform_pointwise(S5, dat, target=dat,
+                                   scalar=cy.from_int(5), arg_scale=(1, u))
+
+
+def test_scaled_multiplies_each_distinct_value_once(monkeypatch):
+    vals = [cy.root(3, i % 3) for i in range(25)]
+    f = GridFunction(S5.tower, 1, 2, vals)
+    c = cy.root(5, 2) * 3
+    calls = []
+    mul = cy.CycloValue.__mul__
+
+    def counting_mul(a, b):
+        calls.append(a)
+        return mul(a, b)
+    monkeypatch.setattr(cy.CycloValue, "__mul__", counting_mul)
+    g = f.scaled(c)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    assert list(g.values) == [v * c for v in vals]
 
 
 def test_fourier_delta_is_constant_one():
@@ -190,6 +222,86 @@ def test_transform_matches_naive_sum(p, degree, k):
     for vals in grids:
         f = GridFunction(t, degree, k, vals)
         assert fourier_transform(sys, f) == _naive_transform(sys, f)
+
+
+def _double_sum(sys, f):
+    """fhat(y) = sum over every pair (x, y) of f(x) psi(<y, x>), one ring
+    product per pair and <y, x> summed in the field."""
+    t, d, k = f.tower, f.degree, f.k
+    q = t.order(d)
+    points = [f.codes(i) for i in range(q ** k)]
+    out = []
+    for ys in points:
+        acc = cy.from_int(0)
+        for xs, v in zip(points, f.values):
+            dot = 0
+            for y, x in zip(ys, xs):
+                dot = t.add(d, dot, t.mul(d, y, x))
+            acc = acc + v * sys.psi_value(d, dot)
+        out.append(acc)
+    return GridFunction(t, d, k, out)
+
+
+@pytest.mark.parametrize("p,degree,k", [
+    (3, 1, 1), (3, 1, 2), (5, 1, 1), (5, 1, 2), (3, 2, 1),
+])
+def test_transform_equals_defining_double_sum(p, degree, k):
+    sys = CharSystem(build_tower(p, degrees=(degree,)), 2)
+    t = sys.tower
+    q = t.order(degree)
+    # zero values and values at orders 1, p and (q - 1) p
+    orders = (1, p, (q - 1) * p)
+    rng = random.Random(7 * p + 3 * degree + k)
+
+    def value():
+        pick = rng.randrange(5)
+        if pick == 0:
+            return cy.from_int(0)
+        if pick == 4:
+            return (cy.root(orders[2], rng.randrange(orders[2]))
+                    + cy.root(p, rng.randrange(p)) * rng.randrange(-3, 4))
+        return (cy.root(orders[pick - 1], rng.randrange(orders[pick - 1]))
+                * rng.choice((-3, -1, 1, 2)))
+    vals = [value() for _ in range(q ** k)]
+    f = GridFunction(t, degree, k, vals)
+    assert fourier_transform(sys, f) == _double_sum(sys, f)
+    # scaled by 10^25, q^k max|coeff| needs slots wider than 8 bytes
+    wide = GridFunction(t, degree, k, [v * 10 ** 25 for v in vals])
+    width = max(max(map(abs, v.coeffs)) for v in wide.values) * q ** k
+    assert cy._slot_codec(width.bit_length() + 3)[1] is None
+    assert fourier_transform(sys, wide) == _double_sum(sys, wide)
+
+
+def test_transform_reduces_once_per_point(monkeypatch):
+    # the F_13 cubic grid (3, -1), (1, e3): values of orders 1, 13 and 39
+    from charsum.stalk_traces import gm_trace_function
+    sys = system(13)
+    dat = MonomialDatum(1, (3, -1), (sys.trivial(1),
+                                     sys.char_of_order(1, 3)), 2)
+    f = gm_trace_function(sys, dat)
+    want = fourier_transform(sys, f)
+    calls = []
+    reduce = cy.reduce_mod_cyclotomic
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return reduce(*args, **kwargs)
+    monkeypatch.setattr(cy, "reduce_mod_cyclotomic", counting)
+    assert fourier_transform(sys, f) == want
+    assert 0 < len(calls) <= 13 ** 2
+
+
+def test_transform_slot_outside_bound_raises(monkeypatch):
+    f = _random_grid(S5, 1, 1, seed=3)
+    unpack = cy._unpack
+
+    def high_slot(*args):
+        vec = list(unpack(*args))
+        vec[0] = 10 ** 6
+        return tuple(vec)
+    monkeypatch.setattr(cy, "_unpack", high_slot)
+    with pytest.raises(InternalCheckError, match="outside the bound"):
+        fourier_transform(S5, f)
 
 
 def inner(f, g):

@@ -358,6 +358,84 @@ def test_i_norm_direct_matches_closed():
     assert count == 224
 
 
+def _i_norm_per_term(system, algebra, module, lam, a):
+    """I_{V,lam}(a) as a ring sum over every unit tuple: psi(a det_V(x))
+    prod lam_i(x_i), det_V(x) = prod Nm(x_i)^{n_i} through the tower."""
+    t = system.tower
+    e = algebra.base_degree
+    pools = [[(t.pow_elem(e, t.norm_to(d, e, x), n),
+               system.char_value(ch, x)) for x in range(1, t.order(d))]
+             for ch, d, n in zip(lam.chars, algebra.degrees, module.ranks)]
+    total = cy.from_int(0)
+    for combo in product(*pools):
+        det = a
+        val = cy.from_int(1)
+        for nm, v in combo:
+            det = t.mul(e, det, nm)
+            val = val * v
+        total = total + system.psi_value(e, det) * val
+    return total
+
+
+def _split_f25():
+    s25 = CharSystem(build_tower(5, degrees=(1, 2)), c=3)
+    return s25, EtaleAlgebra(s25.tower, (2, 2), 2), VirtualModule((3, -1))
+
+
+@pytest.mark.parametrize("case", ["K999", "F25^2"])
+def test_direct_sums_match_plain_enumeration(case):
+    if case == "K999":
+        # the oracle's algebra, ranks (1, -2) changed to base degree 2
+        system, alg, V = S3C2, K999, extend_module(
+            S3C2, EtaleAlgebra(S3C2.tower, (2, 1)), VirtualModule((1, -2)), 2)
+    else:
+        system, alg, V = _split_f25()
+    rng = random.Random(len(case))
+    grps = [system.tower.group_order(d) for d in alg.degrees]
+    for _ in range(3):
+        lam = NormCharacter(tuple(system.character(d, rng.randrange(n))
+                                  for d, n in zip(alg.degrees, grps)))
+        a = rng.randrange(1, system.tower.order(alg.base_degree))
+        assert i_norm_direct(system, alg, V, lam, a) == \
+            _i_norm_per_term(system, alg, V, lam, a)
+        assert gauss_sum_algebra(system, alg, lam, method="direct") == \
+            _gauss_sum_per_term(system, alg, lam)
+
+
+def test_tampered_norm_map_breaks_direct_sum(monkeypatch):
+    # the norm-log tables are built through norm_to: one wrong norm, of
+    # the generator, must reach i_norm_direct on a fresh tower
+    system = CharSystem(build_tower(3, degrees=(1, 2)))
+    t = system.tower
+    alg, V = EtaleAlgebra(t, (2,)), VirtualModule((1,))
+    norm_to = t.norm_to
+    g = t.exp(2, 1)
+
+    def wrong_norm(d, e, x):
+        y = norm_to(d, e, x)
+        return t.mul(e, y, t.minus_one()) if x == g else y
+    monkeypatch.setattr(t, "norm_to", wrong_norm)
+    lams = [NormCharacter((system.character(2, i),)) for i in range(8)]
+    assert any(i_norm_direct(system, alg, V, lam, 1)
+               != i_norm_closed(system, alg, V, lam, 1) for lam in lams)
+
+
+def test_tampered_trace_map_breaks_direct_gauss_sum(monkeypatch):
+    system = CharSystem(build_tower(3, degrees=(1, 2)))
+    t = system.tower
+    alg = EtaleAlgebra(t, (2,))
+    trace_to = t.trace_to
+    g = t.exp(2, 1)
+
+    def wrong_trace(d, e, x):
+        y = trace_to(d, e, x)
+        return t.add(e, y, 1) if x == g else y
+    monkeypatch.setattr(t, "trace_to", wrong_trace)
+    chis = [NormCharacter((system.character(2, i),)) for i in range(8)]
+    assert any(gauss_sum_algebra(system, alg, chi, method="direct")
+               != gauss_sum_algebra(system, alg, chi) for chi in chis)
+
+
 def test_i_norm_nonfactoring_vanishes():
     V = VirtualModule((1, 1))
     lam = NormCharacter((E2, TRIV3))

@@ -1,4 +1,4 @@
-"""The kernel timer script runs under python -O and prints its table."""
+"""The kernel timer script runs under python -O and prints its tables."""
 
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ def _run_optimized(script, *args):
 def test_kernel_probe_runs_optimized():
     proc = _run_optimized("kernel_probe.py", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    kernel, layers = proc.stdout.split("\n\n")
+    lines = kernel.splitlines()
     assert lines[0].split() == ["order", "coeffs", "poly_mul_us",
                                 "reduce_us", "roots_us", "gauss_us",
                                 "galois_us", "jacobi_us"]
@@ -31,3 +32,9 @@ def test_kernel_probe_runs_optimized():
         ["M336", "small"], ["M336", "wide"],
         ["M2184", "small"], ["M2184", "wide"]]
     assert all(float(x) > 0 for row in rows for x in row[2:])
+    lines = layers.splitlines()
+    assert lines[0].split() == ["layer", "us"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == [
+        "transform_F13_cubic", "i_direct_F9x3", "ratio_F7_2fold"]
+    assert all(len(row) == 2 and float(row[1]) > 0 for row in rows)
