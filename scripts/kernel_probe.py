@@ -24,7 +24,11 @@ the trace function of (3, -1), (1, e3) over F_13 (a 13 x 13 grid);
 `i_direct_F9x3` is the direct I-sum on F_9 x F_3 changed to base degree
 2, (2, 2, 2) over F_9 with ranks (1, 1, -2), for a seeded twist;
 `ratio_F7_2fold` is the 2-fold ratio sum over F_7 for a seeded
-character and seeded hats.
+character and seeded hats; `sweep_tuple_F49` is one seeded support twist
+of the degree-2 moment sweep of (3, -1), (1, e3) over F_7, decided in
+Jacobi form at order 48 (norm_algebra._twist_by_forms), with the Jacobi
+sums and forms it reads emptied before each call, as in a cold sweep;
+the roots of unity stay cached, as they do within a sweep.
 """
 
 from __future__ import annotations
@@ -127,7 +131,27 @@ def _layer_ops(rng):
     xhat, yhat = ([rng.randrange(1, 7) for _ in range(2)] for _ in range(2))
     return (("transform_F13_cubic", lambda: fourier_transform(s13, cubic)),
             ("i_direct_F9x3", lambda: na._i_direct(s3, alg2, mod2, lam, 1)),
-            ("ratio_F7_2fold", lambda: _ratio_sum(s7, chi, 1, xhat, yhat)))
+            ("ratio_F7_2fold", lambda: _ratio_sum(s7, chi, 1, xhat, yhat)),
+            ("sweep_tuple_F49", _sweep_tuple(rng)))
+
+
+def _sweep_tuple(rng):
+    s7 = CharSystem(build_tower(7, 1, degrees=(1, 2)))
+    alg = na.EtaleAlgebra(s7.tower, (1, 1))
+    mod = na.VirtualModule((3, -1))
+    chi = na.NormCharacter((s7.trivial(1), s7.char_of_order(1, 3)))
+    data = (na.base_change(s7, alg, 2), na.extend_module(s7, alg, mod, 2),
+            na.extend_character(s7, alg, chi, 2), na.extend_scalar(s7, alg, 1, 2))
+    sol = na.solve_norm_transform(s7, *data)
+    target = sol.transformed()
+    c_form = na._c_form(s7, data[0], data[2], sol)
+    lam = rng.choice(na._support(s7, *data[:3], target))
+
+    def twist():
+        s7._jacobi_cache.clear()
+        s7._form_cache.clear()
+        return na._twist_by_forms(s7, *data, target, lam, c_form)
+    return twist
 
 
 if __name__ == "__main__":

@@ -58,6 +58,13 @@ def _split(system, datum):
 # ---------------------------------------------------------------- grids
 
 
+def _check_scale_codes(factors, k, q):
+    """One nonzero scale code 0 < u < q per coordinate of F_q^k."""
+    if len(factors) != k or not all(0 < u < q for u in factors):
+        raise SchemaError(
+            f"need one nonzero scale code below {q} per coordinate")
+
+
 class GridFunction:
     """Dense function F_{q^degree}^k -> CycloValue, little-endian indexed."""
 
@@ -118,9 +125,7 @@ class GridFunction:
         """g with g(x_1..x_k) = f(u_1 x_1, .., u_k x_k); each u_i must be a
         nonzero code, 0 < u_i < q^degree."""
         q = self._q
-        if len(factors) != self.k or not all(0 < u < q for u in factors):
-            raise SchemaError(
-                f"need one nonzero scale code below {q} per coordinate")
+        _check_scale_codes(factors, self.k, q)
         t, d = self.tower, self.degree
         # u_i x for every code x, one row per coordinate
         rows = [[t.mul(d, u, x) for x in range(q)] for u in factors]
@@ -337,8 +342,12 @@ def sweep_twisted_moments(system, datum, *, depth=2, method="closed"):
     (W, eta, b, c) is the one solve_monomial_transform reports.  The
     closed method evaluates only the tuples where an I-sum can be
     nonzero, those whose twisted characters factor through the monomial;
-    at the rest both sides are 0 by construction.  The direct method
-    evaluates every tuple."""
+    at the rest both sides are 0 by construction.  The split algebra takes
+    the Jacobi-form route of the norm sweep: c in Jacobi form is certified
+    once per degree against the solution's c, then each tuple's two sides
+    are compared term by term at order q^e - 1, and a tuple whose terms
+    do not match takes the full products at order (q^e - 1) p.  The
+    direct method evaluates every tuple by full products."""
     check_monomial_datum(system, datum)
     return _sweep(system, *_split(system, datum), datum.a, depth, method)
 
@@ -355,13 +364,12 @@ def verify_transform_pointwise(system, datum, solution=None, *, target=None,
     a transform only when b lies in the same square class as the target's
     coefficient.  For the quartic datum (4, -2) with target = datum,
     b = -a^{-1}/64 shares the square class of a exactly when -1 is a
-    square: some rescaling can match over F_5, none over F_7.
+    square: some rescaling can match over F_5, none over F_7.  The scale
+    codes are checked before any trace function or transform is built.
     """
     from .stalk_traces import gm_trace_function
 
     check_monomial_datum(system, datum)
-    f = gm_trace_function(system, datum)
-    fhat = fourier_transform(system, f)
     if target is None:
         if solution is None:
             solution = solve_monomial_transform(system, datum)
@@ -370,6 +378,10 @@ def verify_transform_pointwise(system, datum, solution=None, *, target=None,
         scalar = solution.c if datum.k % 2 == 0 else -solution.c
     elif scalar is None:
         raise SchemaError("an explicit target needs an explicit scalar")
+    if arg_scale is not None:
+        _check_scale_codes(arg_scale, target.k,
+                           system.tower.order(target.degree))
+    fhat = fourier_transform(system, gm_trace_function(system, datum))
     f2 = gm_trace_function(system, target)
     if arg_scale is not None:
         f2 = f2.rescale_args(arg_scale)

@@ -11,7 +11,11 @@ the scale p(V) = prod n_i^{n_i d_i} (d_i = D_i/e), the index d(V) = gcd n_i,
 and the weighted divisor sum_i d_i D_{chi_i, n_i}.  On top of that sit the
 algebra Gauss-sum identity (verify_norm_identity), the determinant-twisted
 sums I_{V,lam}(a) in direct and closed form, and the transform solver for
-modules of rank 2 or 0 with its moment verifier and sweep.
+modules of rank 2 or 0 with its moment verifier and sweep.  The closed
+I-sum is a short sum of Gauss sums (_i_terms), so on a split algebra the
+sweep decides a twist in Jacobi form at order q^e - 1 once c in Jacobi
+form is certified against the solution's c; any other twist, and any
+whose terms do not match, takes the full products at order (q^e - 1) p.
 
 A monomial datum over F_{q^d} is the split algebra F_{q^d}^k over base
 degree d with ranks equal to its exponents; monomial_fourier is a front
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -34,6 +39,8 @@ from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
 from .errors import InternalCheckError, SchemaError, SizeBoundError
 
 DEFAULT_TERM_BOUND = 1 << 26
+# zeta_M^k by k mod M; a sweep's I-sum terms read few roots many times
+_root = lru_cache(maxsize=None)(cy.root)
 
 __all__ = [
     "EtaleAlgebra", "VirtualModule", "NormCharacter", "NormSolution",
@@ -493,24 +500,33 @@ def _factor_through_det(system, algebra, module, lam):
     return None if idx is None else system.character(e, idx)
 
 
-def _i_closed(system, algebra, module, lam, a):
+def _i_terms(system, algebra, module, lam, a):
+    """The closed I_{V,lam}(a) as terms (coef, T), I = sum of coef g(chi_T)
+    over the base characters chi_T of index T: none unless lam = mu o det_V,
+    then one per nu trivial on the image of det_V, with T = idx(mu nu) and
+    coef = |k^*|/(q-1) (mu nu)(a^{-1}) an integer times a root of unity."""
     t = system.tower
     e = algebra.base_degree
     mu = _factor_through_det(system, algebra, module, lam)
     if mu is None:
-        return cy.from_int(0)
+        return []
     grp = t.group_order(e)
     # the nu trivial on the image of det_V, the d(V)-th powers, are the
     # characters of order dividing gcd(d(V), q-1); the zero module has
     # d(V) = 0 and leaves the whole dual group
     d1 = math.gcd(d_of(module), grp)
-    ai = t.inv(e, a)
-    total = cy.from_int(0)
-    for j in range(d1):
-        munu = system.character(e, mu.index + j * (grp // d1))
-        total = total + system.gauss_sum(munu) * system.char_value(munu, ai)
-    units = math.prod(t.group_order(d) for d in algebra.degrees)
-    return cy.from_int(units // grp) * total
+    units = cy.from_int(
+        math.prod(t.group_order(d) for d in algebra.degrees) // grp)
+    log_ai = t.log(e, t.inv(e, a))
+    return [(units * _root(grp, idx * log_ai % grp), idx) for idx in
+            ((mu.index + j * (grp // d1)) % grp for j in range(d1))]
+
+
+def _i_closed(system, algebra, module, lam, a):
+    e = algebra.base_degree
+    return sum((coef * system.gauss_sum(MultCharacter(e, idx))
+                for coef, idx in _i_terms(system, algebra, module, lam, a)),
+               cy.from_int(0))
 
 
 def i_norm_closed(system: CharSystem, algebra: EtaleAlgebra,
@@ -648,6 +664,15 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
     return NormSolution(case, out_ranks, eta, nu, b, c, m)
 
 
+def _twisted(system, chi, eta, lam):
+    """chi lam^{-1} and eta lam, the characters of the two I-sums of the
+    moment identity at the twist lam."""
+    return (NormCharacter(tuple(system.char_mul(ch, system.char_inv(lm))
+                                for ch, lm in zip(chi.chars, lam.chars))),
+            NormCharacter(tuple(system.char_mul(et, lm)
+                                for et, lm in zip(eta.chars, lam.chars))))
+
+
 def _moment_sides(system, algebra, module, chi, a, target, lam, method):
     """Both sides of the moment identity at one twist, on validated data;
     target is the transformed (module, characters, b, c).  The right
@@ -657,13 +682,9 @@ def _moment_sides(system, algebra, module, chi, a, target, lam, method):
     closed sweep calls this only on the support that _support lists."""
     module_w, eta, b, c = target
     q = system.tower.order(algebra.base_degree)
-    lhs_chars = NormCharacter(tuple(
-        system.char_mul(ch, system.char_inv(lm))
-        for ch, lm in zip(chi.chars, lam.chars)))
+    lhs_chars, rhs_chars = _twisted(system, chi, eta, lam)
     lhs = (-q) ** algebra.dim() * _i_sum(
         system, algebra, module, lhs_chars, a, method)
-    rhs_chars = NormCharacter(tuple(
-        system.char_mul(et, lm) for et, lm in zip(eta.chars, lam.chars)))
     rhs = _i_sum(system, algebra, module_w, rhs_chars, b, method)
     if not rhs.is_zero():
         rhs = rhs * c
@@ -793,6 +814,73 @@ def _support(system, algebra, module, chi, target):
             for idx in sorted(found)]
 
 
+def _c_form(system, algebra, chi, sol):
+    """(s zeta C_c, T_c) with sol.c = s zeta C_c g(chi_{T_c}) on a split
+    algebra, or None when the degree takes the full products: the algebra
+    has a factor of another degree, sol is not a NormSolution, or the form
+    is not sol.c.
+
+    solve_norm_transform builds c = -(-1)^dim q^m nu^{+-1}(-b)
+    g(nu^{-+1}) prod g(chi_i), upper signs in case 1, with m its twist.  So
+    s = -(-1)^dim q^m, zeta = nu^{+-1}(-b) and (C_c, T_c) is the Jacobi form
+    of g(nu^{-+1}) prod g(chi_i).  The form is certified by one exact
+    product at order (q^e - 1) p against the c the solution carries."""
+    e = algebra.base_degree
+    if not isinstance(sol, NormSolution) or any(
+            d != e for d in algebra.degrees):
+        return None
+    t = system.tower
+    nu = sol.nu.index if sol.case == 1 else -sol.nu.index
+    c_c, t_c = system.gauss_form(e, [-nu] + [ch.index for ch in chi.chars])
+    form = c_c * cy.root(t.group_order(e), nu * t.log(e, t.neg(e, sol.b))) \
+        * (-(-1) ** algebra.dim() * t.order(e) ** sol.twist)
+    if form * system.gauss_sum(MultCharacter(e, t_c)) != sol.c:
+        return None
+    return form, t_c
+
+
+def _twist_by_forms(system, algebra, module, chi, a, target, lam, c_form):
+    """One twist of the moment identity on a split algebra in Jacobi form:
+    whether its sides are nonzero once they are proved equal, or None when
+    the comparison below proves nothing and the full products decide.
+
+    The left side is sum A_T g(chi_T) with A_T = (-q)^dim coef over the
+    terms (coef, T) of its I-sum (_i_terms).  On the right each term
+    coef g(chi_T) of I_{W, eta lam}(b), times c = c_form and
+    prod conj(g(lam_i)) = prod lam_i(-1) g(lam_i^{-1}), folds into
+    B g(chi_T') through the Jacobi forms of pairs (gauss_form), which the
+    field bounds; a form of the whole product per twist would be cached
+    and never read again.  Equal maps T -> A_T and T -> B_T, zero entries
+    dropped, prove the sides equal; unequal ones do not prove them
+    different, as the g(chi_T) need not be independent over
+    Z[zeta_{q-1}]."""
+    module_w, eta, b, _ = target
+    form, t_c = c_form
+    e = algebra.base_degree
+    q = system.tower.order(e)
+    left_chars, right_chars = _twisted(system, chi, eta, lam)
+    scale = (-q) ** algebra.dim()
+    left = {idx: coef * scale for coef, idx in
+            _i_terms(system, algebra, module, left_chars, a)}
+    right = {}
+    inv = [-lm.index for lm in lam.chars]
+    # lam(-1) = (-1)^idx(lam) as -1 = g^{(q-1)/2}; -1 = 1 when q is even
+    sign = (-1) ** sum(lm.index for lm in lam.chars) if q % 2 else 1
+    for coef, idx in _i_terms(system, algebra, module_w, right_chars, b):
+        val, acc = form * coef * sign, t_c
+        for x in [idx] + inv:
+            c_x, acc = system.gauss_form(e, (acc, x))
+            val = val * c_x
+        right[acc] = right.get(acc, 0) + val
+    right = {idx: val for idx, val in right.items() if val}
+    if left != right:
+        return None
+    if len(left) > 1:
+        return not sum(val * system.gauss_sum(MultCharacter(e, idx))
+                       for idx, val in left.items()).is_zero()
+    return bool(left)
+
+
 def _sweep(system, algebra, module, chi, a, depth, method):
     """The moment sweep on validated data: at each extension degree
     e <= depth, solve the base-changed data with solve_norm_transform and
@@ -805,6 +893,14 @@ def _sweep(system, algebra, module, chi, a, depth, method):
     it both closed I-sums are exactly 0 by construction, so the identity
     holds there and the twist is not nonvanishing.  A wrong eta or W moves
     the right support, and the twists it moves to are still evaluated.
+
+    A closed twist takes one of two routes.  On a split degree, where
+    every factor has the base degree and c in Jacobi form is certified
+    against the solution's c (_c_form), _twist_by_forms compares both
+    sides term by term at order q^e - 1; a match proves the identity.
+    Every other twist, and every twist whose terms do not match, takes the
+    full products at order (q^e - 1) p of _moment_sides, which decide it
+    and record any failure.
     """
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
               "failures": []}
@@ -813,22 +909,28 @@ def _sweep(system, algebra, module, chi, a, depth, method):
         mod_e = extend_module(system, algebra, module, e)
         chi_e = extend_character(system, algebra, chi, e)
         a_e = extend_scalar(system, algebra, a, e)
-        target = solve_norm_transform(system, alg_e, mod_e, chi_e,
-                                      a_e).transformed()
+        sol = solve_norm_transform(system, alg_e, mod_e, chi_e, a_e)
+        target = sol.transformed()
         report["checked"] += _nondegenerate_count(system.tower, alg_e.degrees)
+        c_form = None
         if method == "closed":
             lams = _support(system, alg_e, mod_e, chi_e, target)
+            c_form = _c_form(system, alg_e, chi_e, sol)
         else:
             lams = iter_nondegenerate(system, alg_e)
         for lam in lams:
-            lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e, target,
-                                     lam, method)
-            if lhs != rhs:
-                report["failures"].append(
-                    {"degree": alg_e.base_degree,
-                     "lams": [lm.index for lm in lam.chars]})
-            elif not lhs.is_zero():
-                report["nonvanishing"] += 1
+            live = None if c_form is None else _twist_by_forms(
+                system, alg_e, mod_e, chi_e, a_e, target, lam, c_form)
+            if live is None:
+                lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e,
+                                         target, lam, method)
+                if lhs != rhs:
+                    report["failures"].append(
+                        {"degree": alg_e.base_degree,
+                         "lams": [lm.index for lm in lam.chars]})
+                    continue
+                live = not lhs.is_zero()
+            report["nonvanishing"] += live
     report["pass"] = not report["failures"] and report["nonvanishing"] > 0
     return report
 
@@ -841,7 +943,11 @@ def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
     report counts nonvanishing ones.  The closed method evaluates only
     the twists where a closed I-sum can be nonzero, those whose twisted
     character factors through det; at the others both sides are 0 by
-    construction.  The direct method evaluates every twist.  The report
+    construction.  On a split degree, once c in Jacobi form is certified
+    against the solution's c, each such twist is first compared term by
+    term in Jacobi form at order q^e - 1; a match proves it, and any other
+    twist takes the full products at order (q^e - 1) p, which decide it.
+    The direct method evaluates every twist by full products.  The report
     has the keys depth, checked, nonvanishing, failures and pass."""
     check_norm_data(system, algebra, module, chi, a)
     return _sweep(system, algebra, module, chi, a, depth, method)

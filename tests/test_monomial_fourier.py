@@ -89,6 +89,29 @@ def test_rescale_args_rejects_non_codes(u):
                                    scalar=cy.from_int(5), arg_scale=(1, u))
 
 
+@pytest.mark.parametrize("scale", [(1, 0), (1, 5), (1,), (1, 2, 3)])
+def test_pointwise_check_rejects_scale_before_transform(monkeypatch, scale):
+    # a bad code or a code count other than k is refused before the
+    # q^{2k}-term transform is paid for
+    import charsum.stalk_traces as st
+    e2 = S5.char_of_order(1, 2)
+    dat = MonomialDatum(1, (4, -2), (S5.trivial(1), e2), 1)
+    calls = []
+    for module, name in ((mf, "fourier_transform"),
+                         (st, "gm_trace_function")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, inner=inner:
+                            calls.append(args) or inner(*args))
+    with pytest.raises(SchemaError):
+        verify_transform_pointwise(S5, dat, target=dat,
+                                   scalar=cy.from_int(5), arg_scale=scale)
+    assert calls == []
+    # a valid code builds both trace functions and one transform
+    verify_transform_pointwise(S5, dat, target=dat, scalar=cy.from_int(5),
+                               arg_scale=(1, 1))
+    assert len(calls) == 3
+
+
 def test_scaled_multiplies_each_distinct_value_once(monkeypatch):
     vals = [cy.root(3, i % 3) for i in range(25)]
     f = GridFunction(S5.tower, 1, 2, vals)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from itertools import product
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import pytest
 import charsum.cyclotomic as cy
 import charsum.norm_algebra as na
 from charsum.characters import CharSystem
+from charsum.cli import main
 from charsum.cyclotomic import CycloValue
 from charsum.divisor_calc import Divisor
 from charsum.errors import InternalCheckError, SchemaError, SizeBoundError
@@ -632,30 +634,35 @@ def test_f49_f7_moments_sample():
             assert verify_norm_moments(S7, K, V, chi, 1, sol, lam)
 
 
-@pytest.mark.parametrize("field", ["c", "b", "eta"])
-def test_sweep_fails_on_tampered_solution(monkeypatch, field):
-    V = VirtualModule((1, -2))
-    chi = NormCharacter((TRIV9, TRIV3))
-    honest = sweep_norm_moments(S3, K93, V, chi, 1, depth=2)
-    assert honest["pass"] and honest["nonvanishing"] > 0
+def _replaced(field):
+    """solve_norm_transform returning a NormSolution with one field
+    changed, so that the split degrees still meet the Jacobi-form route."""
     solve = na.solve_norm_transform
 
-    def tampered(sys, alg, mod, ch, a):
-        sol = solve(sys, alg, mod, ch, a)
+    def tampered(system, alg, mod, chi, a):
+        sol = solve(system, alg, mod, chi, a)
+        t = system.tower
         e = alg.base_degree
-        t = sys.tower
         if field == "c":
             return dataclasses.replace(sol, c=-sol.c)
         if field == "b":
             return dataclasses.replace(sol, b=t.mul(e, sol.b, t.generator(e)))
         # shifting eta_1 by an index prime to the lift step kills the
         # right root of every twist that had one
-        etas = sol.characters.chars
-        shifted = sys.char_mul(etas[0], sys.character(etas[0].degree, 1))
+        first, *rest = sol.characters.chars
+        shifted = system.char_mul(first, system.character(first.degree, 1))
         return dataclasses.replace(
-            sol, characters=NormCharacter((shifted,) + etas[1:]))
+            sol, characters=NormCharacter((shifted, *rest)))
+    return tampered
 
-    monkeypatch.setattr(na, "solve_norm_transform", tampered)
+
+@pytest.mark.parametrize("field", ["c", "b", "eta"])
+def test_sweep_fails_on_tampered_solution(monkeypatch, field):
+    V = VirtualModule((1, -2))
+    chi = NormCharacter((TRIV9, TRIV3))
+    honest = sweep_norm_moments(S3, K93, V, chi, 1, depth=2)
+    assert honest["pass"] and honest["nonvanishing"] > 0
+    monkeypatch.setattr(na, "solve_norm_transform", _replaced(field))
     rep = sweep_norm_moments(S3, K93, V, chi, 1, depth=2)
     assert not rep["pass"]
     assert rep["checked"] == honest["checked"]
@@ -743,7 +750,13 @@ def _tampered(field):
     return tampered
 
 
+def _defer(*args):
+    """_twist_by_forms forced to leave every twist to the full products."""
+    return None
+
+
 S5 = CharSystem(build_tower(5, degrees=(1, 2)))
+S2 = CharSystem(build_tower(2, degrees=(1, 2)))
 E3_7 = S7.char_of_order(1, 3)
 
 SWEEP_CASES = {
@@ -775,6 +788,9 @@ def test_support_sweep_matches_every_twist(monkeypatch, name, tamper):
     assert rep == _every_twist_sweep(system, algebra, module, chi, 1, 2)
     assert rep["checked"] == na.sweep_tuples(system.tower, algebra.degrees, 2)
     assert rep["pass"] if tamper is None else rep["failures"]
+    # the same report when every twist skips the Jacobi-form route
+    monkeypatch.setattr(na, "_twist_by_forms", _defer)
+    assert na._sweep(system, algebra, module, chi, 1, 2, "closed") == rep
 
 
 @pytest.mark.parametrize("name", ["norm-2-f3", "monom-3-1-f7"])
@@ -797,6 +813,121 @@ def test_direct_sweep_evaluates_every_twist(monkeypatch, name):
     assert closed == direct
     q = system.tower.q
     assert all(n <= 2 * (q ** e - 1) for e, n in calls.items())
+
+
+# ------------------------------------------ the Jacobi-form route of a sweep
+
+
+def _split_sides_counter(monkeypatch):
+    """Count _moment_sides calls on split base-changed algebras."""
+    calls = []
+    inner = na._moment_sides
+
+    def counting(system, algebra, *rest):
+        if all(d == algebra.base_degree for d in algebra.degrees):
+            calls.append(algebra.base_degree)
+        return inner(system, algebra, *rest)
+    monkeypatch.setattr(na, "_moment_sides", counting)
+    return calls
+
+
+# the 16 depth-2 CLI sweeps whose reports test_cli pins by digest
+PINNED_SWEEPS = [
+    ({"kind": "monom", "p": 7, "exponents": [3, -1],
+      "characters": ["trivial", "e3"], "depth": 2}, range(1, 7)),
+    ({"kind": "norm", "p": 7, "factor_degrees": [2], "ranks": [1],
+      "characters": ["trivial"], "depth": 2}, range(1, 7)),
+    ({"kind": "monom", "p": 5, "exponents": [2, 1, -1],
+      "characters": ["trivial", "trivial", "trivial"], "depth": 2},
+     range(1, 5)),
+]
+
+
+def test_forced_fallback_keeps_pinned_sweep_reports(monkeypatch, tmp_path,
+                                                    capsys):
+    job_file = tmp_path / "job.json"
+
+    def report(job):
+        job_file.write_text(json.dumps(job))
+        assert main(["--job", str(job_file)]) == 0
+        return capsys.readouterr().out
+
+    jobs = [dict(job, a=a) for job, drawn in PINNED_SWEEPS for a in drawn]
+    default = [report(job) for job in jobs]
+    monkeypatch.setattr(na, "_twist_by_forms", _defer)
+    calls = _split_sides_counter(monkeypatch)
+    assert [report(job) for job in jobs] == default
+    assert calls
+
+
+SPLIT_CASES = {
+    **SWEEP_CASES,
+    # the two jobs of the sweep benchmark workload, at every drawn a
+    "job-monom-3-1-f7": SWEEP_CASES["monom-3-1-f7"],
+    "job-norm-2-f7": lambda: _norm_case(S7, (2,), (1,), (S7.trivial(2),)),
+    # even q, where lam(-1) = 1 for every lam, over the base F_4
+    "monom-1-1-f4": lambda: (S2, EtaleAlgebra(S2.tower, (2, 2), 2),
+                             VirtualModule((1, -1)), NormCharacter(
+                                 (S2.character(2, 1), S2.character(2, 2)))),
+}
+
+
+@pytest.mark.parametrize("name,a", [
+    # monom-4-2-f7 has two terms per I-sum (d(V) = 2), and its degree-1
+    # twists have prod lam_i(-1) = -1
+    *((name, 1) for name in ("monom-3-1-f7", "monom-4-2-f7", "monom-1-1-f7",
+                             "monom-2-1-1-f5", "norm-21-f3", "monom-1-1-f4")),
+    *((name, a) for name in ("job-monom-3-1-f7", "job-norm-2-f7")
+      for a in range(1, 7)),
+])
+def test_split_degrees_need_no_full_products(monkeypatch, name, a):
+    system, algebra, module, chi = SPLIT_CASES[name]()
+    calls = _split_sides_counter(monkeypatch)
+    rep = na._sweep(system, algebra, module, chi, a, 2, "closed")
+    assert rep["pass"] and rep["nonvanishing"] > 0
+    assert calls == []
+    monkeypatch.setattr(na, "_twist_by_forms", _defer)
+    assert na._sweep(system, algebra, module, chi, a, 2, "closed") == rep
+
+
+@pytest.mark.parametrize("name", ["monom-3-1-f7", "monom-4-2-f7"])
+@pytest.mark.parametrize("field", ["c", "b", "eta"])
+def test_replaced_solution_fails_on_both_routes(monkeypatch, name, field):
+    system, algebra, module, chi = SWEEP_CASES[name]()
+    monkeypatch.setattr(na, "solve_norm_transform", _replaced(field))
+    forms = []
+    c_form = na._c_form
+    monkeypatch.setattr(na, "_c_form", lambda *args: forms.append(
+        c_form(*args)) or forms[-1])
+    rep = na._sweep(system, algebra, module, chi, 1, 2, "closed")
+    assert rep["failures"] and not rep["pass"]
+    # a changed c or b fails the certificate at both degrees; a changed
+    # eta passes it and meets the term comparison of every twist
+    assert [form is None for form in forms] == [field != "eta"] * 2
+    monkeypatch.setattr(na, "_twist_by_forms", _defer)
+    assert na._sweep(system, algebra, module, chi, 1, 2, "closed") == rep
+
+
+def test_wrong_form_of_c_takes_the_full_route(monkeypatch):
+    system, algebra, module, chi = SWEEP_CASES["monom-3-1-f7"]()
+    honest = na._sweep(system, algebra, module, chi, 1, 2, "closed")
+    alg2 = base_change(system, algebra, 2)
+    mod2 = extend_module(system, algebra, module, 2)
+    chi2 = extend_character(system, algebra, chi, 2)
+    sol = solve_norm_transform(system, alg2, mod2, chi2, 1)
+    assert na._c_form(system, alg2, chi2, sol) is not None
+    gauss_form = system.gauss_form
+
+    def negated(d, indices):
+        # the per-twist forms are of pairs; the form of c has k + 1 factors
+        c, tt = gauss_form(d, indices)
+        return (-c if len(indices) > 2 else c), tt
+    monkeypatch.setattr(system, "gauss_form", negated)
+    assert na._c_form(system, alg2, chi2, sol) is None
+    calls = _split_sides_counter(monkeypatch)
+    assert na._sweep(system, algebra, module, chi, 1, 2, "closed") == honest
+    support = na._support(system, alg2, mod2, chi2, sol.transformed())
+    assert calls.count(2) == len(support)
 
 
 # --------------------------------------------------------- split agreement
