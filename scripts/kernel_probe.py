@@ -5,7 +5,8 @@ Prints one row per order M and coefficient width with the median
 microseconds per call, over five batches of --repeat calls, of
 `_poly_mul` on two reduced vectors, `reduce_mod_cyclotomic` of their
 product, `reduce_mod_cyclotomic` of a length-M root-count vector,
-`from_root_counts` of a Gauss-sum-shaped count vector,
+`from_root_counts` of a Gauss-sum-shaped count vector (one dense
+reduction: all M slots packed, then both stages of the reduction plan),
 `CycloValue.galois` by a unit, and one cold `CharSystem.jacobi_sum` over
 F_{p^2} (its cache emptied before each call; the Zech table is built
 once).  The orders are M = 336 and 2184 (phi 96 and 576), that is

@@ -7,18 +7,26 @@ exact; no floating point appears anywhere in this module.
 Polynomials are packed into one integer, each coefficient in a
 two's-complement slot of one fixed width (`_pack`, `_unpack`).  Slots of up
 to 8 bytes are written and read by one `struct` call each, so no Python code
-runs per coefficient.
+runs per coefficient.  Every product is one integer product of the packed
+operands (signed Kronecker substitution), with a proven coefficient bound.
 
-Products above a small cutoff are one integer product of the packed operands
-(signed Kronecker substitution).  Reduction mod Phi_M folds mod x^M - 1 and
-then divides twice on one packed integer: by the sparse multiple
-Phi_r(x^{M/r}) of Phi_M, r = rad(M)/P for the largest prime P of M, and by
-Phi_M, whose quotient is then only phi(M)/(P - 1) slots long.  Each division
-is polynomial Barrett with the sparse inverse series of the reversed divisor,
-done as shifts and adds of the packed integer, and ends with an exact range
-check on the remainder.  A root-count vector with few live exponents skips
-the first division: each x^e is folded straight to the remainder mod the
-sparse multiple from a table of powers (`_power_rows`).
+Reduction mod Phi_M folds mod x^M - 1 and then divides twice on one packed
+integer: by the sparse multiple Phi_r(x^{M/r}) of Phi_M, r = rad(M)/P for
+the largest prime P of M, and by Phi_M, whose quotient is then only
+phi(M)/(P - 1) slots long.  Each division is polynomial Barrett with the
+sparse inverse series of the reversed divisor, done as shifts and adds of
+the packed integer, and ends with an exact range check on the remainder.
+
+Three special paths stay, each for a reason:
+- `_divide` subtracts Q D(2^w) in blocks of nearby divisor terms, so each
+  term is added into an integer of at most twice the quotient's slots;
+  without the blocks, reducing one product at M = 2184 took 1.3 to 1.8
+  times as long.
+- `_pack` and `_unpack` have a per-slot codec for slots wider than 8
+  bytes, which the input's width selects: the falsifier's coefficients of
+  up to 10^31 at M = 2184 need it.
+- `_trace_table` gives the normalized trace to Q behind `__hash__`, which
+  equal values stored at different orders must share.
 """
 
 from __future__ import annotations
@@ -37,9 +45,6 @@ from charsum.errors import InternalCheckError
 
 # ------------------------------------------------------------------ integer
 # polynomials: tuples of coefficients, index = degree
-
-_SCHOOLBOOK_MAX = 7
-
 
 def _trim(p: Sequence[int]) -> tuple[int, ...]:
     if not p:
@@ -95,46 +100,30 @@ def _unpack(v: int, nbytes: int, fmt: str | None, count: int,
     return struct.unpack_from(fmt % count, raw)
 
 
-def _kronecker_mul(a: tuple[int, ...],
-                   b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    # signed Kronecker substitution: one integer product of the packed
-    # operands is the packed product.  The slots must hold |c_k| < 2^{w-1}
-    # and each operand's own coefficients.  Every c_k is a sum of at most
-    # min(m, n) terms a_i b_j, so B = min(m, n) * ma * mb bounds it; the
-    # ma, mb terms keep direct calls with an all-zero operand safe.
-    # Returns the product and B
+def _kronecker_mul(a: Sequence[int],
+                   b: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    # a b by signed Kronecker substitution: one integer product of the
+    # packed operands is the packed product.  Every c_k is a sum of at most
+    # min(m, n) terms a_i b_j, so B = min(m, n) ma mb bounds it, and with
+    # both operands nonzero B is at least ma and mb, so slots of
+    # |c_k| < 2^{w-1} also hold the operands.  Returns the product and B
+    a = _trim(a)
+    b = _trim(b)
+    if a == (0,) or b == (0,):
+        return (0,), 0
     m, n = len(a), len(b)
     out_len = m + n - 1
     ma = max(max(a), -min(a))
     mb = max(max(b), -min(b))
     bound = min(m, n) * ma * mb
-    nbytes, fmt = _slot_codec(max(bound, ma, mb).bit_length() + 1)
+    nbytes, fmt = _slot_codec(bound.bit_length() + 1)
     H = _top_bits(nbytes, out_len)
     return _unpack(_pack(a, nbytes, fmt, H) * _pack(b, nbytes, fmt, H),
                    nbytes, fmt, out_len, H), bound
 
 
-def _poly_mul_bounded(a: Sequence[int], b: Sequence[int]):
-    # a b, and _kronecker_mul's bound on its coefficients; None from the
-    # schoolbook path, whose short products the reduction measures itself
-    a = _trim(a)
-    b = _trim(b)
-    if a == (0,) or b == (0,):
-        return (0,), None
-    if min(len(a), len(b)) <= _SCHOOLBOOK_MAX:
-        if len(a) > len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return tuple(out), None
-    return _kronecker_mul(a, b)
-
-
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return _poly_mul_bounded(a, b)[0]
+    return _kronecker_mul(a, b)[0]
 
 
 def _poly_divmod(num: Sequence[int], den: Sequence[int]):
@@ -255,38 +244,6 @@ def _reduction_plan(M: int) -> tuple[_Stage, ...]:
     return tuple(stages)
 
 
-@lru_cache(maxsize=None)
-def _power_rows(M: int) -> tuple[int, int, tuple, int]:
-    # (k, phi(r) k, rows, terms) for r = _cofactor(M), k = M/r and y = x^k:
-    # row a holds the nonzero terms (j k, c) of y^a mod Phi_r(y), for
-    # a < r, and terms counts them over all rows.
-    # Phi_r(y) = D of _reduction_plan, so x^{ak+b} = x^b y^a is congruent
-    # mod D to x^b row_a(x^k), of degree below deg D = phi(r) k
-    r = _cofactor(M)
-    k = M // r
-    base = cyclotomic_poly(r)
-    deg = len(base) - 1
-    row = [1] + [0] * (deg - 1)
-    rows = []
-    for _ in range(r):
-        rows.append(tuple((j * k, c) for j, c in enumerate(row) if c))
-        # y row = x row shifted, its top term folded back by the monic base
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [c - top * u for c, u in zip(row, base)]
-    return k, deg * k, tuple(rows), sum(map(len, rows))
-
-
-def _add_multiple(acc: int, c: int, t: int) -> int:
-    # acc + c t, without the copy a product by +-1 makes
-    if c == 1:
-        return acc + t
-    if c == -1:
-        return acc - t
-    return acc + c * t
-
-
 def _divide(F: int, length: int, stage: _Stage, w: int) -> int:
     # F packs a polynomial f of `length` slots of w bits; returns the packed
     # remainder of f mod D.  Barrett: q_j = sum_i inv_i f_{m+j+i} for
@@ -302,8 +259,7 @@ def _divide(F: int, length: int, stage: _Stage, w: int) -> int:
     for i, c in stage.inverse:
         if i >= qlen:
             break
-        Q = _add_multiple(Q, c, (high + (1 << (w * i - 1))) >> (w * i)
-                          if i else high)
+        Q += c * ((high + (1 << (w * i - 1))) >> (w * i) if i else high)
     # Q D(2^w) in blocks of divisor terms less than qlen slots apart, so
     # each term is added into an integer of at most 2 qlen slots
     R = F
@@ -314,7 +270,7 @@ def _divide(F: int, length: int, stage: _Stage, w: int) -> int:
             R -= acc << (w * base)
             base = u
             acc = 0
-        acc = _add_multiple(acc, c, Q << (w * (u - base)))
+        acc += c * (Q << (w * (u - base)))
     R -= acc << (w * base)
     # R and the true remainder r(2^w) agree mod D(2^w) > (6/7) 2^{wm}, and
     # |r(2^w)| < 2^{wm}/7 since every slot bound is below 2^{w-3}; so
@@ -472,7 +428,7 @@ class CycloValue:
         L = math.lcm(self.order, other.order)
         a = _lift_coeffs(self, L)
         b = _lift_coeffs(other, L)
-        prod, bound = _poly_mul_bounded(a, b)
+        prod, bound = _kronecker_mul(a, b)
         return _make(L, reduce_mod_cyclotomic(prod, L, _bound=bound))
 
     __rmul__ = __mul__
@@ -592,28 +548,7 @@ def from_root_counts(M: int, counts: Sequence[int]) -> CycloValue:
             g *= p
     M //= g
     counts = counts[::g]
-    # the fold makes about live * terms / r additions, one per row term of
-    # each live exponent; the dense route packs all M slots and divides by
-    # D.  Timed at M = 336 to 2184, the fold is the cheaper while that
-    # count stays under M / 4.  A prime power (r = 1) has no D to skip
-    _, _, rows, terms = _power_rows(M)
-    if len(rows) > 1 and 4 * live * terms < M * len(rows):
-        counts = _fold_live(counts, M)
     return _make(M, reduce_mod_cyclotomic(counts, M))
-
-
-def _fold_live(counts: Sequence[int], M: int) -> list[int]:
-    # counts as a polynomial mod D = Phi_r(x^k) of _power_rows, term by
-    # term over the live exponents: deg D slots, which leave only the
-    # Phi_M stage of the reduction
-    k, length, rows, _ = _power_rows(M)
-    out = [0] * length
-    for e in compress(range(M), counts):
-        a, b = divmod(e, k)
-        c = counts[e]
-        for j, u in rows[a]:
-            out[b + j] += c * u
-    return out
 
 
 # ------------------------------------------------------------------ ratios

@@ -594,6 +594,13 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
     a/b = 1/p(V) in case 2.
     """
     check_norm_data(system, algebra, module, chi, a)
+    for ch, n in zip(chi.chars, module.ranks):
+        if n == 0 and system.is_trivial(ch):
+            # the factor's function is 1 on F^*, whose transform
+            # q delta_0 - 1 has a point mass
+            raise SchemaError(
+                "a rank-0 factor with the trivial character has no "
+                "transform of the same type")
     t = system.tower
     e = algebra.base_degree
     q = t.order(e)

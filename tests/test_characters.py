@@ -46,6 +46,14 @@ def test_gauss_sum_reflection():
             chi = sy.character(1, idx)
             lhs = sy.gauss_sum(chi) * sy.gauss_sum(sy.char_inv(chi))
             assert lhs == sy.char_value(chi, sy.tower.minus_one()) * p
+    # every character of F_169, whose Gauss sums lie at M = 168 * 13; the
+    # trivial one has g = -1
+    sy = system(13, degrees=(1, 2))
+    minus = sy.tower.embed(1, 2, sy.tower.minus_one())
+    for idx in range(168):
+        chi = sy.character(2, idx)
+        lhs = sy.gauss_sum(chi) * sy.gauss_sum(sy.char_inv(chi))
+        assert lhs == (sy.char_value(chi, minus) * 169 if idx else 1)
 
 
 def test_conj_gauss_sum():

@@ -380,6 +380,16 @@ def test_malformed_large_job_exits_2(tmp_path, capsys, job):
     assert code == 2 and err["kind"] == "SchemaError"
 
 
+@pytest.mark.parametrize("p,degree,a", [(7, 1, 5), (3, 2, 1)])
+def test_zero_rank_trivial_factor_exits_2(tmp_path, capsys, p, degree, a):
+    # the factor's function is 1 on F^*, whose transform q delta_0 - 1 has
+    # a point mass: no transform of the same type exists
+    job = {"kind": "norm", "p": p, "factor_degrees": [degree], "ranks": [0],
+           "characters": ["trivial"], "a": a, "depth": 1}
+    code, err = run_error(tmp_path, capsys, job)
+    assert code == 2 and err["kind"] == "SchemaError"
+
+
 def test_readme_lists_every_kind_with_its_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

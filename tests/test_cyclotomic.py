@@ -15,11 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 import charsum
 from charsum import cyclotomic
 from charsum._intutil import euler_phi
-from charsum.characters import CharSystem, MultCharacter
 from charsum.cyclotomic import (
-    _SCHOOLBOOK_MAX,
     CycloValue,
-    _fold_live,
     _kronecker_mul,
     _lift_coeffs,
     _poly_divmod,
@@ -33,7 +30,6 @@ from charsum.cyclotomic import (
     root,
 )
 from charsum.errors import InternalCheckError
-from charsum.field_tower import build_tower
 
 
 def _counts(M, terms):
@@ -114,9 +110,8 @@ def _naive_mul(a, b):
 
 
 def _coeff_lists(bound):
-    # every length is past _SCHOOLBOOK_MAX, the only lengths _poly_mul hands
-    # to the kernel
-    return st.integers(_SCHOOLBOOK_MAX + 1, 600).flatmap(
+    # every product goes through the kernel, down to single coefficients
+    return st.integers(1, 600).flatmap(
         lambda n: st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
 
 
@@ -126,8 +121,9 @@ def _width_examples(test):
     # 4-byte, 31 | 32 the 4- and 8-byte, and 63 | 64 the 8-byte struct slots
     # and the wide per-slot codec.  Constant operands put length * ma * mb,
     # close to 2^bits, in the middle slot; each bit length gets a mixed-sign
-    # and an all-negative pair
-    length = _SCHOOLBOOK_MAX + 1
+    # and an all-negative pair.  At length 8 the middle slot is a sum of 8
+    # products, so the bound is met by a sum, not by one term
+    length = 8
     for bits in (7, 8, 15, 16, 31, 32, 63, 64):
         ma = math.isqrt(((1 << bits) - 1) // length)
         mb = ((1 << bits) - 1) // (length * ma)
@@ -142,8 +138,9 @@ def _width_examples(test):
 # 13, 2**10 and 2**20 with the lengths drawn reach the 1-, 2-, 4- and
 # 8-byte slots.  Of the last three fixed examples, the first fills the
 # middle slot to exactly min(m, n) * ma * mb in the wide codec; the last
-# checks that an all-zero operand, which only a direct call can pass, does
-# not shrink the slots below the other operand's width
+# checks that an all-zero operand gives the zero product and bound 0,
+# whatever the other operand's width.  The kernel trims its operands, so
+# the product is compared trimmed
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([1, 13, 2**10, 2**20, 2**40, 10**31]).flatmap(
@@ -159,7 +156,7 @@ def test_kronecker_matches_schoolbook(a, b):
     a = tuple(a)
     b = tuple(b)
     prod, bound = _kronecker_mul(a, b)
-    assert prod == _naive_mul(a, b)
+    assert prod == _trim(_naive_mul(a, b))
     assert max(map(abs, prod)) <= bound
 
 
@@ -301,16 +298,19 @@ def test_root_counts_gcd_shrink():
     assert u.order == 5
 
 
-@given(st.sampled_from([1, 2, 12, 30, 336]), st.data())
-def test_root_counts_match_sum_of_roots(M, data):
+@given(st.sampled_from([1, 2, 12, 30, 156, 336]),
+       st.sampled_from([3, 10**31]), st.data())
+def test_root_counts_match_sum_of_roots(M, bound, data):
     # a count vector is the sum of its roots, and comes back at the order
-    # its live exponents span, including supports on a subring
+    # its live exponents span, including supports on a subring.  156 and
+    # 336 are composite orders whose reduction divides by Phi_r(x^{M/r})
+    # with r = 6 before Phi_M, and 10^31 is the falsifier's width
     step = data.draw(st.sampled_from(
         [d for d in range(1, M + 1) if M % d == 0]))
     counts = [0] * M
     for e in data.draw(st.lists(st.sampled_from(range(0, M, step)),
                                 max_size=12)):
-        counts[e] += data.draw(st.integers(-3, 3))
+        counts[e] += data.draw(st.integers(-bound, bound))
     v = from_root_counts(M, counts)
     w = sum((c * root(M, e) for e, c in enumerate(counts) if c), from_int(0))
     assert v == w
@@ -318,41 +318,6 @@ def test_root_counts_match_sum_of_roots(M, data):
     assert v.order in (1, M // math.gcd(M, *live))
     with pytest.raises(InternalCheckError):
         from_root_counts(M, counts + [0])
-
-
-@pytest.mark.parametrize("M", [156, 336, 1092, 2184, 343])
-def test_sparse_root_fold_matches_dense(M):
-    # 343 is a prime power, which from_root_counts never folds
-    rng = random.Random(M)
-    for live in (1, 2, 5, M // 13, M // 5):
-        for bound in (13, 10**31):
-            counts = [0] * M
-            for e in rng.sample(range(M), live):
-                counts[e] = rng.choice([-1, 1]) * rng.randint(1, bound)
-            dense = reduce_mod_cyclotomic(counts, M)
-            assert reduce_mod_cyclotomic(_fold_live(counts, M), M) == dense
-            assert from_root_counts(M, counts) == CycloValue(M, dense)
-
-
-def test_sparse_root_fold_on_gauss_sums(monkeypatch):
-    # every degree-2 Gauss sum over F_169, from its count vector at
-    # M = 168 * 13; the 48 of full order keep M and go through the fold
-    folded = []
-    fold = cyclotomic._fold_live
-    monkeypatch.setattr(cyclotomic, "_fold_live",
-                        lambda counts, M: folded.append(M) or fold(counts, M))
-    tower = build_tower(13, 1, degrees=(1, 2))
-    system = CharSystem(tower)
-    n, p = 168, 13
-    M = n * p
-    psi = system.psi_exponents(2)
-    for idx in range(n):
-        counts = [0] * M
-        for j, x in enumerate(tower.exp_table(2)):
-            counts[(j * idx % n * p + psi[x] * n) % M] += 1
-        dense = CycloValue(M, reduce_mod_cyclotomic(counts, M))
-        assert system.gauss_sum(MultCharacter(2, idx)) == dense
-    assert folded.count(M) == 48
 
 
 def test_abs_squared_undefined():
@@ -531,22 +496,37 @@ T = S.tower
 plan = cy._reduction_plan
 
 
-def corrupt_inverse():
-    # one inverse-series term of the last stage off by one in the plan
-    stages = plan(2184)
-    (i, c), *rest = stages[-1].inverse
-    bad = stages[:-1] + (stages[-1]._replace(inverse=((i, c + 1), *rest)),)
-    cy._reduction_plan = lambda M: bad
+def corrupt_inverse(k, call):
+    # one inverse-series term of stage k of the plan off by one
+    bad = list(plan(2184))
+    (i, c), *rest = bad[k].inverse
+    bad[k] = bad[k]._replace(inverse=((i, c + 1), *rest))
+    cy._reduction_plan = lambda M: tuple(bad)
     try:
-        v = cy.CycloValue(2184, (1,) * 576)
-        v * v
+        call()
     finally:
         cy._reduction_plan = plan
 
 
+def square():
+    v = cy.CycloValue(2184, (1,) * 576)
+    v * v
+
+
+def gauss_counts():
+    # the n = 168 live exponents a p + t_a n of a full-order character over
+    # F_169, p = 13: every one of them passes the sparse multiple's stage
+    counts = [0] * 2184
+    for a in range(168):
+        counts[(13 * a + 168 * (a % 13)) % 2184] = 1 + a % 5
+    cy.from_root_counts(2184, counts)
+
+
 for i, breach in enumerate((
         lambda: cy.CycloValue(6, (1,)), lambda: cy.root(6).galois(2),
-        lambda: cy.from_root_counts(6, [1]), corrupt_inverse,
+        lambda: cy.from_root_counts(6, [1]),
+        lambda: corrupt_inverse(-1, square),
+        lambda: corrupt_inverse(0, gauss_counts),
         lambda: S.char_mul(S.character(1, 1), S.character(2, 1)),
         lambda: S.lift_character(S.character(2, 1), 3),
         lambda: T.log(1, 0), lambda: T.inv(2, 0), lambda: T.pow_elem(1, 0, 0),
@@ -565,7 +545,8 @@ def test_invariants_fire_under_optimize():
     # python -O strips assert statements; the kernel's, the character
     # group's, the field tower's and the integer helpers' checks must not be
     # asserts, or a breach would pass silently.  The reduction's range check
-    # must catch a wrong quotient from a corrupted plan
+    # must catch a wrong quotient from a corrupted plan, at the sparse
+    # multiple's stage that every root-count vector takes and at Phi_M's
     src = str(Path(charsum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", _BREACHES], env=env,

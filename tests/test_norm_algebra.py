@@ -16,7 +16,7 @@ from charsum.characters import CharSystem
 from charsum.cli import main
 from charsum.cyclotomic import CycloValue
 from charsum.divisor_calc import Divisor
-from charsum.errors import InternalCheckError, SchemaError, SizeBoundError
+from charsum.errors import SchemaError, SizeBoundError
 from charsum.field_tower import build_tower
 from charsum.identity_engine import GammaMonomial, check_terms
 from charsum.monomial_fourier import (
@@ -561,8 +561,9 @@ def test_solve_guards():
     with pytest.raises(SchemaError):
         solve_norm_transform(S3, K9, VirtualModule((1,)),
                              NormCharacter((S3.character(2, 1),)), 1)
-    # dummy zero-rank factor with trivial character: even weight
-    with pytest.raises(InternalCheckError):
+    # a zero-rank factor with the trivial character is 1 on F^*, whose
+    # transform has a point mass
+    with pytest.raises(SchemaError):
         solve_norm_transform(S3, K33, VirtualModule((2, 0)),
                              NormCharacter((TRIV3, TRIV3)), 1)
     S2 = CharSystem(build_tower(2, degrees=(1, 2)))
