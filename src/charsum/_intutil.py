@@ -79,3 +79,21 @@ def solve_congruences(coeffs, residues, modulus: int) -> int | None:
         k = (ri - r) // h * pow(m // h, -1, step) % step
         r, m = r + m * k, m * step
     return r
+
+
+def group_ring_fold(pools, m1: int, m2: int) -> dict[tuple[int, int], int]:
+    """The product of the pools in the group ring of Z/m1 x Z/m2, each
+    pool a list of pairs (u, v) read as the sum of its elements: for each
+    (u mod m1, v mod m2), the number of tuples, one pair from each pool,
+    whose pairs sum to it.  No pools give the unit {(0, 0): 1}.  The
+    histogram absorbs one pool at a time, so each step costs its size
+    times one pool's size, never the product of all the pool sizes."""
+    hist = {(0, 0): 1}
+    for pool in pools:
+        fold = {}
+        for (u, v), cnt in hist.items():
+            for u2, v2 in pool:
+                key = ((u + u2) % m1, (v + v2) % m2)
+                fold[key] = fold.get(key, 0) + cnt
+        hist = fold
+    return hist

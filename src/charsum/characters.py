@@ -121,6 +121,12 @@ class CharSystem:
 
     # ---- values
 
+    def sign_at_neg_one(self, index: int) -> int:
+        """chi_index(-1), the one rule for it: (-1)^index when q is odd,
+        as -1 = g^{(q^d-1)/2} at every degree d, and 1 when q is even,
+        where -1 = 1."""
+        return -1 if self.tower.p % 2 and index % 2 else 1
+
     def char_value(self, chi: MultCharacter, x: int) -> CycloValue:
         if x == 0:
             return from_int(0)
@@ -170,9 +176,8 @@ class CharSystem:
 
     def conj_gauss_sum(self, chi: MultCharacter) -> CycloValue:
         # conj(g(chi)) = chi(-1) * g(chi^{-1}); avoids conjugating a big value
-        t = self.tower
-        sign = self.char_value(chi, t.minus_one())
-        return sign * self.gauss_sum(self.char_inv(chi))
+        return (self.sign_at_neg_one(chi.index)
+                * self.gauss_sum(self.char_inv(chi)))
 
     def product_of_gauss(self, chars) -> CycloValue:
         """prod g(chi) over characters of any degrees, cached by the
@@ -232,14 +237,13 @@ class CharSystem:
         if form is None:
             acc, *rest = key[1]
             c = from_int(1)
-            t = self.tower
-            half = t.log(d, t.minus_one())  # acc(-1) = zeta^{acc * half}
             for b in rest:
                 ab = (acc + b) % n
                 if ab:
                     c = c * self.jacobi_sum(d, acc, b)
                 elif acc:
-                    c = c * (-t.order(d) * root(n, acc * half).as_int())
+                    c = c * (-self.tower.order(d)
+                             * self.sign_at_neg_one(acc))
                 else:
                     c = -c
                 acc = ab

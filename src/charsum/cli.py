@@ -185,8 +185,8 @@ def _gauss_cases(system, degrees):
                 ok = g == cy.from_int(-1)
             else:
                 inv = system.char_inv(lam)
-                sign = system.char_value(lam, t.embed(1, d, t.minus_one()))
-                ok = (g * system.gauss_sum(inv) == sign * cy.from_int(q)
+                sign = system.sign_at_neg_one(i)
+                ok = (g * system.gauss_sum(inv) == sign * q
                       and g.conjugate() == sign * system.gauss_sum(inv)
                       and g.abs_squared() == q)
             cases.append({"degree": d, "index": i,

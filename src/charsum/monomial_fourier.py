@@ -22,11 +22,10 @@ Everything is integer arithmetic in cyclotomic fields; nothing is floated.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 from . import cyclotomic as cy
+from ._intutil import group_ring_fold
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
 from .errors import InternalCheckError, SchemaError, SizeBoundError
@@ -334,22 +333,16 @@ def verify_twisted_moments(system, datum, solution, lams, *,
                                solution, NormCharacter(lams), method=method)
 
 
-def sweep_twisted_moments(system, datum, *, depth=2, method="closed"):
+def sweep_twisted_moments(system, datum, *, depth=2):
     """Run the check of verify_twisted_moments over every nontrivial tuple
     at each extension degree e <= depth; the report counts nonvanishing
     tuples.  This is sweep_norm_moments on the split algebra: each
     base-changed datum is solved by solve_norm_transform, whose target
-    (W, eta, b, c) is the one solve_monomial_transform reports.  The
-    closed method evaluates only the tuples where an I-sum can be
-    nonzero, those whose twisted characters factor through the monomial;
-    at the rest both sides are 0 by construction.  The split algebra takes
-    the Jacobi-form route of the norm sweep: c in Jacobi form is certified
-    once per degree against the solution's c, then each tuple's two sides
-    are compared term by term at order q^e - 1, and a tuple whose terms
-    do not match takes the full products at order (q^e - 1) p.  The
-    direct method evaluates every tuple by full products."""
+    (W, eta, b, c) is the one solve_monomial_transform reports.  Which
+    tuples are evaluated, and by which route, is said once in
+    norm_algebra._sweep."""
     check_monomial_datum(system, datum)
-    return _sweep(system, *_split(system, datum), datum.a, depth, method)
+    return _sweep(system, *_split(system, datum), datum.a, depth)
 
 
 def verify_transform_pointwise(system, datum, solution=None, *, target=None,
@@ -391,9 +384,14 @@ def verify_transform_pointwise(system, datum, solution=None, *, target=None,
 def _ratio_sum(system, chi, a, xhat, yhat) -> CycloValue:
     """Sum over unit tuples x, y of psi(a r + sum x_m xhat_m + sum y_m yhat_m)
     chi(r), r = prod x_m / prod y_m, as one exponent histogram at M = n p,
-    n = q^d - 1: psi(z) chi(r) = zeta_M^{n Tr(cz) + p idx log r}.  Products
-    are read from the level's exp and log tables, bound once; sums are
-    added in the field."""
+    n = q^d - 1: psi(z) chi(r) = zeta_M^{n Tr(cz) + p idx log r}.
+
+    psi is additive and its exponents add mod p (Tr is F_p-linear), so a
+    side enters only through (log prod x_m, sum of the psi exponents of
+    x_m hat_m), and each side is the product of its pools of
+    (e, psi exponent of g^e hat_m) in the group ring of Z/n x Z/p
+    (group_ring_fold).  A pair of entries then adds the psi exponent of
+    a r to theirs; no field addition is made."""
     d = chi.degree
     t = system.tower
     grp = t.group_order(d)
@@ -401,27 +399,22 @@ def _ratio_sum(system, chi, a, xhat, yhat) -> CycloValue:
     order = grp * p
     psi = system.psi_exponents(d)
     exp, log = t.exp_table(d), t.log_table(d)
-    add = t.add
     log_a = log[a]
 
     def side(hats):
-        # (log of prod x_m, sum x_m hat_m) -> number of unit tuples x
-        logs = [log[h] for h in hats]
-        hist = Counter()
-        for es in product(range(grp), repeat=len(hats)):
-            lin = 0
-            for e, lh in zip(es, logs):
-                lin = add(d, lin, exp[(e + lh) % grp])
-            hist[sum(es) % grp, lin] += 1
-        return hist
+        # (log of prod x_m, psi exponent of sum x_m hat_m) -> unit tuples x
+        return group_ring_fold(
+            [[(e, psi[exp[(e + log[h]) % grp]]) for e in range(grp)]
+             for h in hats], grp, p)
 
+    # psi exponent of a r, by lr = log r
+    psi_a = [psi[exp[(lr + log_a) % grp]] for lr in range(grp)]
     counts = [0] * order
     ys = side(yhat)
     for (ex, lin_x), cnt_x in side(xhat).items():
         for (ey, lin_y), cnt_y in ys.items():
             lr = (ex - ey) % grp
-            arg = add(d, exp[(lr + log_a) % grp], add(d, lin_x, lin_y))
-            e = (chi.index * lr % grp) * p + psi[arg] * grp
+            e = (chi.index * lr % grp) * p + (psi_a[lr] + lin_x + lin_y) * grp
             counts[e % order] += cnt_x * cnt_y
     return cy.from_root_counts(order, counts)
 

@@ -12,10 +12,8 @@ and the weighted divisor sum_i d_i D_{chi_i, n_i}.  On top of that sit the
 algebra Gauss-sum identity (verify_norm_identity), the determinant-twisted
 sums I_{V,lam}(a) in direct and closed form, and the transform solver for
 modules of rank 2 or 0 with its moment verifier and sweep.  The closed
-I-sum is a short sum of Gauss sums (_i_terms), so on a split algebra the
-sweep decides a twist in Jacobi form at order q^e - 1 once c in Jacobi
-form is certified against the solution's c; any other twist, and any
-whose terms do not match, takes the full products at order (q^e - 1) p.
+I-sum is a short sum of Gauss sums (_i_terms); _sweep says which twists
+the sweep evaluates and by which of its two routes.
 
 A monomial datum over F_{q^d} is the split algebra F_{q^d}^k over base
 degree d with ranks equal to its exponents; monomial_fourier is a front
@@ -32,7 +30,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import cyclotomic as cy
-from ._intutil import solve_congruences
+from ._intutil import group_ring_fold, solve_congruences
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue, q_power_ratio
 from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
@@ -430,9 +428,10 @@ def _i_direct(system, algebra, module, lam, a):
     from the tower's norm-log tables, and its charge c = sum log_zeta_L
     lam_i(x_i) mod L.  All factors but the last are folded into a
     histogram of (m, c), their product in the group ring of
-    Z/(q^e - 1) x Z/L, so each entry counts its tuples.  Each entry then
-    meets each point of the last factor, and adds its count to an
-    exponent histogram at M = L p, which from_root_counts reduces once.
+    Z/(q^e - 1) x Z/L (group_ring_fold), so each entry counts its tuples.
+    Each entry then meets each point of the last factor, and adds its
+    count to an exponent histogram at M = L p, which from_root_counts
+    reduces once.
     """
     t = system.tower
     e = algebra.base_degree
@@ -455,16 +454,8 @@ def _i_direct(system, algebra, module, lam, a):
              for d, size, n, ch in zip(algebra.degrees, sizes, module.ranks,
                                        lam.chars)]
     *head, last = pools
-    hist = {(0, 0): 1}
-    for pool in head:
-        fold = {}
-        for (m, c), cnt in hist.items():
-            for m2, c2 in pool:
-                key = ((m + m2) % grp, (c + c2) % span)
-                fold[key] = fold.get(key, 0) + cnt
-        hist = fold
     counts = [0] * order
-    for (m, c), cnt in hist.items():
+    for (m, c), cnt in group_ring_fold(head, grp, span).items():
         for m2, c2 in last:
             counts[((c + c2) % span * p + tr_a[(m + m2) % grp]) % order] \
                 += cnt
@@ -646,22 +637,16 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
             f"an odd weight is forced")
     m = (trivial - 1) // 2
 
-    dim = algebra.dim()
-    if case == 1:
-        head = -system.gauss_sum(system.char_inv(nu))
-        argval = system.char_value(nu, t.neg(e, b))
-        out_ranks = module.ranks
-    else:
-        head = -system.gauss_sum(nu)
-        argval = system.char_value(system.char_inv(nu), t.neg(e, b))
-        out_ranks = tuple(-n for n in module.ranks)
-    c = head * argval * cy.from_int((-1) ** dim) * q ** m
+    scalar, nu_s = _c_head(system, algebra, case, nu, b, m)
+    c = scalar * system.gauss_sum(system.character(e, -nu_s))
     for ch in chi.chars:
         c = c * system.gauss_sum(ch)
+    dim = algebra.dim()
     norm = (c * c.conjugate()).as_int()
     if norm != q ** dim:
         raise InternalCheckError(
             f"|c|^2 = {norm} differs from q^dim = {q ** dim}")
+    out_ranks = module.ranks if case == 1 else tuple(-n for n in module.ranks)
 
     eta = NormCharacter(tuple(
         system.char_mul(
@@ -669,6 +654,19 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
             system.char_inv(ch))
         for ch, n, deg in zip(chi.chars, module.ranks, algebra.degrees)))
     return NormSolution(case, out_ranks, eta, nu, b, c, m)
+
+
+def _c_head(system, algebra, case, nu, b, m):
+    """(s, k) with c = s g(chi_{-k}) prod g(chi_i), the one statement of the
+    solution's constant: k = idx(nu) in case 1 and -idx(nu) in case 2, and
+    s = -(-1)^dim q^m chi_k(-b), with m the solution's twist.  The solver
+    multiplies s by the Gauss sums, _c_form by the Jacobi form of the same
+    product."""
+    t = system.tower
+    e = algebra.base_degree
+    k = nu.index if case == 1 else -nu.index
+    return (system.char_value(system.character(e, k), t.neg(e, b))
+            * (-(-1) ** algebra.dim() * t.order(e) ** m)), k
 
 
 def _twisted(system, chi, eta, lam):
@@ -686,7 +684,7 @@ def _moment_sides(system, algebra, module, chi, a, target, lam, method):
     I-sum is evaluated first; when it vanishes the right side is exactly
     0 and conj(g(lam)) is never formed.  With method "closed" each side is
     exactly 0 unless its twisted character factors through det, so the
-    closed sweep calls this only on the support that _support lists."""
+    sweep calls this only on the support that _support lists."""
     module_w, eta, b, c = target
     q = system.tower.order(algebra.base_degree)
     lhs_chars, rhs_chars = _twisted(system, chi, eta, lam)
@@ -822,25 +820,21 @@ def _support(system, algebra, module, chi, target):
 
 
 def _c_form(system, algebra, chi, sol):
-    """(s zeta C_c, T_c) with sol.c = s zeta C_c g(chi_{T_c}) on a split
-    algebra, or None when the degree takes the full products: the algebra
-    has a factor of another degree, sol is not a NormSolution, or the form
-    is not sol.c.
+    """(s C_c, T_c) with sol.c = s C_c g(chi_{T_c}) on a split algebra, or
+    None when the degree takes the full products: the algebra has a factor
+    of another degree, sol is not a NormSolution, or the form is not sol.c.
 
-    solve_norm_transform builds c = -(-1)^dim q^m nu^{+-1}(-b)
-    g(nu^{-+1}) prod g(chi_i), upper signs in case 1, with m its twist.  So
-    s = -(-1)^dim q^m, zeta = nu^{+-1}(-b) and (C_c, T_c) is the Jacobi form
-    of g(nu^{-+1}) prod g(chi_i).  The form is certified by one exact
-    product at order (q^e - 1) p against the c the solution carries."""
+    With c = s g(chi_{-k}) prod g(chi_i) (_c_head), (C_c, T_c) is the
+    Jacobi form of g(chi_{-k}) prod g(chi_i).  The form is certified by one
+    exact product at order (q^e - 1) p against the c the solution
+    carries."""
     e = algebra.base_degree
     if not isinstance(sol, NormSolution) or any(
             d != e for d in algebra.degrees):
         return None
-    t = system.tower
-    nu = sol.nu.index if sol.case == 1 else -sol.nu.index
-    c_c, t_c = system.gauss_form(e, [-nu] + [ch.index for ch in chi.chars])
-    form = c_c * cy.root(t.group_order(e), nu * t.log(e, t.neg(e, sol.b))) \
-        * (-(-1) ** algebra.dim() * t.order(e) ** sol.twist)
+    scalar, k = _c_head(system, algebra, sol.case, sol.nu, sol.b, sol.twist)
+    c_c, t_c = system.gauss_form(e, [-k] + [ch.index for ch in chi.chars])
+    form = c_c * scalar
     if form * system.gauss_sum(MultCharacter(e, t_c)) != sol.c:
         return None
     return form, t_c
@@ -871,8 +865,7 @@ def _twist_by_forms(system, algebra, module, chi, a, target, lam, c_form):
             _i_terms(system, algebra, module, left_chars, a)}
     right = {}
     inv = [-lm.index for lm in lam.chars]
-    # lam(-1) = (-1)^idx(lam) as -1 = g^{(q-1)/2}; -1 = 1 when q is even
-    sign = (-1) ** sum(lm.index for lm in lam.chars) if q % 2 else 1
+    sign = system.sign_at_neg_one(sum(lm.index for lm in lam.chars))
     for coef, idx in _i_terms(system, algebra, module_w, right_chars, b):
         val, acc = form * coef * sign, t_c
         for x in [idx] + inv:
@@ -888,26 +881,26 @@ def _twist_by_forms(system, algebra, module, chi, a, target, lam, c_form):
     return bool(left)
 
 
-def _sweep(system, algebra, module, chi, a, depth, method):
+def _sweep(system, algebra, module, chi, a, depth):
     """The moment sweep on validated data: at each extension degree
     e <= depth, solve the base-changed data with solve_norm_transform and
     check the identity at every non-degenerate twist.  The monomial sweep
     runs here on its split algebra, so both sweeps share this one solver.
 
-    checked counts every twist, _nondegenerate_count per degree.  The
-    direct method evaluates each one.  The closed method evaluates only
-    the union of the two supports of the solved target (_support): off
-    it both closed I-sums are exactly 0 by construction, so the identity
-    holds there and the twist is not nonvanishing.  A wrong eta or W moves
-    the right support, and the twists it moves to are still evaluated.
+    checked counts every twist, _nondegenerate_count per degree, but only
+    the union of the two supports of the solved target (_support) is
+    evaluated: off it both closed I-sums are exactly 0 by construction,
+    so the identity holds there and the twist is not nonvanishing.  A
+    wrong eta or W moves the right support, and the twists it moves to
+    are still evaluated.
 
-    A closed twist takes one of two routes.  On a split degree, where
+    An evaluated twist takes one of two routes.  On a split degree, where
     every factor has the base degree and c in Jacobi form is certified
     against the solution's c (_c_form), _twist_by_forms compares both
     sides term by term at order q^e - 1; a match proves the identity.
     Every other twist, and every twist whose terms do not match, takes the
-    full products at order (q^e - 1) p of _moment_sides, which decide it
-    and record any failure.
+    full products of the closed sides at order (q^e - 1) p
+    (_moment_sides), which decide it and record any failure.
     """
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
               "failures": []}
@@ -919,18 +912,13 @@ def _sweep(system, algebra, module, chi, a, depth, method):
         sol = solve_norm_transform(system, alg_e, mod_e, chi_e, a_e)
         target = sol.transformed()
         report["checked"] += _nondegenerate_count(system.tower, alg_e.degrees)
-        c_form = None
-        if method == "closed":
-            lams = _support(system, alg_e, mod_e, chi_e, target)
-            c_form = _c_form(system, alg_e, chi_e, sol)
-        else:
-            lams = iter_nondegenerate(system, alg_e)
-        for lam in lams:
+        c_form = _c_form(system, alg_e, chi_e, sol)
+        for lam in _support(system, alg_e, mod_e, chi_e, target):
             live = None if c_form is None else _twist_by_forms(
                 system, alg_e, mod_e, chi_e, a_e, target, lam, c_form)
             if live is None:
                 lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e,
-                                         target, lam, method)
+                                         target, lam, "closed")
                 if lhs != rhs:
                     report["failures"].append(
                         {"degree": alg_e.base_degree,
@@ -944,20 +932,14 @@ def _sweep(system, algebra, module, chi, a, depth, method):
 
 def sweep_norm_moments(system: CharSystem, algebra: EtaleAlgebra,
                        module: VirtualModule, chi: NormCharacter, a: int, *,
-                       depth: int = 2, method: str = "closed") -> dict:
+                       depth: int = 2) -> dict:
     """Run the moment check of verify_norm_moments over every
     non-degenerate character at each extension degree e <= depth; the
-    report counts nonvanishing ones.  The closed method evaluates only
-    the twists where a closed I-sum can be nonzero, those whose twisted
-    character factors through det; at the others both sides are 0 by
-    construction.  On a split degree, once c in Jacobi form is certified
-    against the solution's c, each such twist is first compared term by
-    term in Jacobi form at order q^e - 1; a match proves it, and any other
-    twist takes the full products at order (q^e - 1) p, which decide it.
-    The direct method evaluates every twist by full products.  The report
-    has the keys depth, checked, nonvanishing, failures and pass."""
+    report counts nonvanishing ones and has the keys depth, checked,
+    nonvanishing, failures and pass.  Which twists are evaluated, and by
+    which route, is said once in _sweep."""
     check_norm_data(system, algebra, module, chi, a)
-    return _sweep(system, algebra, module, chi, a, depth, method)
+    return _sweep(system, algebra, module, chi, a, depth)
 
 
 # ------------------------------------------------------------ split case

@@ -102,6 +102,34 @@ def test_psi_additive():
                 sy.psi_value(1, x) * sy.psi_value(1, y)
 
 
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_psi_exponents_add_mod_p(p, s):
+    # psi(x + y) = psi(x) psi(y) as exponents mod p, at degrees 1 and 2 and
+    # under every additive twist c, so sums of psi arguments need no field
+    # addition (monomial_fourier._ratio_sum)
+    for c in range(1, p ** s):
+        sy = system(p, s, degrees=(1, 2), c=c)
+        t = sy.tower
+        for d in (1, 2):
+            psi = sy.psi_exponents(d)
+            for x, y in product(range(t.order(d)), repeat=2):
+                assert psi[t.add(d, x, y)] == (psi[x] + psi[y]) % p
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2),
+                                 (13, 2)])
+def test_sign_at_neg_one_matches_character_table(p, d):
+    # F_4, F_8, F_9, F_25, F_49 and F_169: both parities of q, and the
+    # orders of the sweeps and the falsifier; the table route reads -1
+    # embedded at degree d
+    sy = system(p, degrees=(1, d))
+    t = sy.tower
+    minus = t.embed(1, d, t.minus_one())
+    for idx in range(t.group_order(d)):
+        chi = sy.character(d, idx)
+        assert sy.char_value(chi, minus) == sy.sign_at_neg_one(idx)
+
+
 def test_psi_exponents_twisted_over_f9():
     # c = 5 lies outside F_3, so the table must carry the embedded twist
     sy = system(3, 2, degrees=(1, 2), c=5)

@@ -1,11 +1,15 @@
-"""Tests for the integer helpers: the linear-congruence solver."""
+"""Tests for the integer helpers: the linear-congruence solver and the
+group-ring fold."""
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charsum._intutil import solve_congruences
+from charsum._intutil import group_ring_fold, solve_congruences
 
 
 def least_root_by_scan(coeffs, residues, modulus):
@@ -52,3 +56,31 @@ def test_solve_congruences_fixtures():
     assert solve_congruences([0], [5], 48) is None
     assert solve_congruences([], [], 2184) == 0
     assert solve_congruences([5, 7], [3, 3], 1) == 0
+
+
+@st.composite
+def fold_inputs(draw):
+    m1 = draw(st.integers(1, 12))
+    m2 = draw(st.integers(1, 7))
+    pair = st.tuples(st.integers(-2 * m1, 2 * m1),
+                     st.integers(-2 * m2, 2 * m2))
+    pools = draw(st.lists(st.lists(pair, max_size=5), max_size=4))
+    return pools, m1, m2
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_inputs())
+def test_property_group_ring_fold_matches_enumeration(inputs):
+    pools, m1, m2 = inputs
+    want = Counter((sum(u for u, _ in combo) % m1,
+                    sum(v for _, v in combo) % m2)
+                   for combo in product(*pools))
+    assert group_ring_fold(pools, m1, m2) == want
+
+
+def test_group_ring_fold_fixtures():
+    # no pools give the unit; an empty pool gives the empty histogram
+    assert group_ring_fold([], 5, 3) == {(0, 0): 1}
+    assert group_ring_fold([[(1, 1)], []], 5, 3) == {}
+    assert group_ring_fold([[(1, 2), (4, 1)], [(4, 1)]], 5, 3) == \
+        {(0, 0): 1, (3, 2): 1}

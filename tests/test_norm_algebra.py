@@ -690,9 +690,9 @@ def test_sweep_fails_on_tampered_solution(monkeypatch, field):
         assert rep["failures"]
 
 
-def _every_twist_sweep(system, algebra, module, chi, a, depth):
-    """The closed sweep report built by evaluating every non-degenerate
-    twist, in iter_nondegenerate order."""
+def _every_twist_sweep(system, algebra, module, chi, a, depth, method):
+    """The sweep report built by evaluating every non-degenerate twist, in
+    iter_nondegenerate order, with the I-sums of the given method."""
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
               "failures": []}
     for e in range(1, depth + 1):
@@ -704,7 +704,7 @@ def _every_twist_sweep(system, algebra, module, chi, a, depth):
                                          a_e).transformed()
         for lam in iter_nondegenerate(system, alg):
             lhs, rhs = na._moment_sides(system, alg, mod, chi_e, a_e, target,
-                                        lam, "closed")
+                                        lam, method)
             report["checked"] += 1
             if lhs != rhs:
                 report["failures"].append(
@@ -785,18 +785,22 @@ def test_support_sweep_matches_every_twist(monkeypatch, name, tamper):
     system, algebra, module, chi = SWEEP_CASES[name]()
     if tamper is not None:
         monkeypatch.setattr(na, "solve_norm_transform", _tampered(tamper))
-    rep = na._sweep(system, algebra, module, chi, 1, 2, "closed")
-    assert rep == _every_twist_sweep(system, algebra, module, chi, 1, 2)
+    rep = na._sweep(system, algebra, module, chi, 1, 2)
+    assert rep == _every_twist_sweep(system, algebra, module, chi, 1, 2,
+                                     "closed")
     assert rep["checked"] == na.sweep_tuples(system.tower, algebra.degrees, 2)
     assert rep["pass"] if tamper is None else rep["failures"]
     # the same report when every twist skips the Jacobi-form route
     monkeypatch.setattr(na, "_twist_by_forms", _defer)
-    assert na._sweep(system, algebra, module, chi, 1, 2, "closed") == rep
+    assert na._sweep(system, algebra, module, chi, 1, 2) == rep
 
 
 @pytest.mark.parametrize("name", ["norm-2-f3", "monom-3-1-f7"])
-def test_direct_sweep_evaluates_every_twist(monkeypatch, name):
+def test_sweep_matches_direct_sums_at_every_twist(monkeypatch, name):
     system, algebra, module, chi = SWEEP_CASES[name]()
+    depth = 2 if name == "norm-2-f3" else 1
+    direct = _every_twist_sweep(system, algebra, module, chi, 1, depth,
+                                "direct")
     calls = {}
     inner = na._moment_sides
 
@@ -806,12 +810,7 @@ def test_direct_sweep_evaluates_every_twist(monkeypatch, name):
         return inner(system, algebra, *rest)
 
     monkeypatch.setattr(na, "_moment_sides", counting)
-    depth = 2 if name == "norm-2-f3" else 1
-    direct = na._sweep(system, algebra, module, chi, 1, depth, "direct")
-    assert sum(calls.values()) == direct["checked"]
-    calls.clear()
-    closed = na._sweep(system, algebra, module, chi, 1, depth, "closed")
-    assert closed == direct
+    assert na._sweep(system, algebra, module, chi, 1, depth) == direct
     q = system.tower.q
     assert all(n <= 2 * (q ** e - 1) for e, n in calls.items())
 
@@ -884,11 +883,11 @@ SPLIT_CASES = {
 def test_split_degrees_need_no_full_products(monkeypatch, name, a):
     system, algebra, module, chi = SPLIT_CASES[name]()
     calls = _split_sides_counter(monkeypatch)
-    rep = na._sweep(system, algebra, module, chi, a, 2, "closed")
+    rep = na._sweep(system, algebra, module, chi, a, 2)
     assert rep["pass"] and rep["nonvanishing"] > 0
     assert calls == []
     monkeypatch.setattr(na, "_twist_by_forms", _defer)
-    assert na._sweep(system, algebra, module, chi, a, 2, "closed") == rep
+    assert na._sweep(system, algebra, module, chi, a, 2) == rep
 
 
 @pytest.mark.parametrize("name", ["monom-3-1-f7", "monom-4-2-f7"])
@@ -900,18 +899,18 @@ def test_replaced_solution_fails_on_both_routes(monkeypatch, name, field):
     c_form = na._c_form
     monkeypatch.setattr(na, "_c_form", lambda *args: forms.append(
         c_form(*args)) or forms[-1])
-    rep = na._sweep(system, algebra, module, chi, 1, 2, "closed")
+    rep = na._sweep(system, algebra, module, chi, 1, 2)
     assert rep["failures"] and not rep["pass"]
     # a changed c or b fails the certificate at both degrees; a changed
     # eta passes it and meets the term comparison of every twist
     assert [form is None for form in forms] == [field != "eta"] * 2
     monkeypatch.setattr(na, "_twist_by_forms", _defer)
-    assert na._sweep(system, algebra, module, chi, 1, 2, "closed") == rep
+    assert na._sweep(system, algebra, module, chi, 1, 2) == rep
 
 
 def test_wrong_form_of_c_takes_the_full_route(monkeypatch):
     system, algebra, module, chi = SWEEP_CASES["monom-3-1-f7"]()
-    honest = na._sweep(system, algebra, module, chi, 1, 2, "closed")
+    honest = na._sweep(system, algebra, module, chi, 1, 2)
     alg2 = base_change(system, algebra, 2)
     mod2 = extend_module(system, algebra, module, 2)
     chi2 = extend_character(system, algebra, chi, 2)
@@ -926,7 +925,7 @@ def test_wrong_form_of_c_takes_the_full_route(monkeypatch):
     monkeypatch.setattr(system, "gauss_form", negated)
     assert na._c_form(system, alg2, chi2, sol) is None
     calls = _split_sides_counter(monkeypatch)
-    assert na._sweep(system, algebra, module, chi, 1, 2, "closed") == honest
+    assert na._sweep(system, algebra, module, chi, 1, 2) == honest
     support = na._support(system, alg2, mod2, chi2, sol.transformed())
     assert calls.count(2) == len(support)
 
