@@ -67,6 +67,9 @@ class CharSystem:
         # norm_algebra.IdentityRecord: what its identity needs that does
         # not depend on the twisting character
         self._identity_records: dict = {}
+        # (id of a record, twisted multisets, k) -> (record, m): the
+        # identity check's memo (norm_algebra._identity_exponent)
+        self._identity_memo: dict = {}
 
     # ---- the character group at each degree
 

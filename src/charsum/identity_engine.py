@@ -10,8 +10,19 @@ identity of norm_algebra on the split algebra F_Q^k.  What that identity
 needs of a monomial at one degree and not of lam (the zero-divisor flag,
 the lifted terms, p(V) as a discrete log, the Jacobi form C g(T) of g(chi')
 and the trivial weight) is one IdentityRecord per (monomial, degree), kept
-on the CharSystem; each lam then only twists indices, folds its twisted
-product into Jacobi form and compares the narrow C's, g(T) cancelling.  When the divisor does not
+on the CharSystem; each lam then only twists indices, takes the Jacobi
+form of its twisted product and compares the narrow C's, g(T) cancelling.
+The form comes by the orbit route: a unit u that fixes the multiset of
+(chi_i, n_i), as every unit fixes a Hasse-Davenport monomial's, turns
+lam's twisted multiset into u times it, that of lam^u, and the Galois law
+sigma_u g(chi_a) = g(chi_{ua}) (sigma_u fixing zeta_p) maps the form
+C g(T) to sigma_u(C) g(T^u).  So only one lam per orbit is folded by
+Jacobi sums, and the rest take CycloValue.galois of its C.  That stays
+in Z[zeta_{q^d-1}]: on the Gauss sums themselves, at order (q^d - 1) p,
+galois(u) would move zeta_p as well.  Per lam there still run the exact
+comparison of the C's with lam(p(V)) and the parity clause, unless the
+same record, twisted multiset and lam(p(V)) were compared before, whose
+m is memoised (norm_algebra._identity_exponent).  When the divisor does not
 vanish, find_violation scans extensions for a character witnessing that
 no collapse of this shape can hold: it counts nontrivial twisted characters
 to find the witness and certifies the one it returns with an exact |.|^2
@@ -91,7 +102,7 @@ def _record(system: CharSystem, mono: GammaMonomial,
                 NormCharacter(chi for chi, _ in lifted), zero)
         else:
             rec = IdentityRecord(zero, d, system.tower.order(d), (), None,
-                                 None, None)
+                                 None, None, None)
         records[mono, d] = rec
     return rec
 
@@ -104,10 +115,12 @@ def verify_monomial_identity(system: CharSystem, mono: GammaMonomial,
     Requires the predicted divisor to vanish.  When every twisted character
     lam^n chi' is nontrivial, checks 2m = #{i : chi_i trivial} as well.
     This is the norm identity of the split algebra F_Q^k with ranks n_i:
-    its record (_record) holds the lifted terms, p(V) as a discrete log
-    and the Jacobi form of g(chi'), so each lam pays only for the Jacobi
-    form of its twisted product (cached by multiset), lam(p(V)) times the
-    recorded C, and the checks.
+    its record (_record) holds the lifted terms, p(V) as a discrete log,
+    the Jacobi form of g(chi') and the units that fix the terms, so each
+    lam pays only for the Jacobi form of its twisted product (cached by
+    multiset; folded once per orbit of those units and Galois-transported
+    along it), lam(p(V)) times the recorded C, and the checks, which are
+    memoised by their inputs.
     """
     rec = _record(system, mono, lam.degree)
     if not rec.zero:
@@ -123,15 +136,15 @@ def _balance(system: CharSystem, rec: IdentityRecord,
     """Nontrivial twisted characters lam^n chi' with n > 0, less those
     with n < 0; |g(chi)|^2 = Q^[chi nontrivial] makes Q^balance the |.|^2
     ratio of the positive to the negative part."""
-    return sum(1 if f[1] > 0 else -1
-               for f, t in zip(rec.factors, _twisted_indices(rec, lam)) if t)
+    return sum(1 if f[1] > 0 else -1 for f, t in
+               zip(rec.factors, _twisted_indices(rec, lam.index)) if t)
 
 
 def _abs2_sides(system: CharSystem, rec: IdentityRecord,
                 lam: MultCharacter):
     """Exact |.|^2 of the positive and of the negative twisted part."""
-    twisted = [(MultCharacter(f[0], t), f[1])
-               for f, t in zip(rec.factors, _twisted_indices(rec, lam))]
+    twisted = [(MultCharacter(f[0], t), f[1]) for f, t in
+               zip(rec.factors, _twisted_indices(rec, lam.index))]
     return [system.product_of_gauss(
         chi for chi, n in twisted if (n > 0) == positive).abs_squared()
         for positive in (True, False)]

@@ -23,6 +23,7 @@ that runs its solver, I-sums and sweeps through this engine.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -322,7 +323,11 @@ class IdentityRecord(NamedTuple):
     factor i.  forms holds, per factor degree D ascending, (D, the
     positions of the factors of degree D, C, T) with C g(chi_T) the Jacobi
     form (CharSystem.gauss_form) of the product of g(chi_i) over those
-    factors.  The last three fields are None unless the divisor vanishes.
+    factors.  On a split record (every D_i = e) orbit holds the pairs
+    (u, u^-1 mod q^e - 1) over the stabilizer S of the multiset of
+    (index of chi_i, n_i) under multiplication by units u, when S is not
+    {1}; _orbit_form reads it.  The last four fields are None unless the
+    divisor vanishes.
     """
 
     zero: bool  # the module divisor vanishes
@@ -332,6 +337,7 @@ class IdentityRecord(NamedTuple):
     p_log: int | None  # discrete log of p(V) in F_{q^e}^*
     forms: tuple | None  # g(chi) = prod over forms of C g(chi_T)
     trivial_weight: int | None  # sum of d_i over the trivial chi_i
+    orbit: tuple | None  # the stabilizer S as (u, u^-1) pairs
 
 
 def _prepare(system, algebra, module, chi, zero=None):
@@ -353,7 +359,7 @@ def _prepare(system, algebra, module, chi, zero=None):
                      ch.index, t.group_order(deg))
                     for ch, n, deg in zip(chi.chars, module.ranks,
                                           algebra.degrees))
-    p_log = forms = trivial_weight = None
+    p_log = forms = trivial_weight = orbit = None
     if zero:
         p_log = t.log(e, _scale(system, algebra, module))
         forms = []
@@ -369,14 +375,50 @@ def _prepare(system, algebra, module, chi, zero=None):
         forms = tuple(forms)
         trivial_weight = sum(d * system.is_trivial(ch) for ch, d in
                              zip(chi.chars, algebra.rel_degrees()))
+        if set(algebra.degrees) == {e}:  # split
+            orbit = _stabilizer(factors, t.group_order(e))
     return IdentityRecord(zero, e, t.order(e), factors, p_log, forms,
-                          trivial_weight)
+                          trivial_weight, orbit)
 
 
-def _twisted_indices(rec: IdentityRecord, lam: MultCharacter) -> list[int]:
-    """Index of (lam o det_V) chi on each factor, by integer arithmetic."""
-    k = lam.index
-    return [(k * step + c) % n for _, _, step, c, n in rec.factors]
+def _stabilizer(factors, n):
+    """The pairs (u, u^-1 mod n) over the units u mod n with
+    u {(c_i, n_i)} = {(c_i, n_i)} as multisets, c_i the index of chi_i;
+    None when only u = 1 does so."""
+    want = Counter((c % n, r) for _, r, _, c, _ in factors)
+    pairs = tuple((u, pow(u, -1, n)) for u in range(1, n)
+                  if math.gcd(u, n) == 1
+                  and all(want[u * c % n, r] == m
+                          for (c, r), m in want.items()))
+    return pairs if len(pairs) > 1 else None
+
+
+def _twisted_indices(rec: IdentityRecord, idx: int) -> list[int]:
+    """Index of (chi_idx o det_V) chi on each factor, by integer
+    arithmetic."""
+    return [(idx * step + c) % n for _, _, step, c, n in rec.factors]
+
+
+def _orbit_form(system, rec, idx, deg, indices):
+    """gauss_form(deg, indices) for the sorted multiset of lam = chi_idx's
+    twisted indices on the factors of degree deg.
+
+    On a miss, a record with an orbit folds only the orbit representative
+    r = min over u in S of u idx.  Then idx = w r with w in S, and
+    w {(c_i, n_i)} = {(c_i, n_i)} makes lam's multiset w times r's, so
+    its form is (galois(w) of C_r, w T_r).  It is cached as the
+    multiset's form."""
+    if rec.orbit is None:
+        return system.gauss_form(deg, indices)
+    form = system._form_cache.get((deg, indices))
+    if form is None:
+        n = rec.size - 1
+        idx %= n
+        r, w = min((u * idx % n, v) for u, v in rec.orbit)
+        c, t = system.gauss_form(deg, _twisted_indices(rec, r))
+        form = (c, t) if r == idx else (c.galois(w), w * t % n)
+        system._form_cache[deg, indices] = form
+    return form
 
 
 def _identity_exponent(system, rec, lam):
@@ -385,21 +427,43 @@ def _identity_exponent(system, rec, lam):
     records of split algebras.
 
     The identity is checked in Jacobi form.  Per factor degree D, the
-    twisted Gauss sums fold into C' g(T') (CharSystem.gauss_form, cached by
-    the multiset of indices) against the recorded C g(T) of g(chi).  Where
-    T' = T the common g(T) is nonzero and cancels exactly, so only the
-    narrow C', C in Z[zeta_{q^D-1}] are multiplied and compared; otherwise
-    both sides take their own Gauss sum.  This happens only on algebras of
-    mixed factor degrees: on one degree a vanishing divisor forces the
-    ranks to sum to 0, so lam's twists cancel in T'.  The right side also
-    takes lam(p(V)) from the recorded log.  Then the q-power ratio of the
-    full coefficient vectors and the parity clause.  The recorded forms
-    were certified against the direct Gauss-sum product by _prepare."""
-    twisted = _twisted_indices(rec, lam)
+    twisted Gauss sums fold into C' g(T') against the recorded C g(T) of
+    g(chi).  On a split record with a stabilizer S, C' g(T') comes by the
+    orbit route (_orbit_form): only the representative r of lam's orbit
+    under S is folded by Jacobi sums, and lam = chi_{wr} takes
+    (sigma_w C_r, w T_r) by the Galois law sigma_w J(a, b) = J(wa, wb).
+    Its sigma_w fixes zeta_p, as it must to map g(chi_a) to g(chi_{wa});
+    the forms lie in Z[zeta_{q^e-1}], which holds no zeta_p, so there it
+    is CycloValue.galois(w).  Other records take CharSystem.gauss_form.
+
+    Where T' = T the common g(T) is nonzero and cancels exactly, so only
+    the narrow C', C in Z[zeta_{q^D-1}] are multiplied and compared;
+    otherwise both sides take their own Gauss sum.  This happens only on
+    algebras of mixed factor degrees: on one degree a vanishing divisor
+    forces the ranks to sum to 0, so lam's twists cancel in T'.  The
+    right side also takes lam(p(V)) = zeta^k, k = idx(lam) log p(V), from
+    the recorded log.  Then the q-power ratio of the full coefficient
+    vectors and the parity clause.  The recorded forms were certified
+    against the direct Gauss-sum product by _prepare.
+
+    So per lam there run the index twist, the comparison and the parity
+    clause.  Their inputs are the record, the twisted multiset per degree
+    and k, and m is memoised on the system under exactly that key: a lam
+    that repeats all three reads m, and every other lam runs the
+    comparison."""
+    twisted = _twisted_indices(rec, lam.index)
+    k = lam.index * rec.p_log % (rec.size - 1)
+    sets = tuple(tuple(sorted(twisted[i] for i in pos))
+                 for _, pos, _, _ in rec.forms)
+    # the record is held in the value, so its id names no other record
+    key = (id(rec), sets, k)
+    hit = system._identity_memo.get(key)
+    if hit is not None:
+        return hit[1]
     lhs = cy.from_int(1)
-    rhs = cy.root(rec.size - 1, lam.index * rec.p_log)
-    for deg, pos, c, tt in rec.forms:
-        c_lam, t_lam = system.gauss_form(deg, [twisted[i] for i in pos])
+    rhs = cy.root(rec.size - 1, k)
+    for (deg, _, c, tt), indices in zip(rec.forms, sets):
+        c_lam, t_lam = _orbit_form(system, rec, lam.index, deg, indices)
         lhs = lhs * c_lam
         rhs = rhs * c
         if t_lam != tt:
@@ -412,6 +476,7 @@ def _identity_exponent(system, rec, lam):
     if all(twisted) and 2 * m != rec.trivial_weight:
         raise InternalCheckError(
             f"parity clause fails: 2*{m} != {rec.trivial_weight}")
+    system._identity_memo[key] = (rec, m)
     return m
 
 

@@ -650,6 +650,36 @@ def test_forced_jacobi_breach_exits_4_under_optimize(tmp_path):
     assert "InternalCheckError" in proc.stderr
 
 
+_WRONG_GALOIS = """
+import sys
+import charsum.cyclotomic as cy
+from charsum.cli import main
+assert False, "asserts must be stripped"
+galois = cy.CycloValue.galois
+cy.CycloValue.galois = lambda value, a: galois(value, a) + 1
+sys.exit(main(["--job", sys.argv[1]]))
+"""
+
+
+def test_forced_galois_breach_exits_4_under_optimize(tmp_path):
+    # a Hasse-Davenport monomial is fixed by every unit, so the identity
+    # check transports forms along Galois orbits; a wrong conjugate must
+    # fail the exact comparison under -O too.  Unpatched, the job passes
+    job = {"kind": "identity", "p": 7, "depth": 2,
+           "terms": [{"degree": 1, "char": "trivial", "n": 3},
+                     {"degree": 1, "char": "trivial", "n": -1},
+                     {"degree": 1, "char": "e3", "n": -1},
+                     {"degree": 1, "char": "e3^2", "n": -1}]}
+    path = write_job(tmp_path, job)
+    assert main(["--job", path]) == 0
+    src = str(Path(charsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_GALOIS, path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "InternalCheckError" in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "charsum.cli", "--job",

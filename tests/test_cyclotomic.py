@@ -477,6 +477,47 @@ def test_galois_preserves_products():
     assert (a * b).galois(5) == a.galois(5) * b.galois(5)
 
 
+def _units(M):
+    return [u for u in range(1, M) if math.gcd(u, M) == 1]
+
+
+@pytest.mark.parametrize("M", [12, 48, 168, 336, 2184])
+def test_galois_matches_definition(M):
+    # sigma_u(sum c_i zeta^i) = sum c_i zeta^{u i}, built from root; every
+    # unit up to order 336, seeded units at 2184.  Small and wide
+    # coefficients, and a value that lives at a proper divisor of M
+    rng = random.Random(M)
+    units = _units(M) if M <= 336 else rng.sample(_units(M), 4)
+    roots = [root(M, j) for j in range(M)]
+    n = euler_phi(M)
+    values = [CycloValue(M, tuple(rng.randrange(-13, 14) for _ in range(n))),
+              CycloValue(M, tuple(rng.randrange(-10 ** 31, 10 ** 31)
+                                  for _ in range(n))),
+              root(M, 2) - 3 * root(M, 6) + 5]
+    for v in values:
+        coeffs = _lift_coeffs(v, M)
+        for u in units:
+            want = from_int(0)
+            for i, c in enumerate(coeffs):
+                if c:
+                    want = want + c * roots[u * i % M]
+            assert v.galois(u) == want, (M, u)
+
+
+@pytest.mark.parametrize("M", [12, 48, 168, 336, 2184])
+def test_galois_composes(M):
+    # galois(u) then galois(w) is galois(u w mod M): every pair of units
+    # at orders 12 and 48, seeded pairs above
+    rng = random.Random(M)
+    n = euler_phi(M)
+    v = CycloValue(M, tuple(rng.randrange(-13, 14) for _ in range(n)))
+    units = _units(M)
+    pairs = [(u, w) for u in units for w in units] if M <= 48 else \
+        [tuple(rng.sample(units, 2)) for _ in range(8)]
+    for u, w in pairs:
+        assert v.galois(u).galois(w) == v.galois(u * w % M), (M, u, w)
+
+
 def test_pow_negative_raises():
     with pytest.raises(ValueError):
         root(3, 1) ** -1

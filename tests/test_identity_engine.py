@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import charsum.identity_engine as ie
+import charsum.norm_algebra as na
 from charsum.characters import CharSystem
 from charsum.cyclotomic import CycloValue, q_power_ratio
 from charsum.divisor_calc import Divisor
@@ -397,3 +399,111 @@ def test_tampered_record_raises():
                 verify_monomial_identity(sys, mono, lam)
             sys._identity_records[mono, d] = rec
             verify_monomial_identity(sys, mono, lam)
+
+
+# ------------------------------------------------------------ Galois orbits
+
+
+def orbit_library():
+    """The Hasse-Davenport monomials over F_5 (n = 2, 4) and F_11 (n = 2,
+    5, 10), and criterion 05's library, which holds those over F_7 and
+    F_13 for every n > 1 dividing q - 1.  F_11 is there because a form
+    moved by u instead of u^-1 differs only in lam(p(V)), a (p - 1)-th
+    root of unity, and every unit mod 4, 6 or 12 is its own inverse."""
+    s5, s11 = system(5, degrees=(1, 2)), system(11, degrees=(1, 2))
+    return ([(s5, hd_monomial(s5, n)) for n in (2, 4)]
+            + [(s11, hd_monomial(s11, n)) for n in (2, 5, 10)]
+            + criterion_05_library())
+
+
+def test_transported_forms_match_fresh_gauss_forms(monkeypatch):
+    # every form the check reads, folded or Galois-transported, equals
+    # gauss_form of the same multiset on a fresh system, in value and T;
+    # and the comparison runs once per distinct (record, multisets, k)
+    used, ratios, galois_calls = [], [], []
+    orbit_form = na._orbit_form
+    q_power = na.q_power_ratio
+    galois = CycloValue.galois
+
+    def recording(system, rec, idx, deg, indices):
+        form = orbit_form(system, rec, idx, deg, indices)
+        used.append((system.tower.p, deg, indices, form))
+        return form
+
+    monkeypatch.setattr(na, "_orbit_form", recording)
+    monkeypatch.setattr(na, "q_power_ratio", lambda *args: ratios.append(
+        args) or q_power(*args))
+    monkeypatch.setattr(CycloValue, "galois", lambda v, a: galois_calls.append(
+        a) or galois(v, a))
+    for sys, mono in orbit_library():
+        for d in (1, 2):
+            keys = set()
+            for idx in range(sys.tower.group_order(d)):
+                verify_monomial_identity(sys, mono, sys.character(d, idx))
+                rec = sys._identity_records[mono, d]
+                keys.add((tuple(sorted(na._twisted_indices(rec, idx))),
+                          idx * rec.p_log % (rec.size - 1)))
+            assert len(ratios) == len(keys), (mono, d)
+            ratios.clear()
+    assert galois_calls  # the orbit route ran
+    fresh = {p: system(p, degrees=(1, 2)) for p in (5, 7, 11, 13)}
+    checked = set()
+    for p, deg, indices, form in used:
+        if (p, deg, indices) not in checked:
+            checked.add((p, deg, indices))
+            assert form == fresh[p].gauss_form(deg, indices), (p, indices)
+
+
+def test_stabilizer_of_records():
+    # a Hasse-Davenport monomial is fixed by every unit: u permutes the
+    # characters of order dividing n
+    s13 = system(13, degrees=(1, 2))
+    mono = hd_monomial(s13, 12)
+    for d, n in ((1, 12), (2, 168)):
+        verify_monomial_identity(s13, mono, s13.character(d, 1))
+        orbit = s13._identity_records[mono, d].orbit
+        assert [u for u, _ in orbit] == [u for u in range(1, n)
+                                         if math.gcd(u, n) == 1]
+        assert all(u * v % n == 1 for u, v in orbit)
+
+
+def test_trivial_stabilizer_takes_no_galois(monkeypatch):
+    # the inverse pair (e4, 1), (e4^-1, -1) over F_5: at degree 1 only
+    # u = 1 fixes {(1, 1), (3, -1)} mod 4, so its record has no orbit and
+    # no form is transported.  At degree 2 the lifts (6, 1), (18, -1) are
+    # fixed by u = 1, 5, 13 and 17 mod 24
+    sys = system(5, degrees=(1, 2))
+    e4 = sys.char_of_order(1, 4)
+    mono = GammaMonomial([(e4, 1), (sys.char_inv(e4), -1)])
+    calls = []
+    galois = CycloValue.galois
+    monkeypatch.setattr(CycloValue, "galois", lambda v, a: calls.append(
+        a) or galois(v, a))
+    for idx in range(4):
+        assert verify_monomial_identity(sys, mono, sys.character(1, idx)) \
+            == (-1 if idx == 3 else 0)
+    assert sys._identity_records[mono, 1].orbit is None
+    assert calls == []
+    verify_monomial_identity(sys, mono, sys.character(2, 1))
+    assert [u for u, _ in sys._identity_records[mono, 2].orbit] == \
+        [1, 5, 13, 17]
+
+
+def test_memo_keys_on_lam_of_p_V():
+    # (1, 1), (eps_2, -1) over F_3 has a nonzero divisor; its record, made
+    # as if it vanished, gives lam = 1 and lam = eps_2 the same twisted
+    # multiset {0, 1} and lam(p(V)) = 1 and -1.  The first passes and the
+    # second must still run its comparison, and fail, in either order
+    for order in ((0, 1), (1, 0)):
+        sys = system(3)
+        rec = na._prepare(sys, EtaleAlgebra(sys.tower, (1, 1)),
+                          VirtualModule((1, -1)),
+                          na.NormCharacter((sys.trivial(1),
+                                            sys.character(1, 1))), True)
+        for idx in order:
+            if idx:
+                with pytest.raises(InternalCheckError, match="non-power"):
+                    na._identity_exponent(sys, rec, sys.character(1, idx))
+            else:
+                assert na._identity_exponent(sys, rec,
+                                             sys.character(1, idx)) == 0

@@ -299,6 +299,18 @@ def _full_product_exponent(system, algebra, module, chi, lam):
                             t.order(e))
 
 
+def _mixed_degree_cases(p):
+    """Zero-divisor data on F_{p^2} x F_p x F_p: 2 (x_1) = (-x_2) + (-x_3)
+    at the points x_i of chi_i."""
+    sy = CharSystem(build_tower(p, degrees=(1, 2)))
+    alg = EtaleAlgebra(sy.tower, (2, 1, 1))
+    for ranks, idx in [((1, -1, -1), (0, 0, 0)),
+                       ((1, -1, -1), (p + 1, p - 2, p - 2)),
+                       ((-1, 1, 1), (2 * (p + 1), p - 3, p - 3))]:
+        yield sy, alg, VirtualModule(ranks), NormCharacter(tuple(
+            sy.character(d, i) for d, i in zip(alg.degrees, idx)))
+
+
 def test_verify_norm_identity_mixed_degrees(monkeypatch):
     # norm-rank0-f3's algebra F_9 x F_3 carries no zero-divisor module
     # with nonzero ranks (its F_9 factor weighs every point twice), so a
@@ -310,15 +322,7 @@ def test_verify_norm_identity_mixed_degrees(monkeypatch):
     monkeypatch.setattr(na, "_prepare", lambda *args: prepared.append(
         args[1:]) or prepare(*args))
     for p in (3, 5):
-        sy = CharSystem(build_tower(p, degrees=(1, 2)))
-        alg = EtaleAlgebra(sy.tower, (2, 1, 1))
-        # 2 (x_1) = (-x_2) + (-x_3) at the points x_i of chi_i
-        for ranks, idx in [((1, -1, -1), (0, 0, 0)),
-                           ((1, -1, -1), (p + 1, p - 2, p - 2)),
-                           ((-1, 1, 1), (2 * (p + 1), p - 3, p - 3))]:
-            V = VirtualModule(ranks)
-            chi = NormCharacter(tuple(
-                sy.character(d, i) for d, i in zip(alg.degrees, idx)))
+        for sy, alg, V, chi in _mixed_degree_cases(p):
             assert module_divisor(sy, alg, chi, V).is_zero()
             for k in range(p - 1):
                 lam = sy.character(1, k)
@@ -327,7 +331,10 @@ def test_verify_norm_identity_mixed_degrees(monkeypatch):
             rec = sy._identity_records[alg, V, chi]
             assert [f[0] for f in rec.forms] == [1, 2]
             # the F_{p^2} Gauss sums of both sides are taken; over F_3 the
-            # degree-1 product characters agree (lam^-2 = 1) and cancel
+            # degree-1 product characters agree (lam^-2 = 1) and cancel.
+            # The loop verified this lam already, so the memo is emptied
+            # for the comparison to run again
+            sy._identity_memo.clear()
             seen = []
             gauss_sum = CharSystem.gauss_sum
             with monkeypatch.context() as mp:
@@ -337,6 +344,21 @@ def test_verify_norm_identity_mixed_degrees(monkeypatch):
             assert seen == ([2, 2] if p == 3 else [1, 1, 2, 2])
     # one record per (algebra, module, chi), not one per lam
     assert len(prepared) == len(set(prepared)) == 6
+
+
+def test_mixed_degrees_take_no_orbit_route(monkeypatch):
+    # the algebras above have factors of degrees 2 and 1: their records
+    # carry no stabilizer, and no form is Galois-transported
+    calls = []
+    galois = CycloValue.galois
+    monkeypatch.setattr(CycloValue, "galois", lambda v, a: calls.append(
+        a) or galois(v, a))
+    for p in (3, 5):
+        for sy, alg, V, chi in _mixed_degree_cases(p):
+            for k in range(p - 1):
+                verify_norm_identity(sy, alg, V, chi, sy.character(1, k))
+            assert sy._identity_records[alg, V, chi].orbit is None
+    assert calls == []
 
 
 # ------------------------------------------------------------------ I-sums
