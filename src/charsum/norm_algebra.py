@@ -23,7 +23,6 @@ that runs its solver, I-sums and sweeps through this engine.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -385,11 +384,10 @@ def _stabilizer(factors, n):
     """The pairs (u, u^-1 mod n) over the units u mod n with
     u {(c_i, n_i)} = {(c_i, n_i)} as multisets, c_i the index of chi_i;
     None when only u = 1 does so."""
-    want = Counter((c % n, r) for _, r, _, c, _ in factors)
+    want = sorted((c % n, r) for _, r, _, c, _ in factors)
     pairs = tuple((u, pow(u, -1, n)) for u in range(1, n)
                   if math.gcd(u, n) == 1
-                  and all(want[u * c % n, r] == m
-                          for (c, r), m in want.items()))
+                  and sorted([(u * c % n, r) for c, r in want]) == want)
     return pairs if len(pairs) > 1 else None
 
 
