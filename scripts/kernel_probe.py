@@ -33,8 +33,9 @@ the roots of unity stay cached, as they do within a sweep.
 `identity_F169_hd12` is the mean per lam of `verify_monomial_identity`
 over the 168 lam of the n = 12 Hasse-Davenport monomial over F_169, with
 the Jacobi sums, forms and identity memo emptied before each pass over
-them (its record, built once, stays): orbit representatives folded,
-the other forms Galois-transported, one comparison per memo miss.
+them (its record, built once, stays): one representative folded per
+orbit of units and translations, the other forms Galois-transported, one
+comparison per memo miss.
 """
 
 from __future__ import annotations

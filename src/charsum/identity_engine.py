@@ -16,8 +16,12 @@ The form comes by the orbit route: a unit u that fixes the multiset of
 (chi_i, n_i), as every unit fixes a Hasse-Davenport monomial's, turns
 lam's twisted multiset into u times it, that of lam^u, and the Galois law
 sigma_u g(chi_a) = g(chi_{ua}) (sigma_u fixing zeta_p) maps the form
-C g(T) to sigma_u(C) g(T^u).  So only one lam per orbit is folded by
-Jacobi sums, and the rest take CycloValue.galois of its C.  That stays
+C g(T) to sigma_u(C) g(T^u).  A translation lam -> lam chi_t that only
+permutes the terms, as lam -> lam eps does for eps of order n in the
+Hasse-Davenport monomial of n, leaves the twisted multiset as it is; the
+least such t is the record's period t0.  So only one lam per orbit of
+idx -> u idx + t (t in t0 Z) is folded by Jacobi sums, and the rest take
+CycloValue.galois of its C, or its form unchanged.  That stays
 in Z[zeta_{q^d-1}]: on the Gauss sums themselves, at order (q^d - 1) p,
 galois(u) would move zeta_p as well.  Per lam there still run the exact
 comparison of the C's with lam(p(V)) and the parity clause, unless the
@@ -31,10 +35,11 @@ cross ratio of Gauss-sum products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from fractions import Fraction
 
 from charsum.characters import CharSystem, MultCharacter
-from charsum.divisor_calc import Divisor, divisor_of_char_power
+from charsum.divisor_calc import Divisor
 from charsum.errors import InternalCheckError, SchemaError
 from charsum.norm_algebra import (EtaleAlgebra, IdentityRecord,
                                   NormCharacter, VirtualModule,
@@ -42,15 +47,30 @@ from charsum.norm_algebra import (EtaleAlgebra, IdentityRecord,
                                   _twisted_indices, check_exponents)
 
 
-@dataclass(frozen=True)
 class GammaMonomial:
-    """Formal product prod_i g(chi_i)^{n_i}, stored as (chi_i, n_i) pairs."""
+    """Formal product prod_i g(chi_i)^{n_i}, stored as (chi_i, n_i) pairs.
 
-    terms: tuple[tuple[MultCharacter, int], ...]
+    A value: equal to the GammaMonomials with equal terms, and hashed once,
+    here, since every identity check looks its record up by (monomial,
+    degree).  terms is not to be reassigned."""
+
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms):
-        object.__setattr__(self, "terms",
-                           tuple((chi, int(n)) for chi, n in terms))
+        self.terms: tuple[tuple[MultCharacter, int], ...] = tuple(
+            (chi, int(n)) for chi, n in terms)
+        self._hash = hash(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, GammaMonomial):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"GammaMonomial(terms={self.terms!r})"
 
 
 def check_terms(system: CharSystem, mono: GammaMonomial) -> None:
@@ -58,12 +78,25 @@ def check_terms(system: CharSystem, mono: GammaMonomial) -> None:
 
 
 def predicted_divisor(system: CharSystem, mono: GammaMonomial) -> Divisor:
-    """The divisor sum over terms; zero is the identity-holds criterion."""
+    """The divisor sum over terms; zero is the identity-holds criterion.
+
+    The term (chi, n), chi of index a among the N characters of its
+    degree, has the |n| division points (sign(n) a + i N) / (|n| N) mod 1
+    with multiplicity sign(n) (divisor_of_char_power).  Every term's points
+    are summed as integer numerators over L = lcm |n| N, and only the
+    points that survive become Fractions."""
     check_terms(system, mono)
-    total = Divisor()
-    for chi, n in mono.terms:
-        total = total + divisor_of_char_power(system.char_point(chi), n)
-    return total
+    terms = [(chi.index, system.tower.group_order(chi.degree), n)
+             for chi, n in mono.terms]
+    den = math.lcm(*(abs(n) * size for _, size, n in terms))
+    pts: dict[int, int] = {}
+    for a, size, n in terms:
+        sign, width = (1, n) if n > 0 else (-1, -n)
+        step = den // (width * size)
+        for i in range(width):
+            x = (sign * a + i * size) * step % den
+            pts[x] = pts.get(x, 0) + sign
+    return Divisor({Fraction(x, den): c for x, c in pts.items() if c})
 
 
 def _lifted_terms(system: CharSystem, mono: GammaMonomial, d: int):
@@ -102,7 +135,7 @@ def _record(system: CharSystem, mono: GammaMonomial,
                 NormCharacter(chi for chi, _ in lifted), zero)
         else:
             rec = IdentityRecord(zero, d, system.tower.order(d), (), None,
-                                 None, None, None)
+                                 None, None, None, None)
         records[mono, d] = rec
     return rec
 
@@ -116,11 +149,11 @@ def verify_monomial_identity(system: CharSystem, mono: GammaMonomial,
     lam^n chi' is nontrivial, checks 2m = #{i : chi_i trivial} as well.
     This is the norm identity of the split algebra F_Q^k with ranks n_i:
     its record (_record) holds the lifted terms, p(V) as a discrete log,
-    the Jacobi form of g(chi') and the units that fix the terms, so each
-    lam pays only for the Jacobi form of its twisted product (cached by
-    multiset; folded once per orbit of those units and Galois-transported
-    along it), lam(p(V)) times the recorded C, and the checks, which are
-    memoised by their inputs.
+    the Jacobi form of g(chi'), the units that fix the terms and their
+    period, so each lam pays only for the Jacobi form of its twisted
+    product (cached by multiset; folded once per orbit of those units
+    and translations and Galois-transported along it), lam(p(V)) times
+    the recorded C, and the checks, which are memoised by their inputs.
     """
     rec = _record(system, mono, lam.degree)
     if not rec.zero:

@@ -325,8 +325,12 @@ class IdentityRecord(NamedTuple):
     factors.  On a split record (every D_i = e) orbit holds the pairs
     (u, u^-1 mod q^e - 1) over the stabilizer S of the multiset of
     (index of chi_i, n_i) under multiplication by units u, when S is not
-    {1}; _orbit_form reads it.  The last four fields are None unless the
-    divisor vanishes.
+    {1}, and period the least t0 | q^e - 1 whose translation
+    (index of chi_i) -> (index of chi_i) + t0 n_i fixes that multiset, so
+    that lam and lam chi_{t0} have one twisted multiset: for the
+    Hasse-Davenport monomial of n, t0 = (q^e - 1)/n and the translation is
+    lam -> lam eps.  _orbit_form reads both.  The last five fields are
+    None unless the divisor vanishes.
     """
 
     zero: bool  # the module divisor vanishes
@@ -337,6 +341,7 @@ class IdentityRecord(NamedTuple):
     forms: tuple | None  # g(chi) = prod over forms of C g(chi_T)
     trivial_weight: int | None  # sum of d_i over the trivial chi_i
     orbit: tuple | None  # the stabilizer S as (u, u^-1) pairs
+    period: int | None  # t0: the twisted multisets of idx and idx + t0 agree
 
 
 def _prepare(system, algebra, module, chi, zero=None):
@@ -358,7 +363,7 @@ def _prepare(system, algebra, module, chi, zero=None):
                      ch.index, t.group_order(deg))
                     for ch, n, deg in zip(chi.chars, module.ranks,
                                           algebra.degrees))
-    p_log = forms = trivial_weight = orbit = None
+    p_log = forms = trivial_weight = orbit = period = None
     if zero:
         p_log = t.log(e, _scale(system, algebra, module))
         forms = []
@@ -376,8 +381,9 @@ def _prepare(system, algebra, module, chi, zero=None):
                              zip(chi.chars, algebra.rel_degrees()))
         if set(algebra.degrees) == {e}:  # split
             orbit = _stabilizer(factors, t.group_order(e))
+            period = _period(factors, t.group_order(e))
     return IdentityRecord(zero, e, t.order(e), factors, p_log, forms,
-                          trivial_weight, orbit)
+                          trivial_weight, orbit, period)
 
 
 def _stabilizer(factors, n):
@@ -391,6 +397,15 @@ def _stabilizer(factors, n):
     return pairs if len(pairs) > 1 else None
 
 
+def _period(factors, n):
+    """The least t | n with {(n_i, c_i + t n_i)} = {(n_i, c_i)} as
+    multisets mod n, c_i the index of chi_i.  The t that qualify are its
+    multiples, and a twist by chi_t permutes the twisted indices."""
+    want = sorted((r, c % n) for _, r, _, c, _ in factors)
+    return next(t for t in range(1, n + 1) if n % t == 0
+                and sorted([(r, (c + t * r) % n) for r, c in want]) == want)
+
+
 def _twisted_indices(rec: IdentityRecord, idx: int) -> list[int]:
     """Index of (chi_idx o det_V) chi on each factor, by integer
     arithmetic."""
@@ -401,20 +416,22 @@ def _orbit_form(system, rec, idx, deg, indices):
     """gauss_form(deg, indices) for the sorted multiset of lam = chi_idx's
     twisted indices on the factors of degree deg.
 
-    On a miss, a record with an orbit folds only the orbit representative
-    r = min over u in S of u idx.  Then idx = w r with w in S, and
-    w {(c_i, n_i)} = {(c_i, n_i)} makes lam's multiset w times r's, so
-    its form is (galois(w) of C_r, w T_r).  It is cached as the
-    multiset's form."""
+    On a miss, a record with an orbit folds one lam per orbit of
+    idx -> u idx + t, u in S and t in t0 Z (t0 the record's period): the
+    representative r = min over u in S of u idx mod t0.  Then
+    idx = w r + t with w in S.  The translation leaves the twisted
+    multiset as it is, and w {(c_i, n_i)} = {(c_i, n_i)} makes it w times
+    r's, so lam's form is (galois(w) of C_r, w T_r), or r's own form when
+    w = 1.  It is cached as the multiset's form."""
     if rec.orbit is None:
         return system.gauss_form(deg, indices)
     form = system._form_cache.get((deg, indices))
     if form is None:
-        n = rec.size - 1
-        idx %= n
-        r, w = min((u * idx % n, v) for u, v in rec.orbit)
+        t0 = rec.period
+        idx %= t0
+        r, w = min((u * idx % t0, v) for u, v in rec.orbit)
         c, t = system.gauss_form(deg, _twisted_indices(rec, r))
-        form = (c, t) if r == idx else (c.galois(w), w * t % n)
+        form = (c, t) if w == 1 else (c.galois(w), w * t % (rec.size - 1))
         system._form_cache[deg, indices] = form
     return form
 
@@ -428,8 +445,11 @@ def _identity_exponent(system, rec, lam):
     twisted Gauss sums fold into C' g(T') against the recorded C g(T) of
     g(chi).  On a split record with a stabilizer S, C' g(T') comes by the
     orbit route (_orbit_form): only the representative r of lam's orbit
-    under S is folded by Jacobi sums, and lam = chi_{wr} takes
-    (sigma_w C_r, w T_r) by the Galois law sigma_w J(a, b) = J(wa, wb).
+    under idx -> u idx + t (u in S, t a multiple of the record's period)
+    is folded by Jacobi sums.  A translation leaves the twisted multiset
+    as it is, as lam -> lam eps does on a Hasse-Davenport monomial, and
+    lam = chi_{wr + t} takes (sigma_w C_r, w T_r) by the Galois law
+    sigma_w J(a, b) = J(wa, wb).
     Its sigma_w fixes zeta_p, as it must to map g(chi_a) to g(chi_{wa});
     the forms lie in Z[zeta_{q^e-1}], which holds no zeta_p, so there it
     is CycloValue.galois(w).  Other records take CharSystem.gauss_form.

@@ -680,6 +680,35 @@ def test_forced_galois_breach_exits_4_under_optimize(tmp_path):
     assert "InternalCheckError" in proc.stderr
 
 
+_WRONG_PERIOD = """
+import sys
+import charsum.norm_algebra as na
+from charsum.cli import main
+assert False, "asserts must be stripped"
+na._period = lambda factors, n: 1
+sys.exit(main(["--job", sys.argv[1]]))
+"""
+
+
+def test_forced_period_breach_exits_4_under_optimize(tmp_path):
+    # the n = 6 Hasse-Davenport monomial over F_7 has period 8 at degree 2,
+    # so lam and lam eps_6 share their twisted multiset; a period of 1
+    # hands every lam the form of the trivial character's multiset, and
+    # the identity check must fail under -O too.  Unpatched, the job passes
+    job = {"kind": "identity", "p": 7, "depth": 2,
+           "terms": [{"degree": 1, "char": "trivial", "n": 6},
+                     {"degree": 1, "char": "trivial", "n": -1}]
+           + [{"degree": 1, "char": f"e6^{i}", "n": -1} for i in range(1, 6)]}
+    path = write_job(tmp_path, job)
+    assert main(["--job", path]) == 0
+    src = str(Path(charsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_PERIOD, path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "InternalCheckError" in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "charsum.cli", "--job",

@@ -12,7 +12,7 @@ import charsum.identity_engine as ie
 import charsum.norm_algebra as na
 from charsum.characters import CharSystem
 from charsum.cyclotomic import CycloValue, q_power_ratio
-from charsum.divisor_calc import Divisor
+from charsum.divisor_calc import Divisor, divisor_of_char_power
 from charsum.errors import InternalCheckError, SchemaError
 from charsum.field_tower import build_tower
 from charsum.identity_engine import (
@@ -64,6 +64,46 @@ def test_predicted_divisor_rejects_bad_exponents():
         predicted_divisor(sys, GammaMonomial([(one, 3)]))
     with pytest.raises(SchemaError):
         predicted_divisor(sys, GammaMonomial([(one, -6)]))
+
+
+def term_fold(sys, mono):
+    """predicted_divisor as the sum of each term's divisor_of_char_power."""
+    total = Divisor()
+    for chi, n in mono.terms:
+        total = total + divisor_of_char_power(sys.char_point(chi), n)
+    return total
+
+
+def test_predicted_divisor_matches_term_fold():
+    rng = random.Random(25)
+    systems = [system(p, degrees=(1, 2)) for p in (5, 7, 13)]
+    randoms = []
+    for _ in range(60):
+        sys = rng.choice(systems)
+        p = sys.tower.p
+        randoms.append((sys, GammaMonomial(
+            (sys.character(deg, rng.randrange(sys.tower.group_order(deg))),
+             rng.choice([n for n in range(-6, 7) if n % p]))
+            for deg in rng.choices((1, 2), k=rng.randint(1, 5)))))
+    cases = criterion_05_library() + criterion_15_broken() + randoms
+    zeros = 0
+    for sys, mono in cases:
+        got = predicted_divisor(sys, mono)
+        assert got == term_fold(sys, mono), mono
+        zeros += got.is_zero()
+    assert 0 < zeros < len(cases)
+
+
+def test_gamma_monomial_is_a_value():
+    sys = system(7)
+    terms = [(sys.trivial(1), 2), (sys.character(1, 3), -1)]
+    mono = GammaMonomial(terms)
+    assert mono == GammaMonomial(iter(terms))
+    assert hash(mono) == hash(GammaMonomial(terms))
+    assert {mono: 1}[GammaMonomial(terms)] == 1
+    assert mono != GammaMonomial(terms[:1])
+    assert mono != tuple(terms) and mono != mono.terms
+    assert repr(mono) == f"GammaMonomial(terms={tuple(terms)!r})"
 
 
 def test_verify_quadratic_monomial_q7():
@@ -284,16 +324,20 @@ def random_monomials(seed, count):
         yield sys, GammaMonomial(terms), rng.randint(1, 2)
 
 
-def test_find_violation_matches_exact_scan(monkeypatch):
+def criterion_15_broken():
+    """The monomials of acceptance criterion 15, whose divisor does not
+    vanish."""
     s3, s7 = system(3, degrees=(1, 2)), system(7, degrees=(1, 2))
-    broken = [
-        (s3, GammaMonomial([(s3.trivial(1), 1),
-                            (s3.char_of_order(1, 2), -1)]), 2),
-        (s7, GammaMonomial([(s7.trivial(1), 3),
-                            (s7.char_of_order(1, 3), -1)]), 2),
-        (s3, GammaMonomial([(s3.char_of_order(1, 2), 2)]), 2),
-    ]
-    cases = (broken + [(sys, m, 2) for sys, m in criterion_05_library()]
+    return [(s3, GammaMonomial([(s3.trivial(1), 1),
+                                (s3.char_of_order(1, 2), -1)])),
+            (s7, GammaMonomial([(s7.trivial(1), 3),
+                                (s7.char_of_order(1, 3), -1)])),
+            (s3, GammaMonomial([(s3.char_of_order(1, 2), 2)]))]
+
+
+def test_find_violation_matches_exact_scan(monkeypatch):
+    cases = ([(sys, m, 2) for sys, m in criterion_15_broken()]
+             + [(sys, m, 2) for sys, m in criterion_05_library()]
              + list(random_monomials(7, 40)))
     wants = [exact_scan(*case) for case in cases]
     assert {w if w is None else type(w) for w in wants} == {None, tuple, str}
@@ -487,6 +531,47 @@ def test_trivial_stabilizer_takes_no_galois(monkeypatch):
     verify_monomial_identity(sys, mono, sys.character(2, 1))
     assert [u for u, _ in sys._identity_records[mono, 2].orbit] == \
         [1, 5, 13, 17]
+
+
+def test_period_of_records():
+    # lam -> lam eps, eps of order n, permutes the factors of a
+    # Hasse-Davenport monomial, so its period is (q^d - 1)/n; the F_5
+    # inverse pair has no translation at degree 1
+    for p, ns in ((5, (2, 4)), (7, (2, 3, 6)), (13, (2, 3, 4, 6, 12))):
+        sys = system(p, degrees=(1, 2))
+        for n in ns:
+            mono = hd_monomial(sys, n)
+            for d in (1, 2):
+                verify_monomial_identity(sys, mono, sys.character(d, 1))
+                size = p ** d - 1
+                assert sys._identity_records[mono, d].period == size // n
+    sys = system(5)
+    e4 = sys.char_of_order(1, 4)
+    mono = GammaMonomial([(e4, 1), (sys.char_inv(e4), -1)])
+    verify_monomial_identity(sys, mono, sys.character(1, 1))
+    assert sys._identity_records[mono, 1].period == 4
+
+
+def test_one_fold_per_affine_orbit(monkeypatch):
+    # at degree 2 the n = 12 Hasse-Davenport monomial over F_13 has period
+    # 14 and every unit mod 168 in its stabilizer, so idx -> u idx + 14 t
+    # has one orbit per divisor of 14: four 13-term multisets are folded
+    sys = system(13, degrees=(1, 2))
+    mono = hd_monomial(sys, 12)
+    folded = set()
+    gauss_form = CharSystem.gauss_form
+
+    def recording(system, d, indices):
+        key = tuple(sorted(indices))
+        if (d, key) not in system._form_cache:
+            folded.add(key)
+        return gauss_form(system, d, indices)
+
+    monkeypatch.setattr(CharSystem, "gauss_form", recording)
+    for idx in range(168):
+        verify_monomial_identity(sys, mono, sys.character(2, idx))
+    assert len(folded) == 4
+    assert {len(key) for key in folded} == {13}
 
 
 def test_memo_keys_on_lam_of_p_V():
