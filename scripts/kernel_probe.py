@@ -35,15 +35,23 @@ over the 168 lam of the n = 12 Hasse-Davenport monomial over F_169, with
 the Jacobi sums, forms and identity memo emptied before each pass over
 them (its record, built once, stays): one representative folded per
 orbit of units and translations, the other forms Galois-transported, one
-comparison per memo miss.
+comparison per memo miss.  `import_charsum` is the median of 5 x --repeat
+in-process re-imports of charsum and charsum.cli, each after every
+charsum module is dropped from sys.modules and a gc.collect(), as
+perfbench/run.py starts each round.  It compiles every module from source
+when no bytecode can be read (PYTHONDONTWRITEBYTECODE set and none
+cached), and reads bytecode otherwise, so a reading names that state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import math
 import random
 import statistics
+import sys
 from time import perf_counter
 
 from charsum import norm_algebra as na
@@ -121,6 +129,7 @@ def main(argv=None) -> int:
     for name, op, per in _layer_ops(random.Random(args.seed)):
         op()  # builds the tower tables and the reduction plans
         print(f"{name:<20} {_per_call_us(op, args.repeat) / per:12.1f}")
+    print(f"{'import_charsum':<20} {_import_us(5 * args.repeat):12.1f}")
     return 0
 
 
@@ -145,6 +154,20 @@ def _layer_ops(rng):
              1),
             ("sweep_tuple_F49", _sweep_tuple(rng), 1),
             ("identity_F169_hd12", _identity_pass(), 168))
+
+
+def _import_us(count):
+    times = []
+    for _ in range(count):
+        for name in [n for n in sys.modules
+                     if n == "charsum" or n.startswith("charsum.")]:
+            del sys.modules[name]
+        gc.collect()
+        t0 = perf_counter()
+        importlib.import_module("charsum")
+        importlib.import_module("charsum.cli")
+        times.append(perf_counter() - t0)
+    return statistics.median(times) * 1e6
 
 
 def _sweep_tuple(rng):

@@ -24,18 +24,23 @@ product, which certifies each recorded form once (norm_algebra._prepare).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from charsum._value import Value
 from charsum.cyclotomic import CycloValue, from_int, from_root_counts, root
 from charsum.errors import InternalCheckError, SchemaError
 from charsum.field_tower import FieldTower
 
 
-@dataclass(frozen=True)
-class MultCharacter:
-    degree: int
-    index: int
+class MultCharacter(Value):
+    """The character chi_index of F_{q^degree}^*, indexed as the module
+    docstring says.  A Value; degree and index are not to be reassigned."""
+
+    __slots__ = ("degree", "index")
+
+    def __init__(self, degree: int, index: int):
+        self.degree = degree
+        self.index = index
 
 
 class _GroupOrders(dict):
@@ -63,6 +68,9 @@ class CharSystem:
         self._jacobi_cache: dict[tuple[int, int, int], CycloValue] = {}
         self._form_cache: dict[tuple[int, tuple[int, ...]],
                                tuple[CycloValue, int]] = {}
+        # (d, k) -> the split norm_algebra.EtaleAlgebra F_{q^d}^k over
+        # base degree d, shared by the I-sums and the identity records
+        self._split_algebras: dict = {}
         # (GammaMonomial, degree) or (algebra, module, chi) ->
         # norm_algebra.IdentityRecord: what its identity needs that does
         # not depend on the twisting character

@@ -20,9 +20,9 @@ import math
 import re
 import sys
 import time
-from typing import NamedTuple
 
 from . import cyclotomic as cy
+from ._value import Value
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
 from .divisor_calc import injectivity_probe, probe_size
@@ -397,13 +397,12 @@ def _norm_cases(system, algebra, module, chi, a, depth):
     return cases
 
 
-class Kind(NamedTuple):
+class Kind(Value):
     """One row of the job table: the payload keys a kind allows, the unit
     its cost estimate counts, and its prepare function, whose result is
-    (estimate, runner)."""
-    keys: set
-    unit: str
-    prepare: object
+    (estimate, runner).  A Value; the fields are not to be reassigned."""
+
+    __slots__ = ("keys", "unit", "prepare")
 
 
 KINDS = {

@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
-from typing import NamedTuple, Sequence
 
 from charsum._intutil import euler_phi, factorize, moebius
+from charsum._value import Value
 from charsum.errors import InternalCheckError
 
 # ------------------------------------------------------------------ integer
@@ -190,16 +190,14 @@ def _series_inverse(f: Sequence[int], prec: int) -> tuple[int, ...]:
     return tuple(g[:prec])
 
 
-class _Stage(NamedTuple):
+class _Stage(Value):
     """Division by one monic divisor D of degree `degree`: its nonzero
     terms (exponent, coefficient), those of 1/rev(D) up to the longest
     quotient the stage meets, and 1 + ||inv||_1 ||D||_1, a bound on how much
-    the stage can grow the largest coefficient."""
+    the stage can grow the largest coefficient.  A Value; the fields are
+    not to be reassigned."""
 
-    degree: int
-    divisor: tuple[tuple[int, int], ...]
-    inverse: tuple[tuple[int, int], ...]
-    growth: int
+    __slots__ = ("degree", "divisor", "inverse", "growth")
 
     @classmethod
     def of(cls, divisor: Sequence[int], inverse: Sequence[int],
@@ -330,23 +328,25 @@ def reduce_mod_cyclotomic(coeffs: Sequence[int], M: int, *,
 # ------------------------------------------------------------------- values
 
 
-@dataclass(frozen=True)
 class CycloValue:
     """An element of Z[zeta_order] in reduced power-basis coordinates.
 
     Construct through root / from_int / from_root_counts rather than directly.
     Rational integers are always stored at order 1, so ``v.order == 1`` is the
     reliable rationality test.  Equal values may still be stored at different
-    orders (e.g. zeta_3 built at order 6); __eq__ and __hash__ account for it.
+    orders (e.g. zeta_3 built at order 6); __eq__ and __hash__ account for it,
+    and a rational integer equals the int it holds.  order and coeffs are
+    not to be reassigned.
     """
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 1 or len(self.coeffs) != euler_phi(self.order):
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if order < 1 or len(coeffs) != euler_phi(order):
             raise InternalCheckError(
-                f"{len(self.coeffs)} coefficients at order {self.order}")
+                f"{len(coeffs)} coefficients at order {order}")
+        self.order = order
+        self.coeffs = coeffs
 
     # --- predicates
 

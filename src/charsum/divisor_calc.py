@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from charsum.errors import InternalCheckError, SchemaError
 

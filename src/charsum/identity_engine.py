@@ -38,21 +38,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from charsum._value import Value
 from charsum.characters import CharSystem, MultCharacter
 from charsum.divisor_calc import Divisor
 from charsum.errors import InternalCheckError, SchemaError
-from charsum.norm_algebra import (EtaleAlgebra, IdentityRecord,
-                                  NormCharacter, VirtualModule,
-                                  _identity_exponent, _prepare,
-                                  _twisted_indices, check_exponents)
+from charsum.norm_algebra import (IdentityRecord, NormCharacter,
+                                  VirtualModule, _identity_exponent,
+                                  _prepare, _split_algebra, _twisted_indices,
+                                  check_exponents)
 
 
-class GammaMonomial:
+class GammaMonomial(Value):
     """Formal product prod_i g(chi_i)^{n_i}, stored as (chi_i, n_i) pairs.
 
-    A value: equal to the GammaMonomials with equal terms, and hashed once,
-    here, since every identity check looks its record up by (monomial,
-    degree).  terms is not to be reassigned."""
+    A Value, hashed once, here, as hash(terms), since every identity check
+    looks its record up by (monomial, degree).  terms is not to be
+    reassigned."""
 
     __slots__ = ("terms", "_hash")
 
@@ -61,16 +62,8 @@ class GammaMonomial:
             (chi, int(n)) for chi, n in terms)
         self._hash = hash(self.terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, GammaMonomial):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"GammaMonomial(terms={self.terms!r})"
 
 
 def check_terms(system: CharSystem, mono: GammaMonomial) -> None:
@@ -130,7 +123,7 @@ def _record(system: CharSystem, mono: GammaMonomial,
         lifted = _lifted_terms(system, mono, d)
         if lifted:
             rec = _prepare(
-                system, EtaleAlgebra(system.tower, (d,) * len(lifted), d),
+                system, _split_algebra(system, d, len(lifted)),
                 VirtualModule(n for _, n in lifted),
                 NormCharacter(chi for chi, _ in lifted), zero)
         else:

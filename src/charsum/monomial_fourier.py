@@ -22,15 +22,15 @@ Everything is integer arithmetic in cyclotomic fields; nothing is floated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import cyclotomic as cy
 from ._intutil import group_ring_fold
+from ._value import Value
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue
 from .errors import InternalCheckError, SchemaError, SizeBoundError
-from .norm_algebra import (DEFAULT_TERM_BOUND, EtaleAlgebra, MonomialDatum,
-                           NormCharacter, VirtualModule, _i_sum, _sweep,
+from .norm_algebra import (DEFAULT_TERM_BOUND, MonomialDatum, NormCharacter,
+                           VirtualModule, _i_sum, _split_algebra, _sweep,
                            check_exponents, check_norm_data,
                            solve_norm_transform, verify_norm_moments)
 
@@ -49,8 +49,7 @@ def check_monomial_datum(system: CharSystem, datum: MonomialDatum):
 def _split(system, datum):
     """The split algebra F_{q^d}^k over base degree d, the module of the
     exponents and the norm character of the datum's characters."""
-    d = datum.degree
-    return (EtaleAlgebra(system.tower, (d,) * datum.k, d),
+    return (_split_algebra(system, datum.degree, datum.k),
             VirtualModule(datum.exponents), NormCharacter(datum.characters))
 
 
@@ -245,10 +244,10 @@ def _i_sum_raw(system, degree, exponents, a, lams, method):
     is psi(a)."""
     if not exponents and not lams:
         return system.psi_value(degree, a)
-    algebra, module, lam = _split(system,
-                                  MonomialDatum(degree, exponents, lams, a))
+    algebra = _split_algebra(system, degree, len(exponents))
+    lam = NormCharacter(lams)
     check_norm_data(system, algebra, chi=lam, a=a)
-    return _i_sum(system, algebra, module, lam, a, method)
+    return _i_sum(system, algebra, VirtualModule(exponents), lam, a, method)
 
 
 def i_sum_direct(system: CharSystem, datum: MonomialDatum, lams) -> CycloValue:
@@ -271,23 +270,18 @@ def i_sum_closed(system: CharSystem, datum: MonomialDatum, lams) -> CycloValue:
 # ---------------------------------------------------------------- the solver
 
 
-@dataclass(frozen=True)
-class TransformSolution:
+class TransformSolution(Value):
     """Transformed datum (exponents, characters, b) plus the constant c.
 
     case 1 covers exponent sum 2 (exponents kept), case 2 covers exponent
     sum 0 (exponents negated).  chi is the mediating character, stored at
     the smallest tower degree that realizes its point; twist is the integer
-    m with 2m + 1 = #trivial among {chi, chi_1, .., chi_k}.
+    m with 2m + 1 = #trivial among {chi, chi_1, .., chi_k}.  A Value; the
+    fields are not to be reassigned.
     """
 
-    case: int
-    exponents: tuple
-    characters: tuple
-    chi: MultCharacter
-    b: int
-    c: CycloValue
-    twist: int
+    __slots__ = ("case", "exponents", "characters", "chi", "b", "c",
+                 "twist")
 
     def transformed(self):
         """(module, characters, b, c): the right side of the moment check."""

@@ -23,14 +23,13 @@ that runs its solver, I-sums and sweeps through this engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 from . import cyclotomic as cy
 from ._intutil import group_ring_fold, solve_congruences
+from ._value import Value
 from .characters import CharSystem, MultCharacter
 from .cyclotomic import CycloValue, q_power_ratio
 from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
@@ -52,13 +51,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EtaleAlgebra:
-    """Product of tower fields with degrees[i] viewed over F_{q^base_degree}."""
+class EtaleAlgebra(Value):
+    """Product of tower fields with degrees[i] viewed over F_{q^base_degree}.
 
-    tower: object
-    degrees: tuple
-    base_degree: int
+    A Value; the fields are not to be reassigned."""
+
+    __slots__ = ("tower", "degrees", "base_degree")
 
     def __init__(self, tower, degrees, base_degree=1):
         degrees = tuple(int(d) for d in degrees)
@@ -72,9 +70,9 @@ class EtaleAlgebra:
                     f"factor degree {d} is not a multiple of the base "
                     f"degree {base_degree}")
             tower.order(d)
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "base_degree", base_degree)
+        self.tower = tower
+        self.degrees = degrees
+        self.base_degree = base_degree
 
     @property
     def r(self):
@@ -89,47 +87,54 @@ class EtaleAlgebra:
         return sum(self.rel_degrees())
 
 
-@dataclass(frozen=True)
-class VirtualModule:
-    """Integer rank per algebra factor; negative and zero ranks allowed."""
+def _split_algebra(system: CharSystem, d: int, k: int) -> EtaleAlgebra:
+    """The split algebra F_{q^d}^k over base degree d, built once per
+    (d, k) and system."""
+    algebra = system._split_algebras.get((d, k))
+    if algebra is None:
+        algebra = system._split_algebras[d, k] = EtaleAlgebra(
+            system.tower, (d,) * k, d)
+    return algebra
 
-    ranks: tuple
+
+class VirtualModule(Value):
+    """Integer rank per algebra factor; negative and zero ranks allowed.
+    A Value; ranks is not to be reassigned."""
+
+    __slots__ = ("ranks",)
 
     def __init__(self, ranks):
-        object.__setattr__(self, "ranks", tuple(int(n) for n in ranks))
+        self.ranks = tuple(int(n) for n in ranks)
 
 
-@dataclass(frozen=True)
-class NormCharacter:
-    """One multiplicative character per algebra factor."""
+class NormCharacter(Value):
+    """One multiplicative character per algebra factor.  A Value; chars is
+    not to be reassigned."""
 
-    chars: tuple
+    __slots__ = ("chars",)
 
     def __init__(self, chars):
-        object.__setattr__(self, "chars", tuple(chars))
+        self.chars = tuple(chars)
 
 
-@dataclass(frozen=True)
-class MonomialDatum:
+class MonomialDatum(Value):
     """Exponents n_i, characters chi_i and a coefficient a over F_{q^degree}.
 
     The datum stands for the function psi(a prod x_i^{n_i}) prod chi_i(x_i)
     on the torus (F_{q^degree}^*)^k, the split case of the norm layer.
     Exponents must be nonzero and coprime to p (check_exponents); the
     datum is checked against a concrete CharSystem by
-    monomial_fourier.check_monomial_datum.
+    monomial_fourier.check_monomial_datum.  A Value; the fields are not to
+    be reassigned.
     """
 
-    degree: int
-    exponents: tuple
-    characters: tuple
-    a: int
+    __slots__ = ("degree", "exponents", "characters", "a")
 
     def __init__(self, degree, exponents, characters, a):
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "exponents", tuple(int(n) for n in exponents))
-        object.__setattr__(self, "characters", tuple(characters))
-        object.__setattr__(self, "a", int(a))
+        self.degree = int(degree)
+        self.exponents = tuple(int(n) for n in exponents)
+        self.characters = tuple(characters)
+        self.a = int(a)
 
     @property
     def k(self):
@@ -312,7 +317,7 @@ def verify_norm_identity(system: CharSystem, algebra: EtaleAlgebra,
     return _identity_exponent(system, rec, lam)
 
 
-class IdentityRecord(NamedTuple):
+class IdentityRecord(Value):
     """The part of the norm identity of (algebra, module, chi) that does not
     depend on the twisting character lam, built by _prepare.
 
@@ -330,18 +335,21 @@ class IdentityRecord(NamedTuple):
     that lam and lam chi_{t0} have one twisted multiset: for the
     Hasse-Davenport monomial of n, t0 = (q^e - 1)/n and the translation is
     lam -> lam eps.  _orbit_form reads both.  The last five fields are
-    None unless the divisor vanishes.
+    None unless the divisor vanishes.  A Value; the fields are not to be
+    reassigned.
     """
 
-    zero: bool  # the module divisor vanishes
-    base: int  # e, the degree of lam
-    size: int  # q^e
-    factors: tuple
-    p_log: int | None  # discrete log of p(V) in F_{q^e}^*
-    forms: tuple | None  # g(chi) = prod over forms of C g(chi_T)
-    trivial_weight: int | None  # sum of d_i over the trivial chi_i
-    orbit: tuple | None  # the stabilizer S as (u, u^-1) pairs
-    period: int | None  # t0: the twisted multisets of idx and idx + t0 agree
+    __slots__ = (
+        "zero",  # the module divisor vanishes
+        "base",  # e, the degree of lam
+        "size",  # q^e
+        "factors",
+        "p_log",  # discrete log of p(V) in F_{q^e}^*
+        "forms",  # g(chi) = prod over forms of C g(chi_T)
+        "trivial_weight",  # sum of d_i over the trivial chi_i
+        "orbit",  # the stabilizer S as (u, u^-1) pairs
+        "period",  # t0: the twisted multisets of idx and idx + t0 agree
+    )
 
 
 def _prepare(system, algebra, module, chi, zero=None):
@@ -627,23 +635,16 @@ def _i_sum(system, algebra, module, lam, a, method):
 # ---------------------------------------------------------- transform solver
 
 
-@dataclass(frozen=True)
-class NormSolution:
+class NormSolution(Value):
     """Transformed module data (ranks, characters, b) plus the constant c.
 
     case 1 covers base rank 2 (module kept), case 2 covers base rank 0
     (module negated).  nu is the mediating base-field character; twist is
     the integer m with 2m + 1 = [nu trivial] + sum of d_i over trivial
-    chi_i.
+    chi_i.  A Value; the fields are not to be reassigned.
     """
 
-    case: int
-    ranks: tuple
-    characters: NormCharacter
-    nu: MultCharacter
-    b: int
-    c: CycloValue
-    twist: int
+    __slots__ = ("case", "ranks", "characters", "nu", "b", "c", "twist")
 
     def transformed(self):
         """(module, characters, b, c): the right side of the moment check."""

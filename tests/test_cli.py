@@ -17,8 +17,8 @@ import pytest
 import charsum
 import charsum.stalk_traces as st
 from charsum.characters import CharSystem
-from charsum.cli import FULL_JOBS, KINDS, Options, _parse_char, main, run, \
-    suite
+from charsum.cli import FULL_JOBS, KINDS, Kind, Options, _parse_char, main, \
+    run, suite
 from charsum.errors import SchemaError, SizeBoundError
 from charsum.field_tower import FieldTower
 
@@ -557,8 +557,9 @@ def test_suite_acceptance_passes():
 @pytest.mark.parametrize("flags", [(), ("--ndjson",)])
 def test_unencodable_report_exits_4(tmp_path, capsys, monkeypatch, flags):
     # the whole report is encoded before anything is printed
-    monkeypatch.setitem(KINDS, "binom", KINDS["binom"]._replace(
-        prepare=lambda payload, opts: (
+    binom = KINDS["binom"]
+    monkeypatch.setitem(KINDS, "binom", Kind(
+        binom.keys, binom.unit, lambda payload, opts: (
             1, lambda: [{"x": Fraction(1, 2), "pass": True}])))
     job = {"kind": "binom", "n": 1, "r": 1, "s": 1}
     code = main(["--job", write_job(tmp_path, job), *flags])

@@ -540,8 +540,9 @@ plan = cy._reduction_plan
 def corrupt_inverse(k, call):
     # one inverse-series term of stage k of the plan off by one
     bad = list(plan(2184))
-    (i, c), *rest = bad[k].inverse
-    bad[k] = bad[k]._replace(inverse=((i, c + 1), *rest))
+    st = bad[k]
+    (i, c), *rest = st.inverse
+    bad[k] = cy._Stage(st.degree, st.divisor, ((i, c + 1), *rest), st.growth)
     cy._reduction_plan = lambda M: tuple(bad)
     try:
         call()

@@ -22,7 +22,8 @@ from charsum.identity_engine import (
     verify_monomial_identity,
 )
 from charsum.monomial_fourier import MonomialDatum, solve_monomial_transform
-from charsum.norm_algebra import EtaleAlgebra, VirtualModule, p_of
+from charsum.norm_algebra import (EtaleAlgebra, IdentityRecord,
+                                  VirtualModule, p_of)
 
 F = Fraction
 
@@ -437,8 +438,9 @@ def test_tampered_record_raises():
             lam = sys.character(d, 1)
             verify_monomial_identity(sys, mono, lam)
             rec = sys._identity_records[mono, d]
-            sys._identity_records[mono, d] = rec._replace(
-                p_log=rec.p_log + 1)
+            sys._identity_records[mono, d] = IdentityRecord(
+                rec.zero, rec.base, rec.size, rec.factors, rec.p_log + 1,
+                rec.forms, rec.trivial_weight, rec.orbit, rec.period)
             with pytest.raises(InternalCheckError, match="non-power"):
                 verify_monomial_identity(sys, mono, lam)
             sys._identity_records[mono, d] = rec

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from itertools import product
@@ -599,19 +598,23 @@ def test_sweep_twisted_moments_depth_two(sys, exps, orders, a):
 
 
 def _tamper_c(sys, sol, degree):
-    return dataclasses.replace(sol, c=-sol.c)
+    return na.NormSolution(sol.case, sol.ranks, sol.characters, sol.nu,
+                           sol.b, -sol.c, sol.twist)
 
 
 def _tamper_b(sys, sol, degree):
     t = sys.tower
-    return dataclasses.replace(sol, b=t.mul(degree, sol.b, t.generator(degree)))
+    return na.NormSolution(sol.case, sol.ranks, sol.characters, sol.nu,
+                           t.mul(degree, sol.b, t.generator(degree)), sol.c,
+                           sol.twist)
 
 
 def _tamper_eta(sys, sol, degree):
     # shifting eta_1 by a non-cube kills the right root of every tuple
     etas = sol.characters.chars
     eta = (sys.char_mul(etas[0], sys.character(degree, 1)),) + etas[1:]
-    return dataclasses.replace(sol, characters=na.NormCharacter(eta))
+    return na.NormSolution(sol.case, sol.ranks, na.NormCharacter(eta),
+                           sol.nu, sol.b, sol.c, sol.twist)
 
 
 @pytest.mark.parametrize("tamper", [_tamper_c, _tamper_b, _tamper_eta])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from itertools import product
@@ -666,16 +665,20 @@ def _replaced(field):
         sol = solve(system, alg, mod, chi, a)
         t = system.tower
         e = alg.base_degree
+        eta, b, c = sol.characters, sol.b, sol.c
         if field == "c":
-            return dataclasses.replace(sol, c=-sol.c)
-        if field == "b":
-            return dataclasses.replace(sol, b=t.mul(e, sol.b, t.generator(e)))
-        # shifting eta_1 by an index prime to the lift step kills the
-        # right root of every twist that had one
-        first, *rest = sol.characters.chars
-        shifted = system.char_mul(first, system.character(first.degree, 1))
-        return dataclasses.replace(
-            sol, characters=NormCharacter((shifted, *rest)))
+            c = -c
+        elif field == "b":
+            b = t.mul(e, b, t.generator(e))
+        else:
+            # shifting eta_1 by an index prime to the lift step kills the
+            # right root of every twist that had one
+            first, *rest = eta.chars
+            shifted = system.char_mul(first,
+                                      system.character(first.degree, 1))
+            eta = NormCharacter((shifted, *rest))
+        return na.NormSolution(sol.case, sol.ranks, eta, sol.nu, b, c,
+                               sol.twist)
     return tampered
 
 
