@@ -112,15 +112,6 @@ def test_equal_fields_across_classes_differ():
                                  None)
 
 
-def test_cyclo_value_hash_and_int_equality():
-    # a rational integer is stored at order 1 and equals the int it holds;
-    # equal values at different orders hash alike
-    assert CycloValue(1, (7,)) == 7 and hash(CycloValue(1, (7,))) == hash(7)
-    assert cy.root(6, 2) == cy.root(3, 1)
-    assert hash(cy.root(6, 2)) == hash(cy.root(3, 1))
-    assert CycloValue(3, (1, -2)) != CycloValue(3, (1, 2))
-
-
 _WRONG_SHAPES = """
 from charsum.cyclotomic import CycloValue
 from charsum.errors import InternalCheckError
