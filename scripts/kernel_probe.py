@@ -26,10 +26,14 @@ the trace function of (3, -1), (1, e3) over F_13 (a 13 x 13 grid);
 2, (2, 2, 2) over F_9 with ranks (1, 1, -2), for a seeded twist;
 `ratio_F7_2fold` is the 2-fold ratio sum over F_7 for a seeded
 character and seeded hats; `sweep_tuple_F49` is one seeded support twist
-of the degree-2 moment sweep of (3, -1), (1, e3) over F_7, decided in
-Jacobi form at order 48 (norm_algebra._twist_by_forms), with the Jacobi
-sums and forms it reads emptied before each call, as in a cold sweep;
-the roots of unity stay cached, as they do within a sweep.
+of the degree-2 moment sweep of (3, -1), (1, e3) over F_7, its right side
+folded (norm_algebra._right_terms) and compared (_twist_by_forms) in
+Jacobi form at order 48, with the Jacobi sums and forms it reads emptied
+before each call, as in a cold sweep; the roots of unity stay cached, as
+they do within a sweep.  `sweep_orbit_F49` is the mean per twist of one
+pass over that degree's whole support as the sweep makes it, one fold per
+Galois orbit: norm_algebra._sweep to depth 1 on the base-changed data
+over F_49, with the Jacobi sums and forms emptied before each pass.
 `identity_F169_hd12` is the mean per lam of `verify_monomial_identity`
 over the 168 lam of the n = 12 Hasse-Davenport monomial over F_169, with
 the Jacobi sums, forms and identity memo emptied before each pass over
@@ -152,7 +156,7 @@ def _layer_ops(rng):
              1),
             ("ratio_F7_2fold", lambda: _ratio_sum(s7, chi, 1, xhat, yhat),
              1),
-            ("sweep_tuple_F49", _sweep_tuple(rng), 1),
+            *_sweep_rows(rng),
             ("identity_F169_hd12", _identity_pass(), 168))
 
 
@@ -170,7 +174,7 @@ def _import_us(count):
     return statistics.median(times) * 1e6
 
 
-def _sweep_tuple(rng):
+def _sweep_rows(rng):
     s7 = CharSystem(build_tower(7, 1, degrees=(1, 2)))
     alg = na.EtaleAlgebra(s7.tower, (1, 1))
     mod = na.VirtualModule((3, -1))
@@ -180,13 +184,21 @@ def _sweep_tuple(rng):
     sol = na.solve_norm_transform(s7, *data)
     target = sol.transformed()
     c_form = na._c_form(s7, data[0], data[2], sol)
-    lam = rng.choice(na._support(s7, *data[:3], target))
+    support = na._support(s7, *data[:3], target)
+    lam = rng.choice(support)
 
     def twist():
         s7._jacobi_cache.clear()
         s7._form_cache.clear()
-        return na._twist_by_forms(s7, *data, target, lam, c_form)
-    return twist
+        right = na._right_terms(s7, data[0], target, lam, c_form)
+        return na._twist_by_forms(s7, *data, lam, right)
+
+    def orbit_pass():
+        s7._jacobi_cache.clear()
+        s7._form_cache.clear()
+        return na._sweep(s7, *data, 1)
+    return (("sweep_tuple_F49", twist, 1),
+            ("sweep_orbit_F49", orbit_pass, len(support)))
 
 
 def _identity_pass():

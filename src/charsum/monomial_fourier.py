@@ -135,7 +135,7 @@ class GridFunction:
         if not isinstance(other, GridFunction):
             return NotImplemented
         return (self.degree == other.degree and self.k == other.k
-                and all(a == b for a, b in zip(self.values, other.values)))
+                and self._q == other._q and self.values == other.values)
 
     def __hash__(self):
         return hash((self.degree, self.k, self.values))

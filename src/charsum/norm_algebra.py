@@ -13,7 +13,8 @@ algebra Gauss-sum identity (verify_norm_identity), the determinant-twisted
 sums I_{V,lam}(a) in direct and closed form, and the transform solver for
 modules of rank 2 or 0 with its moment verifier and sweep.  The closed
 I-sum is a short sum of Gauss sums (_i_terms); _sweep says which twists
-the sweep evaluates and by which of its two routes.
+the sweep evaluates, by which of its two routes, and how the Jacobi-form
+route folds one twist per Galois orbit.
 
 A monomial datum over F_{q^d} is the split algebra F_{q^d}^k over base
 degree d with ranks equal to its exponents; monomial_fourier is a front
@@ -753,13 +754,11 @@ def _c_head(system, algebra, case, nu, b, m):
             * (-(-1) ** algebra.dim() * t.order(e) ** m)), k
 
 
-def _twisted(system, chi, eta, lam):
-    """chi lam^{-1} and eta lam, the characters of the two I-sums of the
-    moment identity at the twist lam."""
-    return (NormCharacter(tuple(system.char_mul(ch, system.char_inv(lm))
-                                for ch, lm in zip(chi.chars, lam.chars))),
-            NormCharacter(tuple(system.char_mul(et, lm)
-                                for et, lm in zip(eta.chars, lam.chars))))
+def _twisted(system, chars, lam, sign):
+    """chars lam^sign factor by factor: chi lam^{-1} and eta lam are the
+    characters of the two I-sums of the moment identity at the twist lam."""
+    return NormCharacter(tuple(system.char_mul(ch, system.char_pow(lm, sign))
+                               for ch, lm in zip(chars.chars, lam.chars)))
 
 
 def _moment_sides(system, algebra, module, chi, a, target, lam, method):
@@ -771,10 +770,10 @@ def _moment_sides(system, algebra, module, chi, a, target, lam, method):
     sweep calls this only on the support that _support lists."""
     module_w, eta, b, c = target
     q = system.tower.order(algebra.base_degree)
-    lhs_chars, rhs_chars = _twisted(system, chi, eta, lam)
     lhs = (-q) ** algebra.dim() * _i_sum(
-        system, algebra, module, lhs_chars, a, method)
-    rhs = _i_sum(system, algebra, module_w, rhs_chars, b, method)
+        system, algebra, module, _twisted(system, chi, lam, -1), a, method)
+    rhs = _i_sum(system, algebra, module_w, _twisted(system, eta, lam, 1), b,
+                 method)
     if not rhs.is_zero():
         rhs = rhs * c
         for lm in lam.chars:
@@ -924,39 +923,55 @@ def _c_form(system, algebra, chi, sol):
     return form, t_c
 
 
-def _twist_by_forms(system, algebra, module, chi, a, target, lam, c_form):
-    """One twist of the moment identity on a split algebra in Jacobi form:
-    whether its sides are nonzero once they are proved equal, or None when
-    the comparison below proves nothing and the full products decide.
+def _sweep_stabilizer(system, algebra, chi, target, c_form):
+    """The pairs (u, u^-1 mod q^e - 1) over the units u that fix the index
+    of every chi_i and eta_i and T_c, and the form F of c = F g(chi_{T_c})
+    under galois(u): then sigma_u fixes chi, eta and c (_sweep)."""
+    form, t_c = c_form
+    n = system.tower.group_order(algebra.base_degree)
+    fixed = [t_c] + [ch.index for ch in chi.chars + target[1].chars]
+    return [(u, pow(u, -1, n)) for u in range(1, n) if math.gcd(u, n) == 1
+            and all(u * i % n == i % n for i in fixed)
+            and form.galois(u) == form]
 
-    The left side is sum A_T g(chi_T) with A_T = (-q)^dim coef over the
-    terms (coef, T) of its I-sum (_i_terms).  On the right each term
-    coef g(chi_T) of I_{W, eta lam}(b), times c = c_form and
-    prod conj(g(lam_i)) = prod lam_i(-1) g(lam_i^{-1}), folds into
-    B g(chi_T') through the Jacobi forms of pairs (gauss_form), which the
-    field bounds; a form of the whole product per twist would be cached
-    and never read again.  Equal maps T -> A_T and T -> B_T, zero entries
-    dropped, prove the sides equal; unequal ones do not prove them
-    different, as the g(chi_T) need not be independent over
-    Z[zeta_{q-1}]."""
+
+def _right_terms(system, algebra, target, lam, c_form):
+    """The fold of one twist: the right side at lam, sum B_T g(chi_T), as
+    the map T -> B_T, zero entries dropped.  Each term coef g(chi_T) of
+    I_{W, eta lam}(b), times c = F g(chi_{T_c}) and prod conj(g(lam_i)) =
+    prod lam_i(-1) g(lam_i^{-1}), folds into B g(chi_T') through Jacobi
+    forms of pairs (gauss_form), which the field bounds."""
     module_w, eta, b, _ = target
     form, t_c = c_form
     e = algebra.base_degree
-    q = system.tower.order(e)
-    left_chars, right_chars = _twisted(system, chi, eta, lam)
-    scale = (-q) ** algebra.dim()
-    left = {idx: coef * scale for coef, idx in
-            _i_terms(system, algebra, module, left_chars, a)}
     right = {}
     inv = [-lm.index for lm in lam.chars]
     sign = system.sign_at_neg_one(sum(lm.index for lm in lam.chars))
-    for coef, idx in _i_terms(system, algebra, module_w, right_chars, b):
+    for coef, idx in _i_terms(system, algebra, module_w,
+                              _twisted(system, eta, lam, 1), b):
         val, acc = form * coef * sign, t_c
         for x in [idx] + inv:
             c_x, acc = system.gauss_form(e, (acc, x))
             val = val * c_x
         right[acc] = right.get(acc, 0) + val
-    right = {idx: val for idx, val in right.items() if val}
+    return {idx: val for idx, val in right.items() if val}
+
+
+def _twist_by_forms(system, algebra, module, chi, a, lam, right):
+    """One twist of the moment identity on a split algebra in Jacobi form:
+    whether its sides are nonzero once they are proved equal, or None when
+    the comparison below proves nothing and the full products decide.
+
+    right is the map T -> B_T of the right side (_right_terms, or its
+    Galois transport in _sweep).  The left side is sum A_T g(chi_T) with
+    A_T = (-q)^dim coef over the terms (coef, T) of its I-sum (_i_terms).
+    Equal maps T -> A_T and T -> B_T, zero entries dropped, prove the
+    sides equal; unequal ones do not prove them different, as the g(chi_T)
+    need not be independent over Z[zeta_{q-1}]."""
+    e = algebra.base_degree
+    scale = (-system.tower.order(e)) ** algebra.dim()
+    left = {idx: coef * scale for coef, idx in _i_terms(
+        system, algebra, module, _twisted(system, chi, lam, -1), a)}
     if left != right:
         return None
     if len(left) > 1:
@@ -982,9 +997,16 @@ def _sweep(system, algebra, module, chi, a, depth):
     every factor has the base degree and c in Jacobi form is certified
     against the solution's c (_c_form), _twist_by_forms compares both
     sides term by term at order q^e - 1; a match proves the identity.
-    Every other twist, and every twist whose terms do not match, takes the
-    full products of the closed sides at order (q^e - 1) p
-    (_moment_sides), which decide it and record any failure.
+    There the right sides come along Galois orbits.  sigma_u for u in S
+    (_sweep_stabilizer) fixes zeta_p, chi, eta and c, and maps g(chi_x)
+    to g(chi_{ux}), so it takes the identity and the support at lam to
+    those at lam^u.  Only the representative r = min over u in S of
+    u idx(lam), which sorts first, is folded (_right_terms), and
+    lam = sigma_w(r) takes {w T: sigma_w(B_T)} from r's map T -> B_T.
+    Every other twist, every twist whose terms do not match, and every
+    twist whose representative's did not, takes the full products of the
+    closed sides at order (q^e - 1) p (_moment_sides), which decide it
+    and record any failure.
     """
     report = {"depth": depth, "checked": 0, "nonvanishing": 0,
               "failures": []}
@@ -997,16 +1019,32 @@ def _sweep(system, algebra, module, chi, a, depth):
         target = sol.transformed()
         report["checked"] += _nondegenerate_count(system.tower, alg_e.degrees)
         c_form = _c_form(system, alg_e, chi_e, sol)
+        if c_form is not None:
+            n = system.tower.group_order(alg_e.base_degree)
+            orbit = _sweep_stabilizer(system, alg_e, chi_e, target, c_form)
+        rights = {}  # a representative's right map, None if it failed
         for lam in _support(system, alg_e, mod_e, chi_e, target):
-            live = None if c_form is None else _twist_by_forms(
-                system, alg_e, mod_e, chi_e, a_e, target, lam, c_form)
+            idx = tuple(lm.index for lm in lam.chars)
+            live = None
+            if c_form is not None:
+                r, w = min((tuple(u * i % n for i in idx), v)
+                           for u, v in orbit)
+                if r == idx:
+                    right = _right_terms(system, alg_e, target, lam, c_form)
+                    live = _twist_by_forms(system, alg_e, mod_e, chi_e, a_e,
+                                           lam, right)
+                    rights[r] = None if live is None else right
+                elif rights.get(r) is not None:
+                    live = _twist_by_forms(
+                        system, alg_e, mod_e, chi_e, a_e, lam,
+                        {w * t % n: val.galois(w)
+                         for t, val in rights[r].items()})
             if live is None:
                 lhs, rhs = _moment_sides(system, alg_e, mod_e, chi_e, a_e,
                                          target, lam, "closed")
                 if lhs != rhs:
                     report["failures"].append(
-                        {"degree": alg_e.base_degree,
-                         "lams": [lm.index for lm in lam.chars]})
+                        {"degree": alg_e.base_degree, "lams": list(idx)})
                     continue
                 live = not lhs.is_zero()
             report["nonvanishing"] += live

@@ -191,10 +191,12 @@ def _a_value(system, degree, a, dd, chi, pos, neg, memo):
 
 def _gm_closed_form(system, degree, a, dd, chi, npos, nneg):
     q = system.tower.order(degree)
+    b = b_poly(npos, nneg).evaluate(q)
+    # b is 0 on a shape with no negative slot, and then takes no psi sum
+    psi = _psi_power_sum(system, degree, a, dd, chi) if b else 0
     if system.is_trivial(chi):
-        full = 1 + _psi_power_sum(system, degree, a, dd, chi)
-        return a_poly(npos, nneg).evaluate(q) + b_poly(npos, nneg).evaluate(q) * full
-    return b_poly(npos, nneg).evaluate(q) * _psi_power_sum(system, degree, a, dd, chi)
+        return a_poly(npos, nneg).evaluate(q) + b * (1 + psi)
+    return b * psi
 
 
 def stalk_trace_at_zero(system, datum: MonomialDatum):

@@ -61,6 +61,16 @@ def test_grid_function_shape_checks():
     assert f.codes(f.index((2, 3))) == (2, 3)
 
 
+def test_grid_equality_reads_the_field_size():
+    # ones over F_5^2 and F_7^2: the shorter grid must not decide
+    ones5, ones7 = (GridFunction(sys.tower, 1, 2, [cy.from_int(1)] * q * q)
+                    for sys, q in ((S5, 5), (S7, 7)))
+    assert ones5 != ones7 and ones7 != ones5
+    assert ones5 == GridFunction(S5.tower, 1, 2, [cy.from_int(1)] * 25)
+    assert hash(ones5) == hash(GridFunction(S5.tower, 1, 2,
+                                            [cy.from_int(1)] * 25))
+
+
 def test_rescale_args_and_negation():
     t = S5.tower
     f = GridFunction.build(t, 1, 1, lambda c: cy.from_int(c[0]))

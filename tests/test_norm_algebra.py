@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from itertools import product
 from types import SimpleNamespace
@@ -665,11 +666,13 @@ def _replaced(field):
         sol = solve(system, alg, mod, chi, a)
         t = system.tower
         e = alg.base_degree
-        eta, b, c = sol.characters, sol.b, sol.c
+        ranks, eta, b, c = sol.ranks, sol.characters, sol.b, sol.c
         if field == "c":
             c = -c
         elif field == "b":
             b = t.mul(e, b, t.generator(e))
+        elif field == "W":
+            ranks = (ranks[0] + 1,) + ranks[1:]
         else:
             # shifting eta_1 by an index prime to the lift step kills the
             # right root of every twist that had one
@@ -677,7 +680,7 @@ def _replaced(field):
             shifted = system.char_mul(first,
                                       system.character(first.degree, 1))
             eta = NormCharacter((shifted, *rest))
-        return na.NormSolution(sol.case, sol.ranks, eta, sol.nu, b, c,
+        return na.NormSolution(sol.case, ranks, eta, sol.nu, b, c,
                                sol.twist)
     return tampered
 
@@ -800,24 +803,54 @@ SWEEP_CASES = {
                                         (E2, S3.character(2, 1))),
 }
 
+SPLIT_CASES = {
+    **SWEEP_CASES,
+    # the two jobs of the sweep benchmark workload, at every drawn a
+    "job-monom-3-1-f7": SWEEP_CASES["monom-3-1-f7"],
+    "job-norm-2-f7": lambda: _norm_case(S7, (2,), (1,), (S7.trivial(2),)),
+    # even q, where lam(-1) = 1 for every lam, over the base F_4
+    "monom-1-1-f4": lambda: (S2, EtaleAlgebra(S2.tower, (2, 2), 2),
+                             VirtualModule((1, -1)), NormCharacter(
+                                 (S2.character(2, 1), S2.character(2, 2)))),
+}
 
-@pytest.mark.parametrize("name,tamper", [
-    *((name, None) for name in SWEEP_CASES),
-    *(("norm-21-f3", f) for f in ("c", "b", "eta", "W")),
-    *(("monom-3-1-f7", f) for f in ("c", "b", "eta", "W")),
-])
-def test_support_sweep_matches_every_twist(monkeypatch, name, tamper):
-    system, algebra, module, chi = SWEEP_CASES[name]()
+
+# (name, a, tamper): a tamper names a changed field of the transformed
+# target, and "sol-" + field the same change kept in a NormSolution, whose
+# c_form stays certified under an eta or W change, so that the Galois-orbit
+# route meets the changed data
+EVERY_TWIST_CASES = [
+    *((name, 1, None) for name in SPLIT_CASES),
+    *((name, a, None) for name in ("job-monom-3-1-f7", "job-norm-2-f7")
+      for a in range(2, 7)),
+    *(("norm-21-f3", 1, f) for f in ("c", "b", "eta", "W")),
+    *(("monom-3-1-f7", 1, f) for f in ("c", "b", "eta", "W")),
+    *((name, 1, "sol-" + f)
+      for name in ("monom-3-1-f7", "monom-4-2-f7", "monom-1-1-f7",
+                   "job-norm-2-f7", "monom-1-1-f4")
+      for f in ("c", "b", "eta", "W")),
+]
+
+
+@pytest.mark.parametrize("name,a,tamper", EVERY_TWIST_CASES, ids=[
+    f"{name}-{tamper}" if a == 1 else f"{name}-a{a}-{tamper}"
+    for name, a, tamper in EVERY_TWIST_CASES])
+def test_support_sweep_matches_every_twist(monkeypatch, name, a, tamper):
+    system, algebra, module, chi = SPLIT_CASES[name]()
     if tamper is not None:
-        monkeypatch.setattr(na, "solve_norm_transform", _tampered(tamper))
-    rep = na._sweep(system, algebra, module, chi, 1, 2)
-    assert rep == _every_twist_sweep(system, algebra, module, chi, 1, 2,
+        monkeypatch.setattr(na, "solve_norm_transform",
+                            _replaced(tamper[4:]) if tamper.startswith("sol-")
+                            else _tampered(tamper))
+    rep = na._sweep(system, algebra, module, chi, a, 2)
+    assert rep == _every_twist_sweep(system, algebra, module, chi, a, 2,
                                      "closed")
-    assert rep["checked"] == na.sweep_tuples(system.tower, algebra.degrees, 2)
+    if algebra.base_degree == 1:  # sweep_tuples reads algebras over F_q
+        assert rep["checked"] == na.sweep_tuples(system.tower,
+                                                 algebra.degrees, 2)
     assert rep["pass"] if tamper is None else rep["failures"]
     # the same report when every twist skips the Jacobi-form route
     monkeypatch.setattr(na, "_twist_by_forms", _defer)
-    assert na._sweep(system, algebra, module, chi, 1, 2) == rep
+    assert na._sweep(system, algebra, module, chi, a, 2) == rep
 
 
 @pytest.mark.parametrize("name", ["norm-2-f3", "monom-3-1-f7"])
@@ -885,18 +918,6 @@ def test_forced_fallback_keeps_pinned_sweep_reports(monkeypatch, tmp_path,
     assert calls
 
 
-SPLIT_CASES = {
-    **SWEEP_CASES,
-    # the two jobs of the sweep benchmark workload, at every drawn a
-    "job-monom-3-1-f7": SWEEP_CASES["monom-3-1-f7"],
-    "job-norm-2-f7": lambda: _norm_case(S7, (2,), (1,), (S7.trivial(2),)),
-    # even q, where lam(-1) = 1 for every lam, over the base F_4
-    "monom-1-1-f4": lambda: (S2, EtaleAlgebra(S2.tower, (2, 2), 2),
-                             VirtualModule((1, -1)), NormCharacter(
-                                 (S2.character(2, 1), S2.character(2, 2)))),
-}
-
-
 @pytest.mark.parametrize("name,a", [
     # monom-4-2-f7 has two terms per I-sum (d(V) = 2), and its degree-1
     # twists have prod lam_i(-1) = -1
@@ -953,6 +974,125 @@ def test_wrong_form_of_c_takes_the_full_route(monkeypatch):
     assert na._sweep(system, algebra, module, chi, 1, 2) == honest
     support = na._support(system, alg2, mod2, chi2, sol.transformed())
     assert calls.count(2) == len(support)
+
+
+# ---------------------------------------- the Galois-orbit route of a sweep
+
+
+def _reference_orbits(system, algebra, chi, sol, support):
+    """The orbits of the support twists under the units u mod q^e - 1 that
+    fix every index of chi and eta and T_c and the form of c, by that
+    definition; None when c has no certified form."""
+    c_form = na._c_form(system, algebra, chi, sol)
+    if c_form is None:
+        return None
+    form, t_c = c_form
+    n = system.tower.group_order(algebra.base_degree)
+    fixed = [t_c, *(ch.index for ch in chi.chars + sol.characters.chars)]
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1
+             and all((u - 1) * x % n == 0 for x in fixed)
+             and form.galois(u) == form]
+    return {frozenset(tuple(u * lm.index % n for lm in lam.chars)
+                      for u in units) for lam in support}
+
+
+def _route_counter(monkeypatch):
+    """Log (degree, lam) of every fold (_right_terms) and every term
+    comparison (_twist_by_forms) of a sweep."""
+    folds, compared = [], []
+    right_terms, twist_by_forms = na._right_terms, na._twist_by_forms
+
+    def fold(system, algebra, target, lam, c_form):
+        folds.append((algebra.base_degree, lam))
+        return right_terms(system, algebra, target, lam, c_form)
+
+    def compare(system, algebra, module, chi, a, lam, right):
+        compared.append((algebra.base_degree, lam))
+        return twist_by_forms(system, algebra, module, chi, a, lam, right)
+    monkeypatch.setattr(na, "_right_terms", fold)
+    monkeypatch.setattr(na, "_twist_by_forms", compare)
+    return folds, compared
+
+
+# folds per job at every drawn a: e = 1 has the stabilizer {1}, and the
+# norm job's e = 1 is not split
+ORBIT_FOLDS = {"job-monom-3-1-f7": {1: 3, 2: 12}, "job-norm-2-f7": {2: 9}}
+
+
+@pytest.mark.parametrize("name,a,tamper", [
+    *((name, a, None) for name in ORBIT_FOLDS for a in range(1, 7)),
+    # a shifted eta_1 is fixed by u = 1 only, so every twist is folded
+    ("job-monom-3-1-f7", 1, "eta"),
+])
+def test_orbit_route_folds_one_twist_per_orbit(monkeypatch, name, a,
+                                               tamper):
+    system, algebra, module, chi = SPLIT_CASES[name]()
+    if tamper is not None:
+        monkeypatch.setattr(na, "solve_norm_transform", _replaced(tamper))
+    folds, compared = _route_counter(monkeypatch)
+    sides = _split_sides_counter(monkeypatch)
+    rep = na._sweep(system, algebra, module, chi, a, 2)
+    assert rep["pass"] == (tamper is None)
+    for e in (1, 2):
+        data = (base_change(system, algebra, e),
+                extend_module(system, algebra, module, e),
+                extend_character(system, algebra, chi, e),
+                extend_scalar(system, algebra, a, e))
+        sol = na.solve_norm_transform(system, *data)
+        support = na._support(system, *data[:3], sol.transformed())
+        orbits = _reference_orbits(system, data[0], data[2], sol, support)
+        folded = [lam for d, lam in folds if d == e]
+        if orbits is None:
+            assert folded == []
+            continue
+        # one fold in each orbit
+        hit = {o for lam in folded for o in orbits
+               if tuple(lm.index for lm in lam.chars) in o}
+        assert len(folded) == len(orbits) == len(hit)
+        if tamper is None:
+            assert len(folded) == ORBIT_FOLDS[name][e]
+            # every support twist, in support order, one comparison each
+            assert [lam for d, lam in compared if d == e] == support
+    if tamper is None:
+        assert sides == []
+    else:
+        assert len(folds) == len(compared) == len(sides)
+
+
+def test_sweep_stabilizer_is_its_definition():
+    # on solver data the eta and form conditions follow from the chi and
+    # T_c ones, so the helper is also checked on data no solver gives
+    rng = random.Random(7)
+    for system, d in ((S7, 2), (S5, 2), (S7, 1)):
+        n = system.tower.group_order(d)
+        algebra = EtaleAlgebra(system.tower, (d, d), d)
+        for _ in range(40):
+            step = n // rng.choice([x for x in range(1, n + 1) if n % x == 0])
+            chi, eta = (NormCharacter(tuple(
+                system.character(d, step * rng.randrange(n))
+                for _ in range(2))) for _ in range(2))
+            t_c = step * rng.randrange(n)
+            form = cy.root(n, rng.randrange(n)) * rng.choice([1, -3, 7])
+            got = na._sweep_stabilizer(system, algebra, chi,
+                                       (None, eta, None, None), (form, t_c))
+            want = [u for u in range(1, n) if math.gcd(u, n) == 1
+                    and all((u - 1) * x.index % n == 0
+                            for x in chi.chars + eta.chars)
+                    and (u - 1) * t_c % n == 0
+                    and form.galois(u) == form]
+            assert [u for u, _ in got] == want
+            assert all(u * v % n == 1 for u, v in got)
+    # a unit that fixes every index but moves the form is left out
+    n = S7.tower.group_order(2)
+    zero = NormCharacter((S7.character(2, 0),) * 2)
+    assert na._sweep_stabilizer(S7, EtaleAlgebra(S7.tower, (2, 2), 2), zero,
+                                (None, zero, None, None),
+                                (cy.root(n, 1), 0)) == [(1, 1)]
+    # and so is one that fixes chi and T_c but moves eta
+    eta = NormCharacter((S7.character(2, 1), S7.character(2, 0)))
+    assert na._sweep_stabilizer(S7, EtaleAlgebra(S7.tower, (2, 2), 2), zero,
+                                (None, eta, None, None),
+                                (cy.from_int(1), 0)) == [(1, 1)]
 
 
 # --------------------------------------------------------- split agreement

@@ -37,5 +37,6 @@ def test_kernel_probe_runs_optimized():
     rows = [line.split() for line in lines[1:]]
     assert [row[0] for row in rows] == [
         "transform_F13_cubic", "i_direct_F9x3", "ratio_F7_2fold",
-        "sweep_tuple_F49", "identity_F169_hd12", "import_charsum"]
+        "sweep_tuple_F49", "sweep_orbit_F49",
+        "identity_F169_hd12", "import_charsum"]
     assert all(len(row) == 2 and float(row[1]) > 0 for row in rows)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charsum.cyclotomic as cy
+import charsum.stalk_traces as stm
 from charsum.characters import CharSystem
-from charsum.errors import SchemaError
+from charsum.errors import InternalCheckError, SchemaError
 from charsum.field_tower import build_tower
 from charsum.stalk_traces import (
     MonomialDatum,
@@ -194,6 +195,32 @@ def test_stalk_matches_closed_form_on_uniform_shapes(p):
                         dat = MonomialDatum(1, exps, cs, a)
                         got = stalk_trace_at_zero(sys, dat)
                         assert got == _closed_form(sys, npos, nneg, d, eta, a)
+
+
+@pytest.mark.parametrize("exps", [(2,), (1, -1), (1, 1, -1), (3, 3)])
+def test_closed_form_check_catches_a_wrong_recursion(monkeypatch, exps):
+    # each +/-D shape is checked against the closed form, with b = 0 (no
+    # negative slot) as well as without
+    recursion = stm._a_value
+    monkeypatch.setattr(stm, "_a_value", lambda *args: recursion(*args) + 1)
+    dat = MonomialDatum(1, exps, (S7.trivial(1),) * len(exps), 3)
+    with pytest.raises(InternalCheckError):
+        stalk_trace_at_zero(S7, dat)
+
+
+def test_trace_grid_sums_psi_only_where_the_value_needs_it(monkeypatch):
+    # b(1, 0) = 0, so the closed-form checks of the six axis stalks (3) of
+    # the (3, -1) grid sum nothing; the one psi sum left is the origin's
+    # recursion on (3, -1)
+    calls = []
+    inner = stm._psi_power_sum
+    monkeypatch.setattr(stm, "_psi_power_sum",
+                        lambda *args: calls.append(args) or inner(*args))
+    e3 = S7.char_of_order(1, 3)
+    dat = MonomialDatum(1, (3, -1), (S7.trivial(1), e3), 1)
+    assert gm_trace_function(S7, dat).value((0, 0)) == S7.gauss_sum(
+        S7.char_inv(e3))
+    assert len(calls) == 1
 
 
 def test_stalk_extension_field():
