@@ -14,6 +14,7 @@ from charsum.identity_engine import (
     find_violation,
     predicted_divisor,
     verify_monomial_identity,
+    verify_norm_identity,
 )
 from charsum.monomial_fourier import (
     GridFunction,
@@ -37,7 +38,6 @@ from charsum.norm_algebra import (
     gauss_sum_algebra,
     solve_norm_transform,
     sweep_norm_moments,
-    verify_norm_identity,
     verify_norm_moments,
 )
 from charsum.stalk_traces import (

@@ -18,7 +18,7 @@ Gauss sums of one degree into its Jacobi form C g(T) (gauss_form), with T
 the product character and C in Z[zeta_{q^d-1}], phi(q^d - 1) wide against
 phi((q^d - 1) p) for the Gauss sums.  The identity check compares Jacobi
 forms and cancels a common g(T); product_of_gauss stays the direct
-product, which certifies each recorded form once (norm_algebra._prepare).
+product, which certifies each recorded form once (identity_engine._prepare).
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ class CharSystem:
         # base degree d, shared by the I-sums and the identity records
         self._split_algebras: dict = {}
         # (GammaMonomial, degree) or (algebra, module, chi) ->
-        # norm_algebra.IdentityRecord: what its identity needs that does
+        # identity_engine.IdentityRecord: what its identity needs that does
         # not depend on the twisting character
         self._identity_records: dict = {}
         # (id of a record, twisted multisets, k) -> (record, m): the
-        # identity check's memo (norm_algebra._identity_exponent)
+        # identity check's memo (identity_engine._identity_exponent)
         self._identity_memo: dict = {}
 
     # ---- the character group at each degree

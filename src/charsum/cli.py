@@ -29,13 +29,12 @@ from .divisor_calc import injectivity_probe, probe_size
 from .errors import InternalCheckError, SchemaError, SizeBoundError
 from .field_tower import FieldTower
 from .identity_engine import GammaMonomial, check_terms, find_violation, \
-    verify_monomial_identity
+    verify_monomial_identity, verify_norm_identity
 from .monomial_fourier import GridFunction, MonomialDatum, \
     check_monomial_datum, solve_monomial_transform, sweep_twisted_moments
 from .norm_algebra import EtaleAlgebra, NormCharacter, VirtualModule, \
     check_norm_data, module_divisor, \
-    solve_norm_transform, sweep_norm_moments, sweep_tuples, \
-    verify_norm_identity
+    solve_norm_transform, sweep_norm_moments, sweep_tuples
 from .stalk_traces import check_triple, gm_trace_function, \
     has_trace_function, stalk_trace_at_zero, verify_binomial_identities
 
@@ -293,7 +292,7 @@ def _monom(payload, opts):
     system = _system(payload)
     datum = _datum(system, payload, _as_int(payload, "a"))
     depth = _depth(payload, opts, minimum=1)
-    return (sweep_tuples(system.tower, (1,) * datum.k, depth),
+    return (sweep_tuples(EtaleAlgebra(system.tower, (1,) * datum.k), depth),
             lambda: _monom_cases(system, datum, depth))
 
 
@@ -375,7 +374,7 @@ def _norm(payload, opts):
     a = _as_int(payload, "a")
     check_norm_data(system, algebra, module, chi, a)
     depth = _depth(payload, opts, minimum=1)
-    return (sweep_tuples(system.tower, degrees, depth),
+    return (sweep_tuples(algebra, depth),
             lambda: _norm_cases(system, algebra, module, chi, a, depth))
 
 

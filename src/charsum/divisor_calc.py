@@ -1,10 +1,12 @@
 """Divisors on Q/Z and the symbol calculus that maps onto them.
 
 A Divisor is a finite Z-linear combination of points of Q/Z, stored as
-Fractions normalized to [0, 1).  SymbolSum is a formal Z-module on symbols
-(s, n) at level N, with s in Z/N and n a positive width; the symbol stands
-for the divisor of the n division points above s/(nN), which only depends on
-s mod N.  Symbols satisfy the expansion relation
+Fractions normalized to [0, 1).  divisor_fold is the one fold of weighted
+division-point divisors of characters, read by the identity route, the
+module divisor and the transform solver.  SymbolSum is a formal Z-module on
+symbols (s, n) at level N, with s in Z/N and n a positive width; the symbol
+stands for the divisor of the n division points above s/(nN), which only
+depends on s mod N.  Symbols satisfy the expansion relation
 
     (d*s, d*n) = sum_{i<d} (s + i*N/d, n)      for d | N,
 
@@ -95,6 +97,26 @@ def divisor_of_char_power(point: Fraction, n: int) -> Divisor:
         pt = frac_mod1(Fraction(Fraction(point) + i, n))
         pts[pt] = pts.get(pt, 0) + 1
     return Divisor(pts)
+
+
+def divisor_fold(terms) -> Divisor:
+    """The sum over the terms (a, N, n, w) of w divisor_of_char_power(a/N,
+    n), a/N being the point of the character of index a among N.
+
+    The term has the |n| division points (sign(n) a + i N) / (|n| N) mod 1,
+    i < |n|, each with multiplicity w sign(n); n = 0 adds none.  Every
+    point is summed as an integer numerator over L = lcm |n| N, and only
+    the points that survive become Fractions."""
+    terms = [term for term in terms if term[2]]
+    den = math.lcm(*(abs(n) * size for _, size, n, _ in terms))
+    pts: dict[int, int] = {}
+    for a, size, n, w in terms:
+        sign, width = (1, n) if n > 0 else (-1, -n)
+        step = den // (width * size)
+        for i in range(width):
+            x = (sign * a + i * size) * step % den
+            pts[x] = pts.get(x, 0) + sign * w
+    return Divisor({Fraction(x, den): c for x, c in pts.items() if c})
 
 
 class SymbolSum:

@@ -8,10 +8,12 @@ rank n_i to each factor; attached to it are the determinant homomorphism
     det_V : k^* -> F_{q^e}^* : (x_i) |-> prod Nm(x_i)^{n_i},
 
 the scale p(V) = prod n_i^{n_i d_i} (d_i = D_i/e), the index d(V) = gcd n_i,
-and the weighted divisor sum_i d_i D_{chi_i, n_i}.  On top of that sit the
-algebra Gauss-sum identity (verify_norm_identity), the determinant-twisted
-sums I_{V,lam}(a) in direct and closed form, and the transform solver for
-modules of rank 2 or 0 with its moment verifier and sweep.  The closed
+and the weighted divisor sum_i d_i D_{chi_i, n_i} (divisor_fold).  On top
+of that sit the algebra Gauss sum, the determinant-twisted sums I_{V,lam}(a)
+in direct and closed form, and the transform solver for modules of rank 2
+or 0 with its moment verifier and sweep.  The algebra Gauss-sum identity
+(verify_norm_identity) is checked in identity_engine with the monomial
+identities; that module reads this one, never the reverse.  The closed
 I-sum is a short sum of Gauss sums (_i_terms); _sweep says which twists
 the sweep evaluates, by which of its two routes, and how the Jacobi-form
 route folds one twist per Galois orbit.
@@ -32,8 +34,8 @@ from . import cyclotomic as cy
 from ._intutil import group_ring_fold, solve_congruences
 from ._value import Value
 from .characters import CharSystem, MultCharacter
-from .cyclotomic import CycloValue, q_power_ratio
-from .divisor_calc import Divisor, divisor_of_char_power, frac_mod1
+from .cyclotomic import CycloValue
+from .divisor_calc import Divisor, divisor_fold
 from .errors import InternalCheckError, SchemaError, SizeBoundError
 
 DEFAULT_TERM_BOUND = 1 << 26
@@ -45,7 +47,7 @@ __all__ = [
     "MonomialDatum", "check_exponents", "check_norm_data", "rk",
     "d_of", "p_of", "module_divisor",
     "is_nondegenerate", "iter_nondegenerate", "gauss_sum_algebra",
-    "verify_norm_identity", "i_norm_direct", "i_norm_closed",
+    "i_norm_direct", "i_norm_closed",
     "solve_norm_transform", "verify_norm_moments", "sweep_norm_moments",
     "sweep_tuples", "base_change", "extend_module", "extend_character",
     "extend_scalar", "as_monomial_datum",
@@ -218,17 +220,15 @@ def module_divisor(system: CharSystem, algebra: EtaleAlgebra,
     """Weighted divisor sum_i d_i * (divisor of the n_i-th power points of
     chi_i); zero-rank factors contribute nothing."""
     check_norm_data(system, algebra, module, chi)
-    return _weighted_divisor(system, algebra, chi, module)
+    return divisor_fold(_divisor_terms(system, algebra, chi, module))
 
 
-def _weighted_divisor(system, algebra, chi, module):
-    """module_divisor on validated data."""
-    total = Divisor()
-    for ch, n, d in zip(chi.chars, module.ranks, algebra.rel_degrees()):
-        if n == 0:
-            continue
-        total = total + divisor_of_char_power(system.char_point(ch), n).scale(d)
-    return total
+def _divisor_terms(system, algebra, chi, module):
+    """The divisor_fold terms of sum_i d_i D_{chi_i, n_i}, with weight
+    d_i = D_i/e on factor i."""
+    t = system.tower
+    return [(ch.index, t.group_order(ch.degree), n, d) for ch, n, d in
+            zip(chi.chars, module.ranks, algebra.rel_degrees())]
 
 
 def is_nondegenerate(system: CharSystem, chi: NormCharacter) -> bool:
@@ -291,220 +291,6 @@ def gauss_sum_algebra(system: CharSystem, algebra: EtaleAlgebra,
             counts[((charge + c) % span * p
                     + psi[add(e, tr, tr_l)] * span) % order] += 1
     return cy.from_root_counts(order, counts)
-
-
-def verify_norm_identity(system: CharSystem, algebra: EtaleAlgebra,
-                         module: VirtualModule, chi: NormCharacter,
-                         lam: MultCharacter) -> int:
-    """Exponent m with g((lam o det_V) chi) = q^m lam(p(V)) g(chi).
-
-    q is the base field size.  Requires the module divisor of chi to
-    vanish.  When every twisted factor character is nontrivial, checks
-    2m = sum of d_i over the factors with chi_i trivial.  The record of
-    (algebra, module, chi) is built and certified once per system.
-    """
-    key = (algebra, module, chi)
-    rec = system._identity_records.get(key)
-    if rec is None:
-        rec = system._identity_records[key] = _prepare(
-            system, algebra, module, chi)
-    if lam.degree != rec.base:
-        raise SchemaError(
-            f"twisting character of degree {lam.degree} on base degree "
-            f"{rec.base}")
-    if not rec.zero:
-        raise SchemaError(
-            "module carries a nonzero divisor; no identity is predicted")
-    return _identity_exponent(system, rec, lam)
-
-
-class IdentityRecord(Value):
-    """The part of the norm identity of (algebra, module, chi) that does not
-    depend on the twisting character lam, built by _prepare.
-
-    Each factor is (D_i, n_i, n_i s_i, index of chi_i, |F_{q^{D_i}}^*|),
-    with s_i = |F_{q^{D_i}}^*| / |F_{q^e}^*|, so that (lam o det_V) chi has
-    index (lam.index n_i s_i + index of chi_i) mod |F_{q^{D_i}}^*| on
-    factor i.  forms holds, per factor degree D ascending, (D, the
-    positions of the factors of degree D, C, T) with C g(chi_T) the Jacobi
-    form (CharSystem.gauss_form) of the product of g(chi_i) over those
-    factors.  On a split record (every D_i = e) orbit holds the pairs
-    (u, u^-1 mod q^e - 1) over the stabilizer S of the multiset of
-    (index of chi_i, n_i) under multiplication by units u, when S is not
-    {1}, and period the least t0 | q^e - 1 whose translation
-    (index of chi_i) -> (index of chi_i) + t0 n_i fixes that multiset, so
-    that lam and lam chi_{t0} have one twisted multiset: for the
-    Hasse-Davenport monomial of n, t0 = (q^e - 1)/n and the translation is
-    lam -> lam eps.  _orbit_form reads both.  The last five fields are
-    None unless the divisor vanishes.  A Value; the fields are not to be
-    reassigned.
-    """
-
-    __slots__ = (
-        "zero",  # the module divisor vanishes
-        "base",  # e, the degree of lam
-        "size",  # q^e
-        "factors",
-        "p_log",  # discrete log of p(V) in F_{q^e}^*
-        "forms",  # g(chi) = prod over forms of C g(chi_T)
-        "trivial_weight",  # sum of d_i over the trivial chi_i
-        "orbit",  # the stabilizer S as (u, u^-1) pairs
-        "period",  # t0: the twisted multisets of idx and idx + t0 agree
-    )
-
-
-def _prepare(system, algebra, module, chi, zero=None):
-    """Validate (algebra, module, chi) once and build its IdentityRecord.
-
-    zero is whether the module divisor vanishes, when the caller has it;
-    otherwise it is computed here.  p(V), its log and the Jacobi forms of
-    g(chi) are only computed when it vanishes, as only then is an identity
-    predicted.  The forms are certified once, as an exact ring equality
-    with the direct product product_of_gauss(chi), so a wrong Gauss or
-    Jacobi sum raises InternalCheckError here.
-    """
-    check_norm_data(system, algebra, module, chi)
-    if zero is None:
-        zero = _weighted_divisor(system, algebra, chi, module).is_zero()
-    t = system.tower
-    e = algebra.base_degree
-    factors = tuple((deg, n, n * (t.group_order(deg) // t.group_order(e)),
-                     ch.index, t.group_order(deg))
-                    for ch, n, deg in zip(chi.chars, module.ranks,
-                                          algebra.degrees))
-    p_log = forms = trivial_weight = orbit = period = None
-    if zero:
-        p_log = t.log(e, _scale(system, algebra, module))
-        forms = []
-        g_chi = cy.from_int(1)
-        for deg in sorted(set(algebra.degrees)):
-            pos = tuple(i for i, d in enumerate(algebra.degrees) if d == deg)
-            c, tt = system.gauss_form(deg, [chi.chars[i].index for i in pos])
-            forms.append((deg, pos, c, tt))
-            g_chi = g_chi * c * system.gauss_sum(MultCharacter(deg, tt))
-        if g_chi != system.product_of_gauss(chi.chars):
-            raise InternalCheckError(
-                "Jacobi form of g(chi) differs from the Gauss-sum product")
-        forms = tuple(forms)
-        trivial_weight = sum(d * system.is_trivial(ch) for ch, d in
-                             zip(chi.chars, algebra.rel_degrees()))
-        if set(algebra.degrees) == {e}:  # split
-            orbit = _stabilizer(factors, t.group_order(e))
-            period = _period(factors, t.group_order(e))
-    return IdentityRecord(zero, e, t.order(e), factors, p_log, forms,
-                          trivial_weight, orbit, period)
-
-
-def _stabilizer(factors, n):
-    """The pairs (u, u^-1 mod n) over the units u mod n with
-    u {(c_i, n_i)} = {(c_i, n_i)} as multisets, c_i the index of chi_i;
-    None when only u = 1 does so."""
-    want = sorted((c % n, r) for _, r, _, c, _ in factors)
-    pairs = tuple((u, pow(u, -1, n)) for u in range(1, n)
-                  if math.gcd(u, n) == 1
-                  and sorted([(u * c % n, r) for c, r in want]) == want)
-    return pairs if len(pairs) > 1 else None
-
-
-def _period(factors, n):
-    """The least t | n with {(n_i, c_i + t n_i)} = {(n_i, c_i)} as
-    multisets mod n, c_i the index of chi_i.  The t that qualify are its
-    multiples, and a twist by chi_t permutes the twisted indices."""
-    want = sorted((r, c % n) for _, r, _, c, _ in factors)
-    return next(t for t in range(1, n + 1) if n % t == 0
-                and sorted([(r, (c + t * r) % n) for r, c in want]) == want)
-
-
-def _twisted_indices(rec: IdentityRecord, idx: int) -> list[int]:
-    """Index of (chi_idx o det_V) chi on each factor, by integer
-    arithmetic."""
-    return [(idx * step + c) % n for _, _, step, c, n in rec.factors]
-
-
-def _orbit_form(system, rec, idx, deg, indices):
-    """gauss_form(deg, indices) for the sorted multiset of lam = chi_idx's
-    twisted indices on the factors of degree deg.
-
-    On a miss, a record with an orbit folds one lam per orbit of
-    idx -> u idx + t, u in S and t in t0 Z (t0 the record's period): the
-    representative r = min over u in S of u idx mod t0.  Then
-    idx = w r + t with w in S.  The translation leaves the twisted
-    multiset as it is, and w {(c_i, n_i)} = {(c_i, n_i)} makes it w times
-    r's, so lam's form is (galois(w) of C_r, w T_r), or r's own form when
-    w = 1.  It is cached as the multiset's form."""
-    if rec.orbit is None:
-        return system.gauss_form(deg, indices)
-    form = system._form_cache.get((deg, indices))
-    if form is None:
-        t0 = rec.period
-        idx %= t0
-        r, w = min((u * idx % t0, v) for u, v in rec.orbit)
-        c, t = system.gauss_form(deg, _twisted_indices(rec, r))
-        form = (c, t) if w == 1 else (c.galois(w), w * t % (rec.size - 1))
-        system._form_cache[deg, indices] = form
-    return form
-
-
-def _identity_exponent(system, rec, lam):
-    """verify_norm_identity for lam on the record of data with a vanishing
-    divisor; the monomial identities of identity_engine run here on the
-    records of split algebras.
-
-    The identity is checked in Jacobi form.  Per factor degree D, the
-    twisted Gauss sums fold into C' g(T') against the recorded C g(T) of
-    g(chi).  On a split record with a stabilizer S, C' g(T') comes by the
-    orbit route (_orbit_form): only the representative r of lam's orbit
-    under idx -> u idx + t (u in S, t a multiple of the record's period)
-    is folded by Jacobi sums.  A translation leaves the twisted multiset
-    as it is, as lam -> lam eps does on a Hasse-Davenport monomial, and
-    lam = chi_{wr + t} takes (sigma_w C_r, w T_r) by the Galois law
-    sigma_w J(a, b) = J(wa, wb).
-    Its sigma_w fixes zeta_p, as it must to map g(chi_a) to g(chi_{wa});
-    the forms lie in Z[zeta_{q^e-1}], which holds no zeta_p, so there it
-    is CycloValue.galois(w).  Other records take CharSystem.gauss_form.
-
-    Where T' = T the common g(T) is nonzero and cancels exactly, so only
-    the narrow C', C in Z[zeta_{q^D-1}] are multiplied and compared;
-    otherwise both sides take their own Gauss sum.  This happens only on
-    algebras of mixed factor degrees: on one degree a vanishing divisor
-    forces the ranks to sum to 0, so lam's twists cancel in T'.  The
-    right side also takes lam(p(V)) = zeta^k, k = idx(lam) log p(V), from
-    the recorded log.  Then the q-power ratio of the full coefficient
-    vectors and the parity clause.  The recorded forms were certified
-    against the direct Gauss-sum product by _prepare.
-
-    So per lam there run the index twist, the comparison and the parity
-    clause.  Their inputs are the record, the twisted multiset per degree
-    and k, and m is memoised on the system under exactly that key: a lam
-    that repeats all three reads m, and every other lam runs the
-    comparison."""
-    twisted = _twisted_indices(rec, lam.index)
-    k = lam.index * rec.p_log % (rec.size - 1)
-    sets = tuple(tuple(sorted(twisted[i] for i in pos))
-                 for _, pos, _, _ in rec.forms)
-    # the record is held in the value, so its id names no other record
-    key = (id(rec), sets, k)
-    hit = system._identity_memo.get(key)
-    if hit is not None:
-        return hit[1]
-    lhs = cy.from_int(1)
-    rhs = cy.root(rec.size - 1, k)
-    for (deg, _, c, tt), indices in zip(rec.forms, sets):
-        c_lam, t_lam = _orbit_form(system, rec, lam.index, deg, indices)
-        lhs = lhs * c_lam
-        rhs = rhs * c
-        if t_lam != tt:
-            lhs = lhs * system.gauss_sum(MultCharacter(deg, t_lam))
-            rhs = rhs * system.gauss_sum(MultCharacter(deg, tt))
-    m = q_power_ratio(lhs, rhs, rec.size)
-    if m is None:
-        raise InternalCheckError(
-            "zero-divisor data produced a non-power Gauss-sum ratio")
-    if all(twisted) and 2 * m != rec.trivial_weight:
-        raise InternalCheckError(
-            f"parity clause fails: 2*{m} != {rec.trivial_weight}")
-    system._identity_memo[key] = (rec, m)
-    return m
 
 
 # ------------------------------------------------- determinant-twisted sums
@@ -652,13 +438,6 @@ class NormSolution(Value):
         return VirtualModule(self.ranks), self.characters, self.b, self.c
 
 
-def _single_point(div: Divisor):
-    pts = div.points()
-    if len(pts) != 1 or pts[0][1] != 1:
-        return None
-    return pts[0][0]
-
-
 def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
                          module: VirtualModule, chi: NormCharacter,
                          a: int) -> NormSolution:
@@ -666,8 +445,9 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
     assemble the transformed module datum with its constant.
 
     The equation (0) +/- (point of nu^{-1}) = sum_i d_i D_{chi_i^{-1}, n_i}
-    pins nu uniquely; the scale relations are a*b = -1/p(V) in case 1 and
-    a/b = 1/p(V) in case 2.
+    pins nu uniquely; with every point negated it reads
+    (0) +/- (point of nu) = sum_i d_i D_{chi_i, n_i}.  The scale relations
+    are a*b = -1/p(V) in case 1 and a/b = 1/p(V) in case 2.
     """
     check_norm_data(system, algebra, module, chi, a)
     for ch, n in zip(chi.chars, module.ranks):
@@ -691,13 +471,13 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
     if case == 1 and dv == 2 and t.p == 2:
         raise SchemaError("rank gcd 2 needs odd q")
 
-    inv_chi = NormCharacter(tuple(system.char_inv(ch) for ch in chi.chars))
-    rhs = _weighted_divisor(system, algebra, inv_chi, module)
-    origin = Divisor({Fraction(0): 1})
-    rest = rhs - origin if case == 1 else origin - rhs
-    r = _single_point(rest)
-    if r is None:
+    # the negated equation less the origin, one fold: (r) in case 1 and
+    # -(r) in case 2, with r the point of nu
+    pts = divisor_fold(_divisor_terms(system, algebra, chi, module)
+                       + [(0, 1, 1, -1)]).points()
+    if len(pts) != 1 or pts[0][1] != (1 if case == 1 else -1):
         raise SchemaError("divisor equation has no mediating character")
+    [(r, _)] = pts
     if case == 1 and dv == 2 and r != Fraction(1, 2):
         raise SchemaError("rank gcd 2 requires the order-2 character")
     if case == 2 and dv != 1 and r != 0:
@@ -705,7 +485,7 @@ def solve_norm_transform(system: CharSystem, algebra: EtaleAlgebra,
     if (q - 1) % r.denominator:
         raise SchemaError(
             f"mediating point {r} is not realized over the base field F_{q}")
-    nu = system.char_from_point(e, frac_mod1(-r))
+    nu = system.char_from_point(e, r)
 
     pv = _scale(system, algebra, module)
     if case == 1:
@@ -856,12 +636,14 @@ def extend_scalar(system: CharSystem, algebra: EtaleAlgebra,
     return system.tower.embed(eb, deg, a)
 
 
-def sweep_tuples(tower, degrees, depth) -> int:
-    """Twists a moment sweep to depth checks on the algebra over F_q with
-    these factor degrees: at each e <= depth, the non-degenerate characters
-    of the base-changed algebra.  Reads field sizes only; builds no level."""
-    return sum(_nondegenerate_count(
-        tower, [deg for deg, _ in _copies(degrees, 1, e, degrees)])
+def sweep_tuples(algebra: EtaleAlgebra, depth: int) -> int:
+    """Twists a moment sweep to depth checks on the algebra, its checked
+    count: at each e <= depth, the non-degenerate characters of the
+    algebra base-changed by e over its own base field.  Reads field sizes
+    only; builds no level."""
+    return sum(_nondegenerate_count(algebra.tower, [
+        deg for deg, _ in _copies(algebra.degrees, algebra.base_degree, e,
+                                  algebra.degrees)])
         for e in range(1, depth + 1))
 
 

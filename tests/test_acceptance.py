@@ -24,6 +24,7 @@ from charsum.identity_engine import (
     find_violation,
     predicted_divisor,
     verify_monomial_identity,
+    verify_norm_identity,
 )
 from charsum.monomial_fourier import (
     MonomialDatum,
@@ -45,7 +46,6 @@ from charsum.norm_algebra import (
     module_divisor,
     solve_norm_transform,
     sweep_norm_moments,
-    verify_norm_identity,
     verify_norm_moments,
 )
 from charsum.stalk_traces import (

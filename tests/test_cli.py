@@ -683,10 +683,10 @@ def test_forced_galois_breach_exits_4_under_optimize(tmp_path):
 
 _WRONG_PERIOD = """
 import sys
-import charsum.norm_algebra as na
+import charsum.identity_engine as ie
 from charsum.cli import main
 assert False, "asserts must be stripped"
-na._period = lambda factors, n: 1
+ie._period = lambda factors, n: 1
 sys.exit(main(["--job", sys.argv[1]]))
 """
 

@@ -17,13 +17,13 @@ from charsum.errors import InternalCheckError, SchemaError
 from charsum.field_tower import build_tower
 from charsum.identity_engine import (
     GammaMonomial,
+    IdentityRecord,
     find_violation,
     predicted_divisor,
     verify_monomial_identity,
 )
 from charsum.monomial_fourier import MonomialDatum, solve_monomial_transform
-from charsum.norm_algebra import (EtaleAlgebra, IdentityRecord,
-                                  VirtualModule, p_of)
+from charsum.norm_algebra import EtaleAlgebra, VirtualModule, p_of
 
 F = Fraction
 
@@ -467,8 +467,8 @@ def test_transported_forms_match_fresh_gauss_forms(monkeypatch):
     # gauss_form of the same multiset on a fresh system, in value and T;
     # and the comparison runs once per distinct (record, multisets, k)
     used, ratios, galois_calls = [], [], []
-    orbit_form = na._orbit_form
-    q_power = na.q_power_ratio
+    orbit_form = ie._orbit_form
+    q_power = ie.q_power_ratio
     galois = CycloValue.galois
 
     def recording(system, rec, idx, deg, indices):
@@ -476,8 +476,8 @@ def test_transported_forms_match_fresh_gauss_forms(monkeypatch):
         used.append((system.tower.p, deg, indices, form))
         return form
 
-    monkeypatch.setattr(na, "_orbit_form", recording)
-    monkeypatch.setattr(na, "q_power_ratio", lambda *args: ratios.append(
+    monkeypatch.setattr(ie, "_orbit_form", recording)
+    monkeypatch.setattr(ie, "q_power_ratio", lambda *args: ratios.append(
         args) or q_power(*args))
     monkeypatch.setattr(CycloValue, "galois", lambda v, a: galois_calls.append(
         a) or galois(v, a))
@@ -487,7 +487,7 @@ def test_transported_forms_match_fresh_gauss_forms(monkeypatch):
             for idx in range(sys.tower.group_order(d)):
                 verify_monomial_identity(sys, mono, sys.character(d, idx))
                 rec = sys._identity_records[mono, d]
-                keys.add((tuple(sorted(na._twisted_indices(rec, idx))),
+                keys.add((tuple(sorted(ie._twisted_indices(rec, idx))),
                           idx * rec.p_log % (rec.size - 1)))
             assert len(ratios) == len(keys), (mono, d)
             ratios.clear()
@@ -583,14 +583,14 @@ def test_memo_keys_on_lam_of_p_V():
     # second must still run its comparison, and fail, in either order
     for order in ((0, 1), (1, 0)):
         sys = system(3)
-        rec = na._prepare(sys, EtaleAlgebra(sys.tower, (1, 1)),
+        rec = ie._prepare(sys, EtaleAlgebra(sys.tower, (1, 1)),
                           VirtualModule((1, -1)),
                           na.NormCharacter((sys.trivial(1),
                                             sys.character(1, 1))), True)
         for idx in order:
             if idx:
                 with pytest.raises(InternalCheckError, match="non-power"):
-                    na._identity_exponent(sys, rec, sys.character(1, idx))
+                    ie._identity_exponent(sys, rec, sys.character(1, idx))
             else:
-                assert na._identity_exponent(sys, rec,
+                assert ie._identity_exponent(sys, rec,
                                              sys.character(1, idx)) == 0

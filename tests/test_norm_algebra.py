@@ -11,14 +11,16 @@ from types import SimpleNamespace
 import pytest
 
 import charsum.cyclotomic as cy
+import charsum.identity_engine as ie
 import charsum.norm_algebra as na
 from charsum.characters import CharSystem
 from charsum.cli import main
 from charsum.cyclotomic import CycloValue
-from charsum.divisor_calc import Divisor
+from charsum.divisor_calc import Divisor, divisor_of_char_power
 from charsum.errors import SchemaError, SizeBoundError
 from charsum.field_tower import build_tower
-from charsum.identity_engine import GammaMonomial, check_terms
+from charsum.identity_engine import (GammaMonomial, check_terms,
+                                     verify_norm_identity)
 from charsum.monomial_fourier import (
     MonomialDatum,
     check_monomial_datum,
@@ -47,7 +49,6 @@ from charsum.norm_algebra import (
     rk,
     solve_norm_transform,
     sweep_norm_moments,
-    verify_norm_identity,
     verify_norm_moments,
 )
 
@@ -259,6 +260,49 @@ def test_module_divisor_fixtures():
                           VirtualModule((1, -1))).is_zero()
 
 
+def _weighted_term_fold(system, algebra, chi, module):
+    """sum_i d_i divisor_of_char_power(point of chi_i, n_i), d_i = D_i/e."""
+    total = Divisor()
+    for ch, n, d in zip(chi.chars, module.ranks, algebra.rel_degrees()):
+        total = total + divisor_of_char_power(system.char_point(ch),
+                                              n).scale(d)
+    return total
+
+
+def test_module_divisor_matches_weighted_term_fold():
+    # seeded algebras over F_3, F_5 and F_7 at base degrees 1 and 2, with
+    # factors of relative degree 1, 2 and 4, and zero and negative ranks;
+    # the zero-divisor data of the mixed-degree identity test as well
+    rng = random.Random(28)
+    systems = [CharSystem(build_tower(p, degrees=(1, 2, 4)))
+               for p in (3, 5, 7)]
+    cases = [(sy, alg, chi, V) for sy, alg, V, chi in
+             (c for p in (3, 5) for c in _mixed_degree_cases(p))]
+    for _ in range(300):
+        sy = rng.choice(systems)
+        p, base = sy.tower.p, rng.choice((1, 2))
+        alg = EtaleAlgebra(sy.tower, [
+            rng.choice([d for d in (1, 2, 4) if d % base == 0])
+            for _ in range(rng.randint(1, 4))], base)
+        chi = NormCharacter(tuple(
+            sy.character(d, rng.randrange(sy.tower.group_order(d)))
+            for d in alg.degrees))
+        V = VirtualModule(rng.choice([n for n in range(-6, 7) if n % p != 0
+                                      or n == 0]) for _ in alg.degrees)
+        cases.append((sy, alg, chi, V))
+    seen = set()
+    for sy, alg, chi, V in cases:
+        assert module_divisor(sy, alg, chi, V) == \
+            _weighted_term_fold(sy, alg, chi, V), (alg, chi, V)
+        seen.update(("base 2" if alg.base_degree == 2 else "base 1",
+                     "mixed" if len(set(alg.degrees)) > 1 else "split")
+                    + tuple("zero rank" if n == 0 else "negative rank"
+                            for n in V.ranks if n <= 0)
+                    + tuple(f"weight {d}" for d in alg.rel_degrees()))
+    assert seen >= {"base 1", "base 2", "mixed", "split", "zero rank",
+                    "negative rank", "weight 1", "weight 2", "weight 4"}
+
+
 # ------------------------------------------------------ Gauss-sum identity
 
 
@@ -318,8 +362,8 @@ def test_verify_norm_identity_mixed_degrees(monkeypatch):
     # sides then differ on F_9 for every nontrivial lam, and the Gauss
     # sums of that degree are multiplied in instead of cancelled
     prepared = []
-    prepare = na._prepare
-    monkeypatch.setattr(na, "_prepare", lambda *args: prepared.append(
+    prepare = ie._prepare
+    monkeypatch.setattr(ie, "_prepare", lambda *args: prepared.append(
         args[1:]) or prepare(*args))
     for p in (3, 5):
         for sy, alg, V, chi in _mixed_degree_cases(p):
@@ -844,9 +888,7 @@ def test_support_sweep_matches_every_twist(monkeypatch, name, a, tamper):
     rep = na._sweep(system, algebra, module, chi, a, 2)
     assert rep == _every_twist_sweep(system, algebra, module, chi, a, 2,
                                      "closed")
-    if algebra.base_degree == 1:  # sweep_tuples reads algebras over F_q
-        assert rep["checked"] == na.sweep_tuples(system.tower,
-                                                 algebra.degrees, 2)
+    assert rep["checked"] == na.sweep_tuples(algebra, 2)
     assert rep["pass"] if tamper is None else rep["failures"]
     # the same report when every twist skips the Jacobi-form route
     monkeypatch.setattr(na, "_twist_by_forms", _defer)

@@ -3,7 +3,8 @@
 Every record type of charsum is a plain __slots__ class.  Each is equal
 only to an instance of its own class, hashes as the tuple of its fields
 (GammaMonomial as its terms, CycloValue by its trace), and prints the repr
-a dataclass with the same fields would print.
+a dataclass with the same fields would print.  The syntax-tree guards
+also keep the import layering of identity_engine over norm_algebra.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from charsum.characters import MultCharacter
 from charsum.cli import Kind
 from charsum.cyclotomic import CycloValue
 from charsum.field_tower import build_tower
-from charsum.identity_engine import GammaMonomial
+from charsum.identity_engine import GammaMonomial, IdentityRecord
 from charsum.monomial_fourier import TransformSolution
-from charsum.norm_algebra import (EtaleAlgebra, IdentityRecord, MonomialDatum,
-                                  NormCharacter, NormSolution, VirtualModule)
+from charsum.norm_algebra import (EtaleAlgebra, MonomialDatum, NormCharacter,
+                                  NormSolution, VirtualModule)
 
 SRC = Path(charsum.__file__).resolve().parent
 T3 = build_tower(3, 1, degrees=(1, 2))
@@ -172,3 +173,50 @@ def test_no_class_generates_code_at_import():
              for line, what in _generated_classes(
                  ast.parse(path.read_text(), str(path)))]
     assert not found, found
+
+
+def _charsum_imports(tree):
+    """(module, name) for each name a module's syntax tree imports from a
+    charsum module, the module without its package; an import of a whole
+    charsum module gives (module, None)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name.split(".")[1], None) for alias in node.names
+                        if alias.name.startswith("charsum."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("charsum")):
+            module = (node.module or "").removeprefix("charsum").lstrip(".")
+            yield from ((module, alias.name) if module else (alias.name, None)
+                        for alias in node.names)
+
+
+def test_import_guard_sees_every_form():
+    tree = ast.parse("import math\nfrom fractions import Fraction\n"
+                     "from .norm_algebra import _a\n"
+                     "from charsum.norm_algebra import b\n"
+                     "from . import identity_engine\n"
+                     "import charsum.identity_engine as ie\n"
+                     "def f():\n    from .stalk_traces import c\n")
+    assert list(_charsum_imports(tree)) == [
+        ("norm_algebra", "_a"), ("norm_algebra", "b"),
+        ("identity_engine", None), ("identity_engine", None),
+        ("stalk_traces", "c")]
+
+
+def test_identity_engine_reads_norm_algebra_one_way():
+    # norm_algebra holds the algebras, the solver, the I-sums and the
+    # sweeps, and identity_engine every identity route; the route reads the
+    # engine and not the reverse, and of its private names only the split
+    # algebras (_split_algebra) and the scale on validated data (_scale),
+    # whose public route is p_of
+    def imports(name):
+        path = SRC / f"{name}.py"
+        return list(_charsum_imports(ast.parse(path.read_text(), str(path))))
+
+    assert [module for module, _ in imports("norm_algebra")
+            if module == "identity_engine"] == []
+    read = [name for module, name in imports("identity_engine")
+            if module == "norm_algebra"]
+    assert None not in read  # a module import would hide its attributes
+    assert {name for name in read if name.startswith("_")} <= {
+        "_split_algebra", "_scale"}
